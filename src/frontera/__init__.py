@@ -3,9 +3,7 @@
 from .market_data import (
     MarketDataError,
     PricePanel,
-    PricePoint,
     PriceSeries,
-    ReturnSeries,
     WindowSpec,
     align_panel,
     parse_price_csv,

@@ -64,10 +64,24 @@ class OutputSet:
             raise
 
 
-def _require(obj: dict, field: str, path: str):
+def _require(obj: dict, field: str, path: str, convert=None):
     if field not in obj:
         raise InputError(f"{path}: missing field '{field}'")
-    return obj[field]
+    return obj[field] if convert is None else _convert(obj[field], field, path, convert)
+
+
+def _convert(value, field: str, path: str, convert):
+    """``convert(value)``, with a failure reported as an InputError naming the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{path}: field '{field}' has invalid value {value!r}") from None
+
+
+def _names(value) -> tuple[str, ...]:
+    if isinstance(value, str) or not all(isinstance(v, str) for v in value):
+        raise TypeError("expected a list of strings")
+    return tuple(value)
 
 
 def _check_units(obj: dict, path: str):
@@ -118,7 +132,7 @@ def load_config(path: Path) -> AnalysisConfig:
                     name=_require(w, "name", loc),
                     start=_parse_date(_require(w, "start", loc), loc),
                     end=_parse_date(_require(w, "end", loc), loc),
-                    rf_annual=float(_require(w, "rf_annual", loc)),
+                    rf_annual=_require(w, "rf_annual", loc, float),
                 )
             )
         except MarketDataError as exc:
@@ -126,7 +140,7 @@ def load_config(path: Path) -> AnalysisConfig:
     names = [w.name for w in windows]
     if len(set(names)) != len(names):
         raise InputError(f"{where}: window names must be unique")
-    trading_days = int(doc.get("trading_days", st.TRADING_DAYS))
+    trading_days = _convert(doc.get("trading_days", st.TRADING_DAYS), "trading_days", where, int)
     if trading_days < 1:
         raise InputError(f"{where}: trading_days must be >= 1")
     return AnalysisConfig(
@@ -142,15 +156,17 @@ def load_replay_input(path: Path) -> rp.ReplayInput:
     doc = _load_json(path)
     where = str(path)
     _check_units(doc, where)
-    labels = tuple(_require(doc, "labels", where))
-    rf = float(_require(doc, "rf", where))
+    labels = _require(doc, "labels", where, _names)
+    if len(set(labels)) != len(labels):
+        raise InputError(f"{where}: labels must be unique")
+    rf = _require(doc, "rf", where, float)
     aux = None
     if "asset_stats" in doc:
         aux = tuple(
             rp.AssetAux(
-                ann_return=float(_require(a, "ann_return", f"{where}.asset_stats[{i}]")),
-                ann_vol=float(_require(a, "ann_vol", f"{where}.asset_stats[{i}]")),
-                beta=float(_require(a, "beta", f"{where}.asset_stats[{i}]")),
+                ann_return=_require(a, "ann_return", f"{where}.asset_stats[{i}]", float),
+                ann_vol=_require(a, "ann_vol", f"{where}.asset_stats[{i}]", float),
+                beta=_require(a, "beta", f"{where}.asset_stats[{i}]", float),
             )
             for i, a in enumerate(doc["asset_stats"])
         )
@@ -159,12 +175,12 @@ def load_replay_input(path: Path) -> rp.ReplayInput:
         m = doc["market"]
         market_aux = (
             _require(m, "id", f"{where}.market"),
-            float(_require(m, "ann_return", f"{where}.market")),
-            float(_require(m, "ann_vol", f"{where}.market")),
+            _require(m, "ann_return", f"{where}.market", float),
+            _require(m, "ann_vol", f"{where}.market", float),
         )
     name = doc.get("name", "replay")
-    window = WindowSpec(name, Date(1900, 1, 1), Date(2100, 1, 1), rf)
     try:
+        window = WindowSpec(name, Date(1900, 1, 1), Date(2100, 1, 1), rf)
         return rp.ReplayInput(
             labels=labels,
             cov_matrix=_require(doc, "cov_matrix", where),

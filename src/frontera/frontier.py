@@ -65,20 +65,6 @@ class PortfolioSolution:
     risk: float
     sharpe: float | None
 
-    def __eq__(self, other):
-        if not isinstance(other, PortfolioSolution):
-            return NotImplemented
-        return (
-            self.target_return == other.target_return
-            and self.lambda_ == other.lambda_
-            and self.theta == other.theta
-            and np.array_equal(self.weights, other.weights)
-            and self.port_return == other.port_return
-            and self.variance == other.variance
-            and self.risk == other.risk
-            and self.sharpe == other.sharpe
-        )
-
 
 @dataclass(frozen=True)
 class Viability:

@@ -1,8 +1,8 @@
 """Price CSV parsing, panel alignment, window slicing and daily returns.
 
 Input files are one CSV per series with header ``date,close``, ISO-8601
-dates and strictly positive decimal prices. Multiple series are combined
-by inner join on dates: betas and covariances need synchronized
+dates and finite, strictly positive decimal prices. Multiple series are
+combined by inner join on dates: betas and covariances need synchronized
 observations, so any date missing from one series is dropped from all.
 """
 
@@ -10,10 +10,14 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from datetime import date as Date
+from functools import reduce
 
 import numpy as np
+
+_EPOCH_ORDINAL = Date(1970, 1, 1).toordinal()  # day 0 of datetime64[D]
 
 
 class MarketDataError(ValueError):
@@ -21,50 +25,33 @@ class MarketDataError(ValueError):
 
 
 @dataclass(frozen=True)
-class PricePoint:
-    date: Date
-    close: float
-
-    def __post_init__(self):
-        if not (self.close > 0):
-            raise MarketDataError(f"non-positive price {self.close} on {self.date}")
-
-
-@dataclass(frozen=True)
 class PriceSeries:
+    """One series' closes on strictly increasing ``datetime64[D]`` dates."""
+
     asset_id: str
-    points: tuple[PricePoint, ...]
-
-    def __post_init__(self):
-        dates = [p.date for p in self.points]
-        for a, b in zip(dates, dates[1:]):
-            if a >= b:
-                raise MarketDataError(f"{self.asset_id}: dates not strictly increasing at {b}")
-
-    @property
-    def dates(self) -> tuple[Date, ...]:
-        return tuple(p.date for p in self.points)
-
-    @property
-    def closes(self) -> np.ndarray:
-        return np.array([p.close for p in self.points])
-
-    def restrict(self, keep: set[Date]) -> "PriceSeries":
-        return PriceSeries(self.asset_id, tuple(p for p in self.points if p.date in keep))
+    dates: np.ndarray
+    closes: np.ndarray
 
 
 @dataclass(frozen=True)
 class PricePanel:
-    """Date-aligned daily closes for the candidate assets plus the market index."""
+    """Date-aligned daily closes: one row per asset, the market index last.
 
-    assets: tuple[PriceSeries, ...]
-    market: PriceSeries
-    common_dates: tuple[Date, ...]
+    ``closes`` has shape ``(len(labels) + 1, len(common_dates))``.
+    """
+
+    labels: tuple[str, ...]
+    market_id: str
+    common_dates: np.ndarray
+    closes: np.ndarray
 
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """A named closed date interval with its annual risk-free rate."""
+    """A named closed date interval with its annual risk-free rate.
+
+    The name becomes an output directory, so it must be a plain name.
+    """
 
     name: str
     start: Date
@@ -72,39 +59,24 @@ class WindowSpec:
     rf_annual: float
 
     def __post_init__(self):
+        if (
+            not isinstance(self.name, str)
+            or self.name in ("", ".", "..")
+            or any(c in self.name for c in "/\\\0")
+        ):
+            raise MarketDataError(f"window name {self.name!r} is not a plain directory name")
         if self.start > self.end:
             raise MarketDataError(f"window {self.name}: start {self.start} after end {self.end}")
         if not np.isfinite(self.rf_annual):
             raise MarketDataError(f"window {self.name}: rf_annual not finite")
 
 
-@dataclass(frozen=True)
-class ReturnSeries:
-    """Daily simple returns with the date of the later day of each pair."""
-
-    asset_id: str
-    returns: np.ndarray
-    dates: tuple[Date, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "returns", np.asarray(self.returns, dtype=float))
-        if len(self.returns) != len(self.dates):
-            raise MarketDataError(f"{self.asset_id}: returns/dates length mismatch")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ReturnSeries)
-            and self.asset_id == other.asset_id
-            and self.dates == other.dates
-            and np.array_equal(self.returns, other.returns)
-        )
-
-
 def parse_price_csv(text: str | bytes, asset_id: str) -> PriceSeries:
     """Parse a ``date,close`` CSV into a date-ascending PriceSeries.
 
-    Rejects malformed rows (with their line number), non-positive prices,
-    duplicate dates and empty files. LF and CRLF are both accepted.
+    Rejects malformed rows (with their line number), non-finite and
+    non-positive prices, duplicate dates and empty files. LF and CRLF are
+    both accepted.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -115,7 +87,8 @@ def parse_price_csv(text: str | bytes, asset_id: str) -> PriceSeries:
     header_line, header = rows[0]
     if [c.strip().lower() for c in header] != ["date", "close"]:
         raise MarketDataError(f"{asset_id}: expected header 'date,close' at line {header_line}")
-    points = []
+    days: list[int] = []  # proleptic Gregorian ordinals
+    closes: list[float] = []
     seen: set[Date] = set()
     for line_no, row in rows[1:]:
         if len(row) != 2:
@@ -125,55 +98,57 @@ def parse_price_csv(text: str | bytes, asset_id: str) -> PriceSeries:
             close = float(row[1])
         except ValueError as exc:
             raise MarketDataError(f"{asset_id}: malformed row at line {line_no}: {exc}") from None
-        if not (close > 0):
+        if not math.isfinite(close):
+            raise MarketDataError(f"{asset_id}: non-finite price at line {line_no}")
+        if not close > 0:
             raise MarketDataError(f"{asset_id}: non-positive price at line {line_no}")
         if d in seen:
             raise MarketDataError(f"{asset_id}: duplicate date {d} at line {line_no}")
         seen.add(d)
-        points.append(PricePoint(d, close))
-    if not points:
+        days.append(d.toordinal())
+        closes.append(close)
+    if not days:
         raise MarketDataError(f"{asset_id}: no data rows")
-    points.sort(key=lambda p: p.date)
-    return PriceSeries(asset_id, tuple(points))
+    # from ordinals: numpy converts a list of date objects one at a time, ~25x slower
+    dates = (np.array(days) - _EPOCH_ORDINAL).astype("datetime64[D]")
+    order = np.argsort(dates)
+    return PriceSeries(asset_id, dates[order], np.array(closes)[order])
 
 
 def align_panel(assets: list[PriceSeries], market: PriceSeries) -> PricePanel:
     """Inner-join all series on dates; every retained date appears in every series."""
     if not assets:
         raise MarketDataError("at least one asset series is required")
-    common = set(market.dates)
-    for s in assets:
-        common &= set(s.dates)
-    if not common:
+    series = [*assets, market]
+    common = reduce(
+        lambda a, b: np.intersect1d(a, b, assume_unique=True), (s.dates for s in series)
+    )
+    if len(common) == 0:
         raise MarketDataError("empty intersection of trading dates")
     if len(common) < 2:
         raise MarketDataError(f"only {len(common)} common trading date(s); need at least 2")
-    ordered = tuple(sorted(common))
-    return PricePanel(
-        assets=tuple(s.restrict(common) for s in assets),
-        market=market.restrict(common),
-        common_dates=ordered,
-    )
+    closes = np.stack([s.closes[np.searchsorted(s.dates, common)] for s in series])
+    return PricePanel(tuple(s.asset_id for s in assets), market.asset_id, common, closes)
 
 
 def slice_window(panel: PricePanel, window: WindowSpec) -> PricePanel:
-    """Restrict a panel to the closed date interval [start, end]."""
-    keep = {d for d in panel.common_dates if window.start <= d <= window.end}
-    if len(keep) < 2:
+    """Restrict a panel to the closed date interval [start, end] (a view, not a copy)."""
+    dates = panel.common_dates
+    lo = np.searchsorted(dates, np.datetime64(window.start, "D"), side="left")
+    hi = np.searchsorted(dates, np.datetime64(window.end, "D"), side="right")
+    if hi - lo < 2:
         raise MarketDataError(
-            f"window {window.name}: {len(keep)} trading date(s) in range; need at least 2"
+            f"window {window.name}: {hi - lo} trading date(s) in range; need at least 2"
         )
-    return PricePanel(
-        assets=tuple(s.restrict(keep) for s in panel.assets),
-        market=panel.market.restrict(keep),
-        common_dates=tuple(sorted(keep)),
-    )
+    return PricePanel(panel.labels, panel.market_id, dates[lo:hi], panel.closes[:, lo:hi])
 
 
-def simple_returns(series: PriceSeries) -> ReturnSeries:
-    """Daily simple returns P_t / P_{t-1} - 1, dated on the later day."""
-    if len(series.points) < 2:
-        raise MarketDataError(f"{series.asset_id}: need at least 2 prices for returns")
-    closes = series.closes
-    rets = closes[1:] / closes[:-1] - 1.0
-    return ReturnSeries(series.asset_id, rets, series.dates[1:])
+def simple_returns(panel: PricePanel) -> np.ndarray:
+    """Daily simple returns P_t / P_{t-1} - 1 of every row.
+
+    Column t is dated ``common_dates[t + 1]``, the later day of its pair.
+    """
+    c = panel.closes
+    if c.shape[1] < 2:
+        raise MarketDataError("need at least 2 prices for returns")
+    return c[:, 1:] / c[:, :-1] - 1.0

@@ -83,43 +83,22 @@ def analyze_window(
 ) -> WindowReport:
     """Run the full pipeline on one date window of an aligned price panel."""
     sliced = slice_window(panel, window)
-    market_ret = simple_returns(sliced.market)
-    mu_m = st.annualized_return(market_ret, trading_days)
-    market_vol = st.annualized_volatility(market_ret, trading_days)
+    r = simple_returns(sliced)
     rf = window.rf_annual
-
-    asset_stats = []
-    asset_returns = []
-    for series in sliced.assets:
-        ret = simple_returns(series)
-        asset_returns.append(ret)
-        ann_return = st.annualized_return(ret, trading_days)
-        ann_vol = st.annualized_volatility(ret, trading_days)
-        b = st.beta(ret, market_ret)
-        capm = st.capm_expected_return(b, rf, mu_m)
-        asset_stats.append(
-            st.AssetStats(
-                asset_id=series.asset_id,
-                ann_return=ann_return,
-                ann_vol=ann_vol,
-                beta=b,
-                capm=capm,
-                sharpe=st.asset_sharpe(ann_return, rf, ann_vol),
-                treynor=st.asset_treynor(ann_return, rf, b),
-            )
+    ann_return = st.annualized_return(r, trading_days)
+    ann_vol = st.annualized_volatility(r, trading_days)
+    betas = np.append(st.beta(r[:-1], r[-1]), 1.0)  # the market's own beta is 1
+    capm = st.capm_expected_return(betas, rf, ann_return[-1])
+    sharpe = st.asset_sharpe(ann_return, rf, ann_vol)
+    treynor = st.asset_treynor(ann_return, rf, betas)
+    *asset_stats, market_stats = (
+        st.AssetStats(label, *map(float, values))
+        for label, *values in zip(
+            sliced.labels + (sliced.market_id,), ann_return, ann_vol, betas, capm, sharpe, treynor
         )
-    market_stats = st.AssetStats(
-        asset_id=sliced.market.asset_id,
-        ann_return=mu_m,
-        ann_vol=market_vol,
-        beta=1.0,
-        capm=st.capm_expected_return(1.0, rf, mu_m),
-        sharpe=st.asset_sharpe(mu_m, rf, market_vol),
-        treynor=st.asset_treynor(mu_m, rf, 1.0),
     )
-    cov = st.covariance_matrix(asset_returns, trading_days)
-    er = np.array([s.capm for s in asset_stats])
-    return _build_report(window, cov.labels, er, tuple(asset_stats), market_stats, cov)
+    cov = st.covariance_matrix(r[:-1], sliced.labels, trading_days)
+    return _build_report(window, cov.labels, capm[:-1], tuple(asset_stats), market_stats, cov)
 
 
 def replay_paper(replay: ReplayInput) -> WindowReport:

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market_data import ReturnSeries
-
 TRADING_DAYS = 252
 
 
@@ -54,96 +52,76 @@ class CovarianceModel:
         return len(self.labels)
 
 
-def annualized_return(returns: ReturnSeries, trading_days: int = TRADING_DAYS) -> float:
-    """Annualized geometric return: (prod(1+r))^(trading_days/n) - 1."""
-    r = returns.returns
-    if len(r) == 0:
-        raise StatsError(f"{returns.asset_id}: no returns")
-    if np.any(r <= -1.0):
-        raise StatsError(f"{returns.asset_id}: return <= -100% makes the geometric mean undefined")
-    growth = float(np.prod(1.0 + r))
-    return growth ** (trading_days / len(r)) - 1.0
+def annualized_return(returns: np.ndarray, trading_days: int = TRADING_DAYS) -> np.ndarray:
+    """Annualized geometric return of each row: (prod(1+r))^(trading_days/n) - 1."""
+    n = returns.shape[1]
+    if n == 0:
+        raise StatsError("no returns")
+    if np.any(returns <= -1.0):
+        raise StatsError("return <= -100% makes the geometric mean undefined")
+    growth = np.prod(1.0 + returns, axis=1)
+    # scalar pow: np.power's vector loop can differ from libm pow in the last bit
+    return np.array([g ** (trading_days / n) for g in growth.tolist()]) - 1.0
 
 
-def annualized_volatility(returns: ReturnSeries, trading_days: int = TRADING_DAYS) -> float:
-    """Sample standard deviation of daily returns (divisor n-1) times sqrt(trading_days)."""
-    r = returns.returns
-    if len(r) < 2:
-        raise StatsError(f"{returns.asset_id}: need at least 2 returns for volatility")
-    return float(np.std(r, ddof=1)) * float(np.sqrt(trading_days))
+def annualized_volatility(returns: np.ndarray, trading_days: int = TRADING_DAYS) -> np.ndarray:
+    """Sample standard deviation of each row (divisor n-1) times sqrt(trading_days)."""
+    if returns.shape[1] < 2:
+        raise StatsError("need at least 2 returns for volatility")
+    return np.std(returns, axis=1, ddof=1) * float(np.sqrt(trading_days))
 
 
-def beta(asset: ReturnSeries, market: ReturnSeries) -> float:
-    """Sample covariance(asset, market) / sample variance(market), both divisor n-1."""
-    x, m = asset.returns, market.returns
-    if len(x) != len(m):
-        raise StatsError(f"{asset.asset_id}: length mismatch with market series")
-    if len(x) < 2:
-        raise StatsError(f"{asset.asset_id}: need at least 2 aligned returns for beta")
-    if asset.dates != market.dates:
-        raise StatsError(f"{asset.asset_id}: dates not aligned with market series")
-    xc = x - x.mean()
-    mc = m - m.mean()
+def beta(returns: np.ndarray, market: np.ndarray) -> np.ndarray:
+    """Sample covariance of each row with the market / sample variance of the market."""
+    if returns.shape[1] < 2:
+        raise StatsError("need at least 2 aligned returns for beta")
+    xc = returns - returns.mean(axis=1, keepdims=True)
+    mc = market - market.mean()
     var_m = float(mc @ mc)
     if var_m == 0.0:
         raise StatsError("market variance is zero")
-    return float(xc @ mc) / var_m
+    return (xc @ mc) / var_m
 
 
-def capm_expected_return(beta_: float, rf: float, market_return: float) -> float:
+def capm_expected_return(beta_: float | np.ndarray, rf: float, market_return: float):
     """CAPM: rf + beta * (market_return - rf)."""
     return rf + beta_ * (market_return - rf)
 
 
-def asset_sharpe(ann_return: float, rf: float, ann_vol: float) -> float:
-    if ann_vol <= 0:
+def asset_sharpe(ann_return: float | np.ndarray, rf: float, ann_vol: float | np.ndarray):
+    if np.any(ann_vol <= 0):
         raise StatsError("Sharpe undefined for zero volatility")
     return (ann_return - rf) / ann_vol
 
 
-def asset_treynor(ann_return: float, rf: float, beta_: float) -> float:
-    if beta_ == 0:
+def asset_treynor(ann_return: float | np.ndarray, rf: float, beta_: float | np.ndarray):
+    if np.any(beta_ == 0):
         raise StatsError("Treynor undefined for zero beta")
     return (ann_return - rf) / beta_
 
 
-def sample_covariance(
-    returns: list[ReturnSeries], trading_days: int = TRADING_DAYS
-) -> np.ndarray:
-    """Annualized sample covariance matrix of aligned daily return series.
+def sample_covariance(returns: np.ndarray, trading_days: int = TRADING_DAYS) -> np.ndarray:
+    """Annualized sample covariance matrix of the rows of an aligned returns array.
 
     Each entry is the daily sample covariance (divisor n-1) times
-    trading_days; the matrix is filled once per unordered pair, so it is
-    exactly symmetric.
+    trading_days. ``Rc @ Rc.T`` is computed as a symmetric rank-k update,
+    so the matrix is exactly symmetric.
     """
-    if len(returns) < 2:
+    n_series, n_obs = returns.shape
+    if n_series < 2:
         raise StatsError("need at least 2 return series")
-    n_obs = len(returns[0].returns)
-    for s in returns[1:]:
-        if len(s.returns) != n_obs:
-            raise StatsError(f"{s.asset_id}: return series length mismatch")
-        if s.dates != returns[0].dates:
-            raise StatsError(f"{s.asset_id}: dates not aligned")
     if n_obs < 2:
         raise StatsError("need at least 2 observations")
-    centered = [s.returns - s.returns.mean() for s in returns]
-    n = len(returns)
-    a = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            cov = float(centered[i] @ centered[j]) / (n_obs - 1) * trading_days
-            a[i, j] = cov
-            a[j, i] = cov
-    return a
+    rc = returns - returns.mean(axis=1, keepdims=True)
+    return (rc @ rc.T) / (n_obs - 1) * trading_days
 
 
 def covariance_matrix(
-    returns: list[ReturnSeries], trading_days: int = TRADING_DAYS
+    returns: np.ndarray, labels: tuple[str, ...], trading_days: int = TRADING_DAYS
 ) -> CovarianceModel:
-    """Sample covariance matrix plus its inverse; inversion certifies PD."""
+    """Sample covariance matrix of the labelled rows plus its inverse; inversion certifies PD."""
     a = sample_covariance(returns, trading_days)
-    inv = invert_matrix(a)
-    return CovarianceModel(tuple(s.asset_id for s in returns), a, inv)
+    return CovarianceModel(tuple(labels), a, invert_matrix(a))
 
 
 def invert_matrix(matrix: np.ndarray, sym_tol: float = 1e-10) -> np.ndarray:

@@ -1,10 +1,11 @@
-from datetime import date, timedelta
+import dataclasses
+from datetime import date
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from frontera import PricePoint, PriceSeries, align_panel
+from frontera import PriceSeries, align_panel
 from frontera.cli import load_replay_input
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -20,10 +21,9 @@ def load_fixture(name: str):
 
 
 def series_from_prices(asset_id: str, prices, start=date(2020, 1, 1)):
-    points = tuple(
-        PricePoint(start + timedelta(days=i), float(p)) for i, p in enumerate(prices)
-    )
-    return PriceSeries(asset_id, points)
+    closes = np.asarray(prices, dtype=float)
+    dates = np.datetime64(start, "D") + np.arange(len(closes))
+    return PriceSeries(asset_id, dates, closes)
 
 
 def series_from_returns(asset_id: str, returns, start=date(2020, 1, 1), p0=100.0):
@@ -49,6 +49,17 @@ def random_expected_returns(rng: np.random.Generator, n: int) -> np.ndarray:
             return er
 
 
+def assert_fields_equal(a, b):
+    """Field-by-field equality of two dataclass values; array fields bit for bit."""
+    assert type(a) is type(b)
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
+
+
 def assert_reports_identical(a, b):
     """Bit-level equality of two WindowReport values, field by field."""
     assert a.window == b.window
@@ -56,16 +67,13 @@ def assert_reports_identical(a, b):
     assert np.array_equal(a.expected_returns, b.expected_returns)
     assert a.stats == b.stats
     assert a.market_stats == b.market_stats
-    assert a.cov.labels == b.cov.labels
-    assert np.array_equal(a.cov.matrix, b.cov.matrix)
-    assert np.array_equal(a.cov.inverse, b.cov.inverse)
-    for attr in ("alpha", "b", "gamma", "delta"):
-        assert getattr(a.constants, attr) == getattr(b.constants, attr)
-    assert np.array_equal(a.constants.h, b.constants.h)
-    assert np.array_equal(a.constants.g, b.constants.g)
+    assert_fields_equal(a.cov, b.cov)
+    assert_fields_equal(a.constants, b.constants)
     assert a.viability == b.viability
     assert a.tangency == b.tangency
-    assert a.solution == b.solution
+    assert (a.solution is None) == (b.solution is None)
+    if a.solution is not None:
+        assert_fields_equal(a.solution, b.solution)
     assert (a.curve is None) == (b.curve is None)
     if a.curve is not None:
         assert a.curve.points == b.curve.points

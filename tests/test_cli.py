@@ -50,6 +50,15 @@ def make_config(tmp_path, n_days=400, seed=17, extra=None):
     return cfg
 
 
+def files_under(root):
+    return sorted(p for p in root.rglob("*") if p.is_file())
+
+
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 class TestAnalyze:
     def test_happy_path(self, tmp_path):
         cfg = make_config(tmp_path)
@@ -110,6 +119,27 @@ class TestAnalyze:
         assert main(["analyze", "--config", str(cfg)]) == 2
         assert not (tmp_path / "out").exists() or not any((tmp_path / "out").rglob("*"))
 
+    @pytest.mark.parametrize(
+        "window_field, config_field",
+        [
+            ({"name": "../escape"}, {}),
+            ({"name": 5}, {}),
+            ({"rf_annual": "x"}, {}),
+            ({}, {"trading_days": "abc"}),
+        ],
+        ids=["name-escapes", "name-not-str", "rf-not-number", "trading-days-not-int"],
+    )
+    def test_bad_field_exit_1(self, tmp_path, capsys, window_field, config_field):
+        cfg = make_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        doc["windows"][0].update(window_field)
+        doc.update(config_field)
+        cfg.write_text(json.dumps(doc))
+        before = files_under(tmp_path)
+        assert main(["analyze", "--config", str(cfg)]) == 1
+        assert_one_error_line(capsys)
+        assert files_under(tmp_path) == before
+
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         cfg = make_config(tmp_path)
         env_dir = tmp_path / "env_out"
@@ -167,6 +197,32 @@ class TestReplay:
         )
         assert main(["replay", "--input", str(bad), "--output-dir", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"name": "../../x"},
+            {"rf": "x"},
+            {"labels": 5},
+            {"labels": ["A", "A"]},
+        ],
+        ids=["name-escapes", "rf-not-number", "labels-not-list", "labels-duplicate"],
+    )
+    def test_bad_field_exit_1(self, tmp_path, capsys, field):
+        doc = {
+            "units": "decimal",
+            "labels": ["A", "B"],
+            "cov_matrix": [[0.04, 0.01], [0.01, 0.09]],
+            "expected_returns": [0.03, 0.04],
+            "rf": 0.02,
+        }
+        doc.update(field)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "a" / "b" / "o"  # "../../x" from here stays inside tmp_path
+        assert main(["replay", "--input", str(bad), "--output-dir", str(out)]) == 1
+        assert_one_error_line(capsys)
+        assert files_under(tmp_path) == [bad]
 
     def test_invalid_json_exit_1(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -5,33 +5,47 @@ import pytest
 
 from frontera import (
     MarketDataError,
+    PricePanel,
+    PriceSeries,
     WindowSpec,
     align_panel,
     parse_price_csv,
     simple_returns,
     slice_window,
 )
-from conftest import series_from_prices
+from conftest import assert_fields_equal, series_from_prices
+
+
+def returns_of(prices):
+    """Daily returns of one price list, taken through a panel with itself as market."""
+    panel = align_panel([series_from_prices("A", prices)], series_from_prices("M", prices))
+    return simple_returns(panel)[0]
 
 
 class TestParsePriceCsv:
     def test_minimal_file(self):
         s = parse_price_csv("date,close\n2015-01-02,100.0\n2015-01-05,110.0", "A")
-        assert len(s.points) == 2
-        assert s.points[0].date == date(2015, 1, 2)
-        assert s.points[1].close == 110.0
+        assert s.dates.dtype == np.dtype("datetime64[D]")
+        assert s.dates.tolist() == [date(2015, 1, 2), date(2015, 1, 5)]
+        assert s.closes.tolist() == [100.0, 110.0]
 
     def test_crlf_accepted(self):
         s = parse_price_csv("date,close\r\n2015-01-02,100.0\r\n2015-01-05,110.0\r\n", "A")
-        assert len(s.points) == 2
+        assert len(s.dates) == len(s.closes) == 2
 
     def test_unsorted_rows_are_sorted(self):
         s = parse_price_csv("date,close\n2015-01-05,110\n2015-01-02,100", "A")
-        assert s.dates == (date(2015, 1, 2), date(2015, 1, 5))
+        assert s.dates.tolist() == [date(2015, 1, 2), date(2015, 1, 5)]
+        assert s.closes.tolist() == [100.0, 110.0]
 
     def test_non_positive_price(self):
         with pytest.raises(MarketDataError, match="non-positive price at line 2"):
             parse_price_csv("date,close\n2015-01-02,-5", "A")
+
+    @pytest.mark.parametrize("close", ["inf", "1e400", "-inf", "nan"])
+    def test_non_finite_price(self, close):
+        with pytest.raises(MarketDataError, match="non-finite price at line 3"):
+            parse_price_csv(f"date,close\n2015-01-02,100\n2015-01-05,{close}\n", "A")
 
     def test_duplicate_date(self):
         with pytest.raises(MarketDataError, match="duplicate date"):
@@ -55,16 +69,16 @@ class TestAlignPanel:
         a = series_from_prices("A", [1, 2, 3], date(2020, 1, 1))
         m = series_from_prices("M", [5, 6, 7], date(2020, 1, 2))
         panel = align_panel([a], m)
-        assert panel.common_dates == (date(2020, 1, 2), date(2020, 1, 3))
-        assert panel.assets[0].closes.tolist() == [2, 3]
-        assert panel.market.closes.tolist() == [5, 6]
+        assert panel.common_dates.tolist() == [date(2020, 1, 2), date(2020, 1, 3)]
+        assert panel.labels == ("A",) and panel.market_id == "M"
+        assert panel.closes.tolist() == [[2, 3], [5, 6]]
 
     def test_identity_on_identical_calendars(self):
         a = series_from_prices("A", [1, 2, 3])
         m = series_from_prices("M", [4, 5, 6])
         panel = align_panel([a], m)
-        assert panel.assets[0] == a
-        assert panel.market == m
+        assert np.array_equal(panel.common_dates, a.dates)
+        assert np.array_equal(panel.closes, np.stack([a.closes, m.closes]))
 
     def test_disjoint_calendars(self):
         a = series_from_prices("A", [1, 2], date(2020, 1, 1))
@@ -87,8 +101,12 @@ class TestAlignPanel:
         a = series_from_prices("A", [1, 2, 3, 4], date(2020, 1, 1))
         m = series_from_prices("M", [1, 2, 3], date(2020, 1, 2))
         once = align_panel([a], m)
-        twice = align_panel(list(once.assets), once.market)
-        assert once == twice
+        series = [
+            PriceSeries(k, once.common_dates, c)
+            for k, c in zip(once.labels + (once.market_id,), once.closes)
+        ]
+        twice = align_panel(series[:-1], series[-1])
+        assert_fields_equal(once, twice)
 
 
 class TestSliceWindow:
@@ -100,7 +118,7 @@ class TestSliceWindow:
     def test_full_range_identity(self):
         panel = self._panel()
         w = WindowSpec("all", date(2019, 1, 1), date(2021, 1, 1), 0.05)
-        assert slice_window(panel, w) == panel
+        assert_fields_equal(slice_window(panel, w), panel)
 
     def test_single_day_error(self):
         panel = self._panel()
@@ -112,7 +130,8 @@ class TestSliceWindow:
         panel = self._panel()
         w = WindowSpec("mid", date(2020, 1, 3), date(2020, 1, 6), 0.05)
         sliced = slice_window(panel, w)
-        assert sliced.common_dates == tuple(date(2020, 1, d) for d in (3, 4, 5, 6))
+        assert sliced.common_dates.tolist() == [date(2020, 1, d) for d in (3, 4, 5, 6)]
+        assert sliced.closes.tolist() == [[3, 4, 5, 6], [13, 14, 15, 16]]
 
     def test_monotonicity(self):
         # slicing a sliced panel == slicing once with the window intersection
@@ -120,42 +139,47 @@ class TestSliceWindow:
         outer = WindowSpec("outer", date(2020, 1, 2), date(2020, 1, 8), 0.05)
         inner = WindowSpec("inner", date(2020, 1, 4), date(2020, 1, 10), 0.05)
         both = WindowSpec("both", date(2020, 1, 4), date(2020, 1, 8), 0.05)
-        assert slice_window(slice_window(panel, outer), inner) == slice_window(panel, both)
+        assert_fields_equal(
+            slice_window(slice_window(panel, outer), inner), slice_window(panel, both)
+        )
 
     def test_window_spec_validation(self):
         with pytest.raises(MarketDataError):
             WindowSpec("bad", date(2021, 1, 1), date(2020, 1, 1), 0.05)
         with pytest.raises(MarketDataError):
             WindowSpec("bad", date(2020, 1, 1), date(2021, 1, 1), float("nan"))
+        for name in ("", ".", "..", "../escape", "a/b", "a\\b", 5, None):
+            with pytest.raises(MarketDataError, match="plain directory name"):
+                WindowSpec(name, date(2020, 1, 1), date(2021, 1, 1), 0.05)
 
 
 class TestSimpleReturns:
     def test_hand_arithmetic(self):
-        r = simple_returns(series_from_prices("A", [100, 110]))
-        assert r.returns.tolist() == pytest.approx([0.10])
+        assert returns_of([100, 110]).tolist() == pytest.approx([0.10])
 
     def test_constant_prices(self):
-        r = simple_returns(series_from_prices("A", [50, 50, 50]))
-        assert r.returns.tolist() == [0.0, 0.0]
+        assert returns_of([50, 50, 50]).tolist() == [0.0, 0.0]
 
     def test_down_then_up(self):
-        r = simple_returns(series_from_prices("A", [100, 80, 100]))
-        assert r.returns.tolist() == pytest.approx([-0.20, 0.25])
+        assert returns_of([100, 80, 100]).tolist() == pytest.approx([-0.20, 0.25])
 
     def test_too_short(self):
+        dates = np.array(["2020-01-01"], dtype="datetime64[D]")
+        one_day = PricePanel(("A",), "M", dates, np.ones((2, 1)))
         with pytest.raises(MarketDataError, match="at least 2"):
-            simple_returns(series_from_prices("A", [100]))
+            simple_returns(one_day)
 
     def test_length_and_dates(self):
-        s = series_from_prices("A", [100, 101, 99, 104])
-        r = simple_returns(s)
-        assert len(r.returns) == len(s.points) - 1
-        assert r.dates == s.dates[1:]
+        # one row per series, dated on the later day of each pair
+        a = series_from_prices("A", [100, 101, 99, 104])
+        m = series_from_prices("M", [10, 11, 12, 13])
+        panel = align_panel([a], m)
+        r = simple_returns(panel)
+        assert r.shape == (2, len(panel.common_dates) - 1)
+        assert r[1].tolist() == pytest.approx([0.1, 1 / 11, 1 / 12])
 
     def test_reconstruction(self):
         rng = np.random.default_rng(7)
         prices = 100 * np.cumprod(1 + rng.normal(0, 0.02, 300))
-        s = series_from_prices("A", prices)
-        r = simple_returns(s)
-        rebuilt = prices[0] * np.prod(1 + r.returns)
+        rebuilt = prices[0] * np.prod(1 + returns_of(prices))
         assert abs(rebuilt - prices[-1]) / prices[-1] < 1e-12

@@ -3,7 +3,7 @@ import pytest
 
 from frontera import (
     NotPositiveDefiniteError,
-    ReturnSeries,
+    PricePanel,
     StatsError,
     annualized_return,
     annualized_volatility,
@@ -14,28 +14,29 @@ from frontera import (
     covariance_matrix,
     invert_matrix,
     sample_covariance,
+    simple_returns,
 )
 
 from conftest import load_fixture
 
 
-def ret(values, asset_id="A"):
-    values = np.asarray(values, dtype=float)
-    return ReturnSeries(asset_id, values, tuple(range(len(values))))
+def ret(*rows):
+    """A returns array with one row per given series."""
+    return np.array(rows, dtype=float).reshape(len(rows), -1)
 
 
 class TestAnnualizedReturn:
     def test_zero_returns(self):
-        assert annualized_return(ret(np.zeros(100))) == 0.0
+        assert annualized_return(ret(np.zeros(100)))[0] == 0.0
 
     def test_one_year_of_small_gains(self):
         # direct evaluation of the compounding formula
         expected = 1.001**252 - 1
-        assert annualized_return(ret(np.full(252, 0.001))) == pytest.approx(expected, rel=1e-12)
+        assert annualized_return(ret(np.full(252, 0.001)))[0] == pytest.approx(expected, rel=1e-12)
 
     def test_two_year_growth(self):
         daily = 1.21 ** (1 / 504) - 1
-        assert annualized_return(ret(np.full(504, daily))) == pytest.approx(0.10, rel=1e-9)
+        assert annualized_return(ret(np.full(504, daily)))[0] == pytest.approx(0.10, rel=1e-9)
 
     def test_total_loss_rejected(self):
         with pytest.raises(StatsError, match="geometric"):
@@ -48,18 +49,18 @@ class TestAnnualizedReturn:
 
 class TestAnnualizedVolatility:
     def test_constant_returns(self):
-        assert annualized_volatility(ret(np.full(50, 0.002))) == 0.0
+        assert annualized_volatility(ret(np.full(50, 0.002)))[0] == 0.0
 
     def test_alternating_returns(self):
         r = np.tile([0.01, -0.01], 126)
         sd = np.sqrt(252 * 0.01**2 / 251)  # hand sample sd, mean is 0
-        assert annualized_volatility(ret(r)) == pytest.approx(sd * np.sqrt(252), rel=1e-12)
+        assert annualized_volatility(ret(r))[0] == pytest.approx(sd * np.sqrt(252), rel=1e-12)
 
     def test_daily_sd_scale(self):
         # a ~1.86% daily sd lands near 29.6% annual, the order of the bank stock
         rng = np.random.default_rng(3)
         r = rng.normal(0, 0.0186, 20000)
-        vol = annualized_volatility(ret(r))
+        vol = annualized_volatility(ret(r))[0]
         assert 0.28 < vol < 0.31
 
     def test_too_few(self):
@@ -69,13 +70,13 @@ class TestAnnualizedVolatility:
 
 class TestBeta:
     def test_market_vs_itself(self):
-        m = ret(np.random.default_rng(0).normal(0, 0.01, 100), "M")
-        assert beta(m, m) == pytest.approx(1.0, abs=1e-14)
+        m = np.random.default_rng(0).normal(0, 0.01, 100)
+        assert beta(ret(m), m)[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_double_market(self):
         rng = np.random.default_rng(1)
         m = rng.normal(0, 0.01, 100)
-        assert beta(ret(2 * m, "A"), ret(m, "M")) == pytest.approx(2.0, rel=1e-12)
+        assert beta(ret(2 * m), m)[0] == pytest.approx(2.0, rel=1e-12)
 
     def test_orthogonal_asset(self):
         rng = np.random.default_rng(2)
@@ -83,24 +84,17 @@ class TestBeta:
         y = rng.normal(0, 0.01, 200)
         mc = m - m.mean()
         resid = y - (y @ mc) / (mc @ mc) * mc  # orthogonal to market in-sample
-        assert abs(beta(ret(resid, "A"), ret(m, "M"))) < 1e-12
+        assert abs(beta(ret(resid), m)[0]) < 1e-12
 
     def test_zero_market_variance(self):
         with pytest.raises(StatsError, match="market variance"):
-            beta(ret([0.01, 0.02]), ret([0.005, 0.005], "M"))
-
-    def test_misaligned_dates(self):
-        a = ReturnSeries("A", np.array([0.01, 0.02]), (1, 2))
-        m = ReturnSeries("M", np.array([0.01, 0.02]), (2, 3))
-        with pytest.raises(StatsError, match="aligned"):
-            beta(a, m)
+            beta(ret([0.01, 0.02]), np.array([0.005, 0.005]))
 
     def test_scale_property(self):
         rng = np.random.default_rng(4)
         m = rng.normal(0, 0.01, 150)
         a = 0.7 * m + rng.normal(0, 0.005, 150)
-        b1 = beta(ret(a), ret(m, "M"))
-        b3 = beta(ret(3 * a), ret(m, "M"))
+        b1, b3 = beta(ret(a, 3 * a), m)
         assert b3 == pytest.approx(3 * b1, rel=1e-12)
 
 
@@ -145,11 +139,11 @@ class TestCovarianceMatrix:
         # singular matrix: only the matrix part is defined, inversion must fail
         rng = np.random.default_rng(5)
         r = rng.normal(0, 0.012, 300)
-        matrix = sample_covariance([ret(r, "A"), ret(r, "B")])
+        matrix = sample_covariance(ret(r, r))
         s2 = np.var(r, ddof=1) * 252
         assert np.allclose(matrix, s2, rtol=1e-12)
         with pytest.raises(NotPositiveDefiniteError):
-            covariance_matrix([ret(r, "A"), ret(r, "B")])
+            covariance_matrix(ret(r, r), ("A", "B"))
 
     def test_orthogonal_series(self):
         rng = np.random.default_rng(6)
@@ -157,38 +151,33 @@ class TestCovarianceMatrix:
         y = rng.normal(0, 0.01, 200)
         mc = m - m.mean()
         resid = y - (y @ mc) / (mc @ mc) * mc
-        cov = covariance_matrix([ret(m, "A"), ret(resid, "B")])
+        cov = covariance_matrix(ret(m, resid), ("A", "B"))
         assert abs(cov.matrix[0, 1]) < 1e-12
 
     def test_exact_symmetry(self):
         rng = np.random.default_rng(7)
-        series = [ret(rng.normal(0, 0.01, 100), k) for k in "ABC"]
-        cov = covariance_matrix(series)
+        cov = covariance_matrix(rng.normal(0, 0.01, (3, 100)), tuple("ABC"))
         assert np.array_equal(cov.matrix, cov.matrix.T)
 
     def test_diagonal_matches_volatility(self):
         rng = np.random.default_rng(8)
-        series = [ret(rng.normal(0, 0.02, 250), k) for k in "ABCD"]
-        cov = covariance_matrix(series)
-        for i, s in enumerate(series):
-            assert cov.matrix[i, i] == pytest.approx(annualized_volatility(s) ** 2, rel=1e-10)
+        r = rng.normal(0, 0.02, (4, 250))
+        cov = covariance_matrix(r, tuple("ABCD"))
+        vol = annualized_volatility(r)
+        for i in range(4):
+            assert cov.matrix[i, i] == pytest.approx(vol[i] ** 2, rel=1e-10)
 
     def test_inverse_certificate(self):
         rng = np.random.default_rng(9)
-        series = [ret(rng.normal(0, 0.015, 400), k) for k in "ABCD"]
-        cov = covariance_matrix(series)
+        cov = covariance_matrix(rng.normal(0, 0.015, (4, 400)), tuple("ABCD"))
         assert np.max(np.abs(cov.matrix @ cov.inverse - np.eye(4))) < 1e-9
-
-    def test_length_mismatch(self):
-        with pytest.raises(StatsError, match="mismatch"):
-            covariance_matrix([ret([0.01, 0.02]), ret([0.01, 0.02, 0.03], "B")])
 
     def test_scale_property(self):
         rng = np.random.default_rng(10)
         a = rng.normal(0, 0.01, 120)
         b = rng.normal(0, 0.01, 120)
-        cov1 = covariance_matrix([ret(a, "A"), ret(b, "B")])
-        cov3 = covariance_matrix([ret(3 * a, "A"), ret(b, "B")])
+        cov1 = covariance_matrix(ret(a, b), ("A", "B"))
+        cov3 = covariance_matrix(ret(3 * a, b), ("A", "B"))
         assert cov3.matrix[0, 0] == pytest.approx(9 * cov1.matrix[0, 0], rel=1e-12)
         assert cov3.matrix[0, 1] == pytest.approx(3 * cov1.matrix[0, 1], rel=1e-12)
         assert cov3.matrix[1, 1] == pytest.approx(cov1.matrix[1, 1], rel=1e-12)
@@ -240,3 +229,44 @@ class TestInvertMatrix:
     def test_not_square(self):
         with pytest.raises(StatsError, match="square"):
             invert_matrix(np.ones((2, 3)))
+
+
+class TestLoopReference:
+    """The row-wise statistics against the one-series-at-a-time loops they replaced.
+
+    prod, mean, std and centring reduce a row of the returns array in the
+    same order as a lone series, so return and volatility must be bit-equal.
+    Beta and covariance moved from one dot product per pair to matrix
+    products, which sum in another order: they must agree within a relative
+    1e-12 of the largest entry, about 4500 float64 epsilons.
+    """
+
+    @pytest.mark.parametrize("n", [2, 20, 200])
+    def test_matches_per_series_loop(self, n):
+        rng = np.random.default_rng(1000 + n)
+        t, td = 2520, 252
+        market = rng.normal(0.0003, 0.01, t)
+        daily = rng.uniform(0.2, 1.5, (n, 1)) * market + rng.normal(0, 0.01, (n, t))
+        closes = 100 * np.cumprod(1 + np.vstack([daily, market]), axis=1)
+        dates = np.datetime64("2010-01-01") + np.arange(t)
+        panel = PricePanel(tuple(f"A{i}" for i in range(n)), "M", dates, closes)
+        r = simple_returns(panel)
+        assets, m = r[:-1], r[-1]
+
+        ref_return = [float(np.prod(1.0 + x)) ** (td / (t - 1)) - 1.0 for x in r]
+        ref_vol = [float(np.std(x, ddof=1)) * float(np.sqrt(td)) for x in r]
+        mc = m - m.mean()
+        ref_beta = np.array([float((x - x.mean()) @ mc) / float(mc @ mc) for x in assets])
+        centered = [x - x.mean() for x in assets]
+        ref_cov = np.empty((n, n))
+        for i in range(n):
+            for j in range(i, n):
+                ref_cov[i, j] = ref_cov[j, i] = float(centered[i] @ centered[j]) / (t - 2) * td
+
+        assert annualized_return(r, td).tolist() == ref_return
+        assert annualized_volatility(r, td).tolist() == ref_vol
+        b = beta(assets, m)
+        assert np.max(np.abs(b - ref_beta)) <= 1e-12 * np.max(np.abs(ref_beta))
+        cov = sample_covariance(assets, td)
+        assert np.max(np.abs(cov - ref_cov)) <= 1e-12 * np.max(np.abs(ref_cov))
+        assert np.array_equal(cov, cov.T)
