@@ -14,11 +14,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import reprlib
 import sys
 from dataclasses import dataclass
 from datetime import date as Date
 from pathlib import Path
+
+import numpy as np
 
 from . import frontier as fr
 from . import report as rp
@@ -64,7 +68,9 @@ class OutputSet:
             raise
 
 
-def _require(obj: dict, field: str, path: str, convert=None):
+def _require(obj, field: str, path: str, convert=None):
+    if not isinstance(obj, dict):
+        raise InputError(f"{path}: expected a JSON object, got {reprlib.repr(obj)}")
     if field not in obj:
         raise InputError(f"{path}: missing field '{field}'")
     return obj[field] if convert is None else _convert(obj[field], field, path, convert)
@@ -74,14 +80,49 @@ def _convert(value, field: str, path: str, convert):
     """``convert(value)``, with a failure reported as an InputError naming the field."""
     try:
         return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(f"{path}: field '{field}' has invalid value {value!r}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(
+            f"{path}: field '{field}' has invalid value {reprlib.repr(value)} ({exc})"
+        ) from None
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("expected a string")
+    return value
+
+
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError("expected a list")
+    return value
 
 
 def _names(value) -> tuple[str, ...]:
-    if isinstance(value, str) or not all(isinstance(v, str) for v in value):
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise TypeError("expected a list of strings")
     return tuple(value)
+
+
+def _number(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError("not a finite number")
+    return x
+
+
+def _numbers(shape: tuple[int, ...]):
+    """Converter to a float array of the given shape with only finite entries."""
+
+    def convert(value) -> np.ndarray:
+        a = np.array(value, dtype=float)
+        if a.shape != shape:
+            raise ValueError(f"expected shape {shape}, got {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("not all numbers are finite")
+        return a
+
+    return convert
 
 
 def _check_units(obj: dict, path: str):
@@ -109,22 +150,21 @@ def load_config(path: Path) -> AnalysisConfig:
     doc = _load_json(path)
     where = str(path)
     _check_units(doc, where)
-    assets_raw = _require(doc, "assets", where)
+    assets_raw = _require(doc, "assets", where, _list)
     if not assets_raw:
         raise InputError(f"{where}: at least one asset is required")
     base = path.parent
-    assets = tuple(
-        (_require(a, "id", f"{where}.assets[{i}]"),
-         base / _require(a, "csv_path", f"{where}.assets[{i}]"))
-        for i, a in enumerate(assets_raw)
-    )
-    market_raw = _require(doc, "market", where)
-    market = (
-        _require(market_raw, "id", f"{where}.market"),
-        base / _require(market_raw, "csv_path", f"{where}.market"),
-    )
+
+    def series(obj, loc: str) -> tuple[str, Path]:
+        return _require(obj, "id", loc, _text), base / _require(obj, "csv_path", loc, _text)
+
+    assets = tuple(series(a, f"{where}.assets[{i}]") for i, a in enumerate(assets_raw))
+    market = series(_require(doc, "market", where), f"{where}.market")
+    ids = [a for a, _ in assets] + [market[0]]
+    if len(set(ids)) != len(ids):
+        raise InputError(f"{where}: asset and market ids must be unique")
     windows = []
-    for i, w in enumerate(_require(doc, "windows", where)):
+    for i, w in enumerate(_require(doc, "windows", where, _list)):
         loc = f"{where}.windows[{i}]"
         try:
             windows.append(
@@ -132,7 +172,7 @@ def load_config(path: Path) -> AnalysisConfig:
                     name=_require(w, "name", loc),
                     start=_parse_date(_require(w, "start", loc), loc),
                     end=_parse_date(_require(w, "end", loc), loc),
-                    rf_annual=_require(w, "rf_annual", loc, float),
+                    rf_annual=_require(w, "rf_annual", loc, _number),
                 )
             )
         except MarketDataError as exc:
@@ -148,7 +188,7 @@ def load_config(path: Path) -> AnalysisConfig:
         market=market,
         windows=tuple(windows),
         trading_days=trading_days,
-        output_dir=base / doc.get("output_dir", "out"),
+        output_dir=base / _convert(doc.get("output_dir", "out"), "output_dir", where, _text),
     )
 
 
@@ -159,39 +199,44 @@ def load_replay_input(path: Path) -> rp.ReplayInput:
     labels = _require(doc, "labels", where, _names)
     if len(set(labels)) != len(labels):
         raise InputError(f"{where}: labels must be unique")
-    rf = _require(doc, "rf", where, float)
+    n = len(labels)
+    rf = _require(doc, "rf", where, _number)
     aux = None
     if "asset_stats" in doc:
         aux = tuple(
             rp.AssetAux(
-                ann_return=_require(a, "ann_return", f"{where}.asset_stats[{i}]", float),
-                ann_vol=_require(a, "ann_vol", f"{where}.asset_stats[{i}]", float),
-                beta=_require(a, "beta", f"{where}.asset_stats[{i}]", float),
+                ann_return=_require(a, "ann_return", f"{where}.asset_stats[{i}]", _number),
+                ann_vol=_require(a, "ann_vol", f"{where}.asset_stats[{i}]", _number),
+                beta=_require(a, "beta", f"{where}.asset_stats[{i}]", _number),
             )
-            for i, a in enumerate(doc["asset_stats"])
+            for i, a in enumerate(_require(doc, "asset_stats", where, _list))
         )
     market_aux = None
     if "market" in doc:
         m = doc["market"]
         market_aux = (
-            _require(m, "id", f"{where}.market"),
-            _require(m, "ann_return", f"{where}.market", float),
-            _require(m, "ann_vol", f"{where}.market", float),
+            _require(m, "id", f"{where}.market", _text),
+            _require(m, "ann_return", f"{where}.market", _number),
+            _require(m, "ann_vol", f"{where}.market", _number),
         )
+        if market_aux[0] in labels:
+            raise InputError(f"{where}: market id must differ from the labels")
+    cov_matrix = _require(doc, "cov_matrix", where, _numbers((n, n)))
+    expected_returns = _require(doc, "expected_returns", where, _numbers((n,)))
     name = doc.get("name", "replay")
     try:
         window = WindowSpec(name, Date(1900, 1, 1), Date(2100, 1, 1), rf)
-        return rp.ReplayInput(
-            labels=labels,
-            cov_matrix=_require(doc, "cov_matrix", where),
-            expected_returns=_require(doc, "expected_returns", where),
-            rf=rf,
-            aux=aux,
-            market_aux=market_aux,
-            window=window,
-        )
-    except (TypeError, ValueError) as exc:
+    except MarketDataError as exc:
         raise InputError(f"{where}: {exc}") from None
+    return rp.ReplayInput(
+        labels=labels,
+        cov_matrix=cov_matrix,
+        expected_returns=expected_returns,
+        rf=rf,
+        aux=aux,
+        market_aux=market_aux,
+        window=window,
+    )
 
 
 def _output_dir(default: Path, override: str | None) -> Path:

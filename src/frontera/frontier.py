@@ -174,13 +174,19 @@ def tangency(fc: FrontierConstants, rf: float) -> TangencySolution:
     return TangencySolution(r_t=r_t, sigma_rt=sigma_rt, slope=(r_t - rf) / sigma_rt, rf=rf)
 
 
-def frontier_risk(fc: FrontierConstants, target: float) -> float:
-    """Risk of the frontier portfolio with the given target return."""
+def frontier_risk(fc: FrontierConstants, target: float | np.ndarray) -> float | np.ndarray:
+    """Risk of the frontier portfolio with the given target return.
+
+    ``target`` may be a number (a float is returned) or an array (an array
+    of risks is returned, one per target).
+    """
     _check_delta(fc)
-    radicand = (fc.alpha * target * target - 2.0 * fc.b * target + fc.gamma) / fc.delta
-    if radicand < 0:
-        raise FrontierError(f"negative radicand {radicand:.3e} in frontier risk")
-    return float(np.sqrt(radicand))
+    t = np.asarray(target, dtype=float)
+    radicand = (fc.alpha * t * t - 2.0 * fc.b * t + fc.gamma) / fc.delta
+    if np.any(radicand < 0):
+        raise FrontierError(f"negative radicand {np.min(radicand):.3e} in frontier risk")
+    risk = np.sqrt(radicand)
+    return float(risk) if risk.ndim == 0 else risk
 
 
 def cml_value(rf: float, slope: float, risk: float) -> float:

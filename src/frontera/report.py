@@ -193,14 +193,14 @@ def emit_frontier_curve(
     if not lo < hi:
         raise ReportError(f"invalid return span [{lo}, {hi}]")
     targets = np.linspace(lo, hi, n_points)
-    points = tuple((float(t), fr.frontier_risk(report.constants, float(t))) for t in targets)
-    max_risk = max(r for _, r in points)
+    risks = fr.frontier_risk(report.constants, targets)
+    points = tuple(zip(targets.tolist(), risks.tolist()))
+    max_risk = float(risks.max())
     cml_points: tuple[tuple[float, float], ...] = ()
     if report.tangency is not None:
-        risks = np.linspace(0.0, max_risk, n_points)
         cml_points = tuple(
             (float(v), fr.cml_value(report.tangency.rf, report.tangency.slope, float(v)))
-            for v in risks
+            for v in np.linspace(0.0, max_risk, n_points)
         )
     vols = np.sqrt(np.diag(report.cov.matrix))
     asset_markers = tuple(
@@ -293,11 +293,42 @@ def summarize(reports: list[WindowReport]) -> Summary:
 
 
 def format_pct(x: float | None, places: int = 2) -> str:
-    """Percent with fixed decimals, half-up rounding; empty marker for None."""
-    if x is None:
-        return "non-viable"
+    """Percent with fixed decimals, half-up rounding; "non-viable" for None.
+
+    The shortest ``repr`` of ``x * 100`` is rounded half up (away from zero
+    on a tie) to ``places`` decimals. Scalar form of ``format_pcts``.
+    """
+    return "non-viable" if x is None else format_pcts(x, places)
+
+
+def format_pcts(values, places: int = 2):
+    """``format_pct`` of every number in ``values``, nested like ``values``.
+
+    A cell is printed from its binary value with ``f"{y:.{places}f}"``. The
+    shortest repr is within half an ulp of that value, so away from a .5 tie
+    the two round alike; only cells within 1e-9 relative of a tie, and
+    non-finite cells, take the ``Decimal`` path.
+    """
+    shape = np.shape(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.asarray(values, dtype=float).ravel() * 100
+        scaled = y * 10.0**places
+        clear = np.isfinite(scaled) & (
+            np.abs(scaled - np.floor(scaled) - 0.5) > 1e-9 * np.abs(scaled)
+        )
+    cells = [f"{v:.{places}f}%" for v in y.tolist()]
     q = Decimal(1).scaleb(-places)
-    return f"{Decimal(repr(float(x) * 100)).quantize(q, rounding=ROUND_HALF_UP)}%"
+    for i in np.flatnonzero(~clear).tolist():
+        cells[i] = f"{Decimal(repr(float(y[i]))).quantize(q, rounding=ROUND_HALF_UP)}%"
+    return np.array(cells, dtype=object).reshape(shape).tolist()
+
+
+def _pct_rows(rows, missing: str) -> list[list[str]]:
+    """``format_pcts`` of equal-length rows in which None prints as ``missing``."""
+    cells = format_pcts([[0.0 if x is None else x for x in row] for row in rows])
+    return [
+        [missing if x is None else c for x, c in zip(row, out)] for row, out in zip(rows, cells)
+    ]
 
 
 def _table(header: list[str], rows: list[list[str]], fmt: str) -> str:
@@ -319,32 +350,28 @@ def render_tables(report: WindowReport, format: str = "csv") -> str:
     if report.stats is not None:
         stat_cols = cols + ([report.market_stats.asset_id] if report.market_stats else [])
         all_stats = list(report.stats) + ([report.market_stats] if report.market_stats else [])
-        rows = [
-            [name] + [format_pct(getattr(s, attr)) for s in all_stats]
-            for name, attr in [
-                ("Return", "ann_return"),
-                ("Volatility", "ann_vol"),
-                ("Beta", "beta"),
-                ("CAPM", "capm"),
-                ("Sharpe", "sharpe"),
-                ("Treynor", "treynor"),
-            ]
+        indicators = [
+            ("Return", "ann_return"),
+            ("Volatility", "ann_vol"),
+            ("Beta", "beta"),
+            ("CAPM", "capm"),
+            ("Sharpe", "sharpe"),
+            ("Treynor", "treynor"),
         ]
+        cells = format_pcts([[getattr(s, attr) for s in all_stats] for _, attr in indicators])
+        rows = [[name] + row for (name, _), row in zip(indicators, cells)]
         out.append(_table(["Indicator"] + stat_cols, rows, format))
     out.append(
         _table(
             ["Covariance"] + cols,
-            [[lab] + [format_pct(v) for v in row] for lab, row in zip(cols, report.cov.matrix)],
+            [[lab] + row for lab, row in zip(cols, format_pcts(report.cov.matrix))],
             format,
         )
     )
     out.append(
         _table(
             ["Inverse"] + cols,
-            [
-                [lab] + [format_pct(v, 0) for v in row]
-                for lab, row in zip(cols, report.cov.inverse)
-            ],
+            [[lab] + row for lab, row in zip(cols, format_pcts(report.cov.inverse, 0))],
             format,
         )
     )
@@ -353,10 +380,11 @@ def render_tables(report: WindowReport, format: str = "csv") -> str:
         _table(
             ["Constant", "Value"],
             [
-                ["alpha", format_pct(fc.alpha)],
-                ["b", format_pct(fc.b)],
-                ["gamma", format_pct(fc.gamma)],
-                ["delta", format_pct(fc.delta)],
+                [name, cell]
+                for name, cell in zip(
+                    ["alpha", "b", "gamma", "delta"],
+                    format_pcts([fc.alpha, fc.b, fc.gamma, fc.delta]),
+                )
             ],
             format,
         )
@@ -371,19 +399,12 @@ def render_tables(report: WindowReport, format: str = "csv") -> str:
         )
     else:
         sol = report.solution
-        rows = [[lab, format_pct(float(w))] for lab, w in zip(cols, sol.weights)]
-        rows += [
-            ["return", format_pct(sol.port_return)],
-            ["variance", format_pct(sol.variance)],
-            ["risk", format_pct(sol.risk)],
-            ["sharpe", format_pct(sol.sharpe)],
-        ]
+        names = cols + ["return", "variance", "risk", "sharpe"]
+        values = sol.weights.tolist() + [sol.port_return, sol.variance, sol.risk, sol.sharpe]
         if report.tangency is not None:
-            rows += [
-                ["tangency return", format_pct(report.tangency.r_t)],
-                ["tangency risk", format_pct(report.tangency.sigma_rt)],
-                ["cml slope", format_pct(report.tangency.slope)],
-            ]
+            names += ["tangency return", "tangency risk", "cml slope"]
+            values += [report.tangency.r_t, report.tangency.sigma_rt, report.tangency.slope]
+        rows = [[name, cell] for name, cell in zip(names, format_pcts(values))]
         out.append(_table(["Portfolio", "Value"], rows, format))
     return "\n\n".join(out) + "\n"
 
@@ -396,29 +417,28 @@ def render_summary(summary: Summary, format: str = "csv") -> str:
     beta_cells = [
         "non-viable" if b is None else f"{b:.2f}" for b in summary.betas
     ]
+    ret, var, risk, sharpe = _pct_rows(
+        [summary.returns, summary.variances, summary.risks, summary.sharpes], "non-viable"
+    )
     perf = [
-        ["Return"] + [format_pct(x) for x in summary.returns],
+        ["Return"] + ret,
         ["Beta"] + beta_cells,
-        ["Variance"] + [format_pct(x) for x in summary.variances],
-        ["Risk"] + [format_pct(x) for x in summary.risks],
-        ["Sharpe"] + [format_pct(x) for x in summary.sharpes],
+        ["Variance"] + var,
+        ["Risk"] + risk,
+        ["Sharpe"] + sharpe,
     ]
     weights = [
-        [lab] + [format_pct(x) for x in summary.weights[i]]
-        for i, lab in enumerate(summary.labels)
+        [lab] + row
+        for lab, row in zip(summary.labels, _pct_rows(summary.weights, "non-viable"))
     ]
     returns = []
-    for block, matrix in [
-        ("Historical", summary.historical),
-        ("CAPM", summary.capm),
-        ("Markowitz", summary.contributions),
+    for block, matrix, missing in [
+        ("Historical", summary.historical, ""),
+        ("CAPM", summary.capm, "non-viable"),
+        ("Markowitz", summary.contributions, "non-viable"),
     ]:
-        for i, lab in enumerate(summary.labels):
-            cells = [
-                format_pct(x) if x is not None else ("" if block == "Historical" else "non-viable")
-                for x in matrix[i]
-            ]
-            returns.append([block, lab] + cells)
+        for lab, row in zip(summary.labels, _pct_rows(matrix, missing)):
+            returns.append([block, lab] + row)
     return "\n\n".join(
         [
             _table(["Indicator"] + win, perf, format),

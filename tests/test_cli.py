@@ -140,6 +140,36 @@ class TestAnalyze:
         assert_one_error_line(capsys)
         assert files_under(tmp_path) == before
 
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda doc: doc.update(windows=5), "windows"),
+            (lambda doc: doc.update(market=5), "market"),
+            (lambda doc: doc.update(assets=5), "assets"),
+            (lambda doc: doc.update(output_dir=5), "output_dir"),
+            (lambda doc: doc["assets"][1].update(id=5), "id"),
+            (lambda doc: doc["assets"][1].update(csv_path=5), "csv_path"),
+            (lambda doc: doc["windows"].__setitem__(0, 5), "windows[0]"),
+            (lambda doc: doc["assets"][1].update(id="AAA"), "unique"),
+            (lambda doc: doc["market"].update(id="CCC"), "unique"),
+        ],
+        ids=[
+            "windows-not-list", "market-not-object", "assets-not-list", "output-dir-not-str",
+            "asset-id-not-str", "csv-path-not-str", "window-not-object", "asset-id-duplicate",
+            "market-id-is-asset-id",
+        ],
+    )
+    def test_bad_structure_exit_1(self, tmp_path, capsys, edit, field):
+        cfg = make_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        edit(doc)
+        cfg.write_text(json.dumps(doc))
+        before = files_under(tmp_path)
+        assert main(["analyze", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and field in err, err
+        assert files_under(tmp_path) == before
+
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         cfg = make_config(tmp_path)
         env_dir = tmp_path / "env_out"
@@ -223,6 +253,55 @@ class TestReplay:
         assert main(["replay", "--input", str(bad), "--output-dir", str(out)]) == 1
         assert_one_error_line(capsys)
         assert files_under(tmp_path) == [bad]
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda doc: doc["expected_returns"].__setitem__(1, "x"), "expected_returns"),
+            (lambda doc: doc["expected_returns"].__setitem__(1, float("nan")), "expected_returns"),
+            (lambda doc: doc["cov_matrix"][2].pop(), "cov_matrix"),
+            (lambda doc: doc["cov_matrix"][1].__setitem__(1, float("nan")), "cov_matrix"),
+            (lambda doc: doc["cov_matrix"][0].__setitem__(3, float("inf")), "cov_matrix"),
+            (lambda doc: doc.update(asset_stats=5), "asset_stats"),
+            (lambda doc: doc["asset_stats"].__setitem__(0, 5), "asset_stats[0]"),
+            (lambda doc: doc["asset_stats"][2].update(beta=float("nan")), "beta"),
+            (lambda doc: doc.update(market=5), "market"),
+            (lambda doc: doc["market"].update(id=5), "id"),
+            (lambda doc: doc["market"].update(id="ISA"), "market id"),
+        ],
+        ids=[
+            "er-string", "er-nan", "cov-ragged", "cov-nan", "cov-inf", "asset-stats-not-list",
+            "asset-stat-not-object", "asset-stat-nan", "market-not-object", "market-id-not-str",
+            "market-id-is-label",
+        ],
+    )
+    def test_bad_fixture_exit_1(self, tmp_path, capsys, edit, field):
+        doc = json.loads((FIXTURES / "replay_2015_2023.json").read_text())
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["replay", "--input", str(bad), "--output-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and field in err, err
+        assert files_under(tmp_path) == [bad]
+
+    def test_overflowing_inverse_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            json.dumps(
+                {
+                    "units": "decimal",
+                    "labels": ["A", "B"],
+                    "cov_matrix": [[1e-310, 0.0], [0.0, 1e-310]],
+                    "expected_returns": [0.03, 0.04],
+                    "rf": 0.02,
+                }
+            )
+        )
+        assert main(["replay", "--input", str(bad), "--output-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "o").exists()
 
     def test_invalid_json_exit_1(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -229,6 +229,14 @@ class TestFrontierRiskAndCml:
                 np.sqrt(1 / fc.alpha), rel=1e-12
             )
 
+    def test_array_targets_equal_scalar_calls(self):
+        for name in ("2015_2023", "2016_2020", "2023"):
+            fc, _, _ = fixture_constants(name)
+            targets = np.linspace(-0.05, 0.2, 200)
+            risks = frontier_risk(fc, targets)
+            assert risks.tolist() == [frontier_risk(fc, t) for t in targets.tolist()]
+            assert isinstance(frontier_risk(fc, 0.05), float)
+
     def test_degenerate(self):
         cov = cov_model(0.04 * np.eye(2))
         fc = frontier_constants(cov, np.full(2, 0.05))

@@ -1,5 +1,6 @@
 import xml.etree.ElementTree as ET
 from datetime import date
+from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from frontera import (
     summarize,
     weights_for_target,
 )
-from frontera.report import AssetAux, ReportError, format_pct
+from frontera.report import AssetAux, ReportError, format_pct, format_pcts
 from frontera.stats import NotPositiveDefiniteError
 
 from conftest import (
@@ -257,6 +258,12 @@ class TestRendering:
         assert format_pct(0.005) == "0.50%"
         assert format_pct(None) == "non-viable"
 
+    def test_format_pcts_shapes(self):
+        assert format_pcts(0.5) == "50.00%"
+        assert format_pcts([0.5, -0.25], 0) == ["50%", "-25%"]
+        assert format_pcts(np.array([[0.1], [0.2]])) == [["10.00%"], ["20.00%"]]
+        assert format_pcts([]) == []
+
     def test_curve_csv(self):
         report = replay_paper(load_fixture("2015_2023"))
         frontier_text, cml_text = curve_csv(report.curve)
@@ -297,3 +304,31 @@ class TestWeightsAgainstPaperTables:
         report = replay_paper(load_fixture(name))
         sol = weights_for_target(report.constants, target)
         assert np.allclose(sol.weights, expected, atol=0.04)
+
+
+def decimal_pct(x: float, places: int) -> str:
+    """Half-up rounding of the shortest repr of x * 100, one Decimal per cell."""
+    q = Decimal(1).scaleb(-places)
+    return f"{Decimal(repr(float(x) * 100)).quantize(q, rounding=ROUND_HALF_UP)}%"
+
+
+class TestBulkFormatterAgainstDecimal:
+    @pytest.mark.parametrize("places", [0, 2])
+    def test_random_magnitudes(self, places):
+        rng = np.random.default_rng(40 + places)
+        x = 10.0 ** rng.uniform(-8, 4, 20000) * rng.choice([-1.0, 1.0], 20000)
+        assert format_pcts(x, places) == [decimal_pct(v, places) for v in x.tolist()]
+
+    @pytest.mark.parametrize(
+        "x, places",
+        [(t / 100, 2) for t in (0.125, 0.145, -0.125, 0.005, 1.125)]
+        + [(0.125, 0), (-0.125, 0), (0.005, 0), (-0.0, 0), (-0.0, 2), (1e-10, 2), (-1e-10, 2)],
+    )
+    def test_ties_and_signed_zero(self, x, places):
+        # x * 100 is exactly 0.125 ... 1.125 in the first five, a tie at 2 places;
+        # 0.145 has a binary value just below the tie, where f-string rounding goes down
+        assert format_pcts([x], places) == [decimal_pct(x, places)]
+        assert format_pct(x, places) == decimal_pct(x, places)
+
+    def test_non_finite(self):
+        assert format_pcts([float("nan")]) == [decimal_pct(float("nan"), 2)]

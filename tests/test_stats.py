@@ -230,6 +230,65 @@ class TestInvertMatrix:
         with pytest.raises(StatsError, match="square"):
             invert_matrix(np.ones((2, 3)))
 
+    def test_positive_pivot_below_threshold(self):
+        # the second pivot is 1e-14 > 0 but below 1e-12 times the largest diagonal
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            invert_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]]))
+        assert exc.value.pivot_index == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry(self, bad):
+        a = np.eye(3)
+        a[2, 2] = bad
+        with pytest.raises(StatsError, match="non-finite") as exc:
+            invert_matrix(a)
+        assert not isinstance(exc.value, NotPositiveDefiniteError)
+
+    def test_inverse_overflow(self):
+        with pytest.raises(StatsError, match="overflow"):
+            invert_matrix(np.array([[1e-310]]))
+
+
+def row_loop_inverse(a: np.ndarray) -> np.ndarray:
+    """Gauss-Jordan elimination one row at a time, as invert_matrix did it before
+    the elimination became one rank-1 array update per pivot."""
+    n = a.shape[0]
+    aug = np.hstack([a, np.eye(n)])
+    for k in range(n):
+        aug[k] /= aug[k, k]
+        for i in range(n):
+            if i != k:
+                aug[i] -= aug[i, k] * aug[k]
+    inv = aug[:, n:]
+    return (inv + inv.T) / 2.0
+
+
+def factor_covariance(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Annualized covariance of n assets driven by three factors plus noise."""
+    loadings = rng.uniform(0.3, 1.6, (n, 3)) * [1.0, 0.5, 0.3]
+    a = loadings @ np.diag([0.04, 0.01, 0.005]) @ loadings.T + np.diag(rng.uniform(0.01, 0.09, n))
+    return (a + a.T) / 2.0
+
+
+class TestInverseAgainstReference:
+    @pytest.mark.parametrize("n", [2, 20, 300])
+    def test_bit_equal_to_row_loop(self, n):
+        a = factor_covariance(np.random.default_rng(2000 + n), n)
+        assert np.array_equal(invert_matrix(a), row_loop_inverse(a))
+
+    @pytest.mark.parametrize("n", [2, 4, 50, 200, 500])
+    def test_accuracy_scales_with_n(self, n):
+        # a componentwise residual bound of the form |A X - I| <= c n u |A||X|,
+        # with c u = float64 epsilon; the weight sum is n additions.
+        eps = np.finfo(float).eps
+        a = factor_covariance(np.random.default_rng(3000 + n), n)
+        inv = invert_matrix(a)
+        residual = np.abs(a @ inv - np.eye(n))
+        assert np.all(residual <= n * eps * (np.abs(a) @ np.abs(inv)))
+        h = inv.sum(axis=0)
+        alpha = h.sum()
+        assert abs(1.0 - np.sum(h / alpha)) <= n * eps * np.sum(np.abs(h)) / alpha
+
 
 class TestLoopReference:
     """The row-wise statistics against the one-series-at-a-time loops they replaced.
