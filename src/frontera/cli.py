@@ -104,6 +104,14 @@ def _names(value) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _days_per_year(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("expected a JSON integer")
+    if not 1 <= value <= 366:
+        raise ValueError("expected 1 to 366")
+    return value
+
+
 def _number(value) -> float:
     x = float(value)
     if not math.isfinite(x):
@@ -135,6 +143,8 @@ def _load_json(path: Path) -> dict:
         raise InputError(f"{path}: config not found")
     try:
         return json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from None
 
@@ -180,9 +190,9 @@ def load_config(path: Path) -> AnalysisConfig:
     names = [w.name for w in windows]
     if len(set(names)) != len(names):
         raise InputError(f"{where}: window names must be unique")
-    trading_days = _convert(doc.get("trading_days", st.TRADING_DAYS), "trading_days", where, int)
-    if trading_days < 1:
-        raise InputError(f"{where}: trading_days must be >= 1")
+    trading_days = _convert(
+        doc.get("trading_days", st.TRADING_DAYS), "trading_days", where, _days_per_year
+    )
     return AnalysisConfig(
         assets=assets,
         market=market,
@@ -287,7 +297,7 @@ def _load_panel(cfg: AnalysisConfig):
     def read_series(asset_id: str, csv_path: Path):
         if not csv_path.is_file():
             raise InputError(f"{csv_path}: price file not found")
-        return parse_price_csv(csv_path.read_text(encoding="utf-8"), asset_id)
+        return parse_price_csv(csv_path.read_bytes(), asset_id)
 
     assets = [read_series(a, p) for a, p in cfg.assets]
     market = read_series(*cfg.market)

@@ -18,6 +18,9 @@ from functools import reduce
 import numpy as np
 
 _EPOCH_ORDINAL = Date(1970, 1, 1).toordinal()  # day 0 of datetime64[D]
+_LF, _COMMA, _DASH, _ZERO = b"\n,-0"
+_DATE_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]  # positions in YYYY-MM-DD
+_DATE_DASHES = [4, 7]
 
 
 class MarketDataError(ValueError):
@@ -74,14 +77,31 @@ class WindowSpec:
 def parse_price_csv(text: str | bytes, asset_id: str) -> PriceSeries:
     """Parse a ``date,close`` CSV into a date-ascending PriceSeries.
 
-    Rejects malformed rows (with their line number), non-finite and
-    non-positive prices, duplicate dates and empty files. LF and CRLF are
-    both accepted.
+    Rejects text that is not UTF-8, malformed rows (with their line
+    number), non-finite and non-positive prices, duplicate dates and empty
+    files. LF and CRLF are both accepted. A file in the canonical shape
+    (see ``_parse_canonical``) is parsed in bulk; any other file, valid or
+    not, goes through the row loop, which also finds the first bad line.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    reader = csv.reader(io.StringIO(text.lstrip("﻿")))
-    rows = [(i + 1, row) for i, row in enumerate(reader) if row]
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = text.count(b"\n", 0, exc.start) + 1
+            raise MarketDataError(
+                f"{asset_id}: not UTF-8 text at line {line}: {exc.reason}"
+            ) from None
+    text = text.lstrip("\ufeff")
+    canonical = _parse_canonical(text)
+    if canonical is not None:
+        return PriceSeries(asset_id, *canonical)
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = [(i + 1, row) for i, row in enumerate(reader) if row]
+    except csv.Error as exc:  # e.g. a CR inside a row
+        raise MarketDataError(
+            f"{asset_id}: malformed row at line {reader.line_num}: {exc}"
+        ) from None
     if not rows:
         raise MarketDataError(f"{asset_id}: empty file")
     header_line, header = rows[0]
@@ -113,6 +133,53 @@ def parse_price_csv(text: str | bytes, asset_id: str) -> PriceSeries:
     dates = (np.array(days) - _EPOCH_ORDINAL).astype("datetime64[D]")
     order = np.argsort(dates)
     return PriceSeries(asset_id, dates[order], np.array(closes)[order])
+
+
+def _parse_canonical(text: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """Sorted dates and closes of a canonical file, or None for any other shape.
+
+    Canonical: the header line ``date,close``, then ASCII rows
+    ``YYYY-MM-DD,<close>`` each ending in LF, with no CR, quote, space,
+    tab or blank line; every date valid and not in year 0, every close
+    finite and positive, no date twice. These are exactly the files the
+    row loop accepts with this shape, and the result equals the loop's:
+    numpy parses a ``YYYY-MM-DD`` date like ``date.fromisoformat`` from
+    year 1 on, and a close string like ``float``.
+    """
+    header, _, body = text.partition("\n")
+    if (
+        header != "date,close"
+        or not body.endswith("\n")
+        or not body.isascii()
+        or any(c in body for c in '\r" \t')
+    ):
+        return None
+    b = np.frombuffer(body.encode("ascii"), np.uint8)
+    starts = np.concatenate(([0], np.flatnonzero(b == _LF)[:-1] + 1))
+    # one comma per row, 10 characters in; the date check below keeps a row's
+    # LF out of those 10 characters, so each row is exactly a date and a close
+    if not np.array_equal(np.flatnonzero(b == _COMMA), starts + 10):
+        return None
+    chars = b[starts[:, None] + np.arange(10)]  # (rows, 10) date characters
+    digits = chars[:, _DATE_DIGITS] - _ZERO  # uint8: a non-digit wraps to >= 10
+    if not (
+        (chars[:, _DATE_DASHES] == _DASH).all()
+        and (digits < 10).all()
+        and digits[:, :4].any(axis=1).all()  # year 0000 is not a date
+    ):
+        return None
+    try:
+        dates = chars.view("S10").ravel().astype("datetime64[D]")
+        closes = np.array(body.replace("\n", ",").split(",")[1::2], dtype=float)
+    except ValueError:
+        return None
+    if not (np.isfinite(closes).all() and (closes > 0).all()):
+        return None
+    order = np.argsort(dates)
+    dates = dates[order]
+    if (dates[1:] == dates[:-1]).any():
+        return None
+    return dates, closes[order]
 
 
 def align_panel(assets: list[PriceSeries], market: PriceSeries) -> PricePanel:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date as Date
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 
 import numpy as np
 
@@ -307,19 +307,27 @@ def format_pcts(values, places: int = 2):
     A cell is printed from its binary value with ``f"{y:.{places}f}"``. The
     shortest repr is within half an ulp of that value, so away from a .5 tie
     the two round alike; only cells within 1e-9 relative of a tie, and
-    non-finite cells, take the ``Decimal`` path.
+    non-finite cells, take the ``Decimal`` path. NaN prints as ``NaN%``; a
+    cell whose percent is infinite raises ReportError.
     """
     shape = np.shape(values)
+    x = np.asarray(values, dtype=float).ravel()
     with np.errstate(over="ignore", invalid="ignore"):
-        y = np.asarray(values, dtype=float).ravel() * 100
+        y = x * 100
         scaled = y * 10.0**places
         clear = np.isfinite(scaled) & (
             np.abs(scaled - np.floor(scaled) - 0.5) > 1e-9 * np.abs(scaled)
         )
+    infinite = np.flatnonzero(np.isinf(y))
+    if len(infinite):
+        big = float(x[infinite[0]])
+        raise ReportError(f"cell value {big!r} is too large to print as a percent")
     cells = [f"{v:.{places}f}%" for v in y.tolist()]
     q = Decimal(1).scaleb(-places)
-    for i in np.flatnonzero(~clear).tolist():
-        cells[i] = f"{Decimal(repr(float(y[i]))).quantize(q, rounding=ROUND_HALF_UP)}%"
+    with localcontext() as ctx:
+        ctx.prec = 310 + places  # every digit of a finite double at `places`
+        for i in np.flatnonzero(~clear).tolist():
+            cells[i] = f"{Decimal(repr(float(y[i]))).quantize(q, rounding=ROUND_HALF_UP)}%"
     return np.array(cells, dtype=object).reshape(shape).tolist()
 
 

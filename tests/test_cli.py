@@ -126,8 +126,17 @@ class TestAnalyze:
             ({"name": 5}, {}),
             ({"rf_annual": "x"}, {}),
             ({}, {"trading_days": "abc"}),
+            ({}, {"trading_days": 1e300}),
+            ({}, {"trading_days": 2.7}),
+            ({}, {"trading_days": True}),
+            ({}, {"trading_days": 0}),
+            ({}, {"trading_days": 367}),
         ],
-        ids=["name-escapes", "name-not-str", "rf-not-number", "trading-days-not-int"],
+        ids=[
+            "name-escapes", "name-not-str", "rf-not-number", "trading-days-not-int",
+            "trading-days-huge", "trading-days-fraction", "trading-days-bool",
+            "trading-days-zero", "trading-days-367",
+        ],
     )
     def test_bad_field_exit_1(self, tmp_path, capsys, window_field, config_field):
         cfg = make_config(tmp_path)
@@ -169,6 +178,16 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and field in err, err
         assert files_under(tmp_path) == before
+
+    def test_non_utf8_price_file_exit_1(self, tmp_path, capsys):
+        cfg = make_config(tmp_path)
+        csv = tmp_path / "b.csv"
+        lines = csv.read_bytes().split(b"\n")
+        lines[2] += b"\xff"
+        csv.write_bytes(b"\n".join(lines))
+        assert main(["analyze", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: BBB: not UTF-8 text at line 3: invalid start byte\n", err
 
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         cfg = make_config(tmp_path)
@@ -302,6 +321,33 @@ class TestReplay:
         err = capsys.readouterr().err
         assert err.startswith("numeric error: ") and err.count("\n") == 1, err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("variance, code", [(1e30, 0), (1e307, 1)])
+    def test_huge_variances(self, tmp_path, capsys, variance, code):
+        # 1e30 prints every digit of its percent; 1e307 overflows to inf when scaled
+        doc = json.loads((FIXTURES / "replay_2015_2023.json").read_text())
+        n = len(doc["labels"])
+        doc["cov_matrix"] = (variance * np.eye(n)).tolist()
+        bad = tmp_path / "big.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["replay", "--input", str(bad), "--output-dir", str(out)]) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+            cells = (out / doc["name"] / "tables.csv").read_text()
+            assert "100000000000000000000000000000000.00%" in cells
+        else:
+            assert err == "error: cell value 1e+307 is too large to print as a percent\n", err
+            assert not out.exists()
+
+    def test_non_utf8_json_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"units": "decimal", "name": "\xff"}')
+        assert main(["replay", "--input", str(bad), "--output-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not UTF-8 text" in err and err.count("\n") == 1
+        assert files_under(tmp_path) == [bad]
 
     def test_invalid_json_exit_1(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -2,6 +2,8 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frontera import (
     MarketDataError,
@@ -13,6 +15,8 @@ from frontera import (
     simple_returns,
     slice_window,
 )
+from frontera.market_data import _parse_canonical
+
 from conftest import assert_fields_equal, series_from_prices
 
 
@@ -59,9 +63,119 @@ class TestParsePriceCsv:
         with pytest.raises(MarketDataError, match="line 3"):
             parse_price_csv("date,close\n2015-01-02,100\nnot-a-date,xyz", "A")
 
+    def test_cr_inside_row_reports_line(self):
+        with pytest.raises(MarketDataError, match="malformed row at line 3"):
+            parse_price_csv("date,close\n2015-01-02,100\n2015-01-05,\r101\n", "A")
+
     def test_bad_header(self):
         with pytest.raises(MarketDataError, match="header"):
             parse_price_csv("fecha,cierre\n2015-01-02,100", "A")
+
+
+def outcome(text):
+    """What parse_price_csv makes of text: the exact arrays, or the error message."""
+    try:
+        s = parse_price_csv(text, "A")
+    except MarketDataError as exc:
+        return str(exc)
+    return s.dates.dtype, s.dates.tobytes(), s.closes.tobytes()
+
+
+def assert_paths_agree(text):
+    """The LF text against its CRLF copy, which always takes the row loop."""
+    assert outcome(text) == outcome(text.replace("\n", "\r\n")) == outcome(text.encode())
+
+
+ROWS = "2015-01-02,100\n2015-01-05,101.5\n"
+
+
+class TestBulkPathMatchesRowLoop:
+    """A canonical file is parsed in bulk; every other shape goes through the loop."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "date,close\n2015-01-0,100\n22015-01-02,101\n",
+            "date,close\n+2015-01-02,100\n",
+            "date,close\n2015-01-02T00,100\n",
+            "date,close\n20150102,100\n",
+            "date,close\n 2015-01-02,100\n",
+            "date,close\n2015001-02,100\n",
+            "date,close\n2015/01/02,100\n",
+            "date,close\n0000-01-01,100\n",
+            "date,close\n2015-02-29,100\n",
+            "date,close\n2016-02-29,100\n",
+            "date,close\n2015-01-02,1_000\n",
+            "date,close\n2015-01-02,infinity\n",
+            "date,close\n2015-01-02,1e400\n",
+            "date,close\n2015-01-02,0\n",
+            "date,close\n2015-01-02,-1\n",
+            "date,close\n2015-01-02,\n",
+            "date,close\n" + ROWS + "2015-01-02,102\n",
+            "date,close\n2015-01-05,101.5\n2015-01-02,100\n",
+            "date,close\n2015-01-02,100\n\n2015-01-05,101.5\n",
+            "date,close\n" + ROWS.rstrip("\n"),
+            "\ufeffdate,close\n" + ROWS,
+            "Date, Close\n" + ROWS,
+            "date,close\n2015-01-02,100,7\n",
+            'date,close\n2015-01-02,"100"\n',
+            "date,close\n2015-01-02,\r100\n",
+            "date,close\n2015-01-02,\t100 \n",
+            "date,close\n",
+            "date,close",
+            "",
+        ],
+    )
+    def test_odd_and_bad_files(self, text):
+        assert_paths_agree(text)
+
+    def test_canonical_file_takes_bulk_path(self):
+        assert _parse_canonical("date,close\n" + ROWS) is not None
+        assert _parse_canonical("date,close\r\n" + ROWS.replace("\n", "\r\n")) is None
+
+    def test_date_grid(self):
+        # every month 00-13 and day 00-32 of years at the edges of both parsers
+        for year in ("0000", "0001", "1900", "2000", "2015", "2016", "9999"):
+            for month in range(14):
+                for day in range(33):
+                    assert_paths_agree(f"date,close\n{year}-{month:02d}-{day:02d},1\n")
+
+    def test_closes_bit_equal_to_float(self):
+        rng = np.random.default_rng(20150102)
+        n = 100_000
+        x = 10.0 ** rng.uniform(-8, 12, n)
+        kind = rng.integers(0, 3, n).tolist()
+        closes = [(repr(v), f"{v:.6f}", f"{v:.17g}")[k] for v, k in zip(x.tolist(), kind)]
+        closes = [c if float(c) > 0 else "1" for c in closes]  # %.6f of tiny values is 0
+        days = np.datetime64("1970-01-01") + np.arange(n)
+        text = "date,close\n" + "".join(f"{d},{c}\n" for d, c in zip(days.astype(str), closes))
+        assert _parse_canonical(text) is not None
+        s = parse_price_csv(text, "A")
+        assert s.closes.tobytes() == np.array([float(c) for c in closes]).tobytes()
+        assert np.array_equal(s.dates, days)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.dictionaries(
+            st.dates(date(1, 1, 1), date(9999, 12, 31)),
+            st.tuples(
+                st.floats(min_value=1e-300, max_value=1e300),
+                st.sampled_from(["{!r}", "{:.6f}", "{:.17g}", "{:.0f}", "{:e}"]),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_well_formed_rows(self, rows):
+        lines = [f"{d.isoformat()},{fmt.format(c)}\n" for d, (c, fmt) in rows.items()]
+        text = "date,close\n" + "".join(lines)
+        assert_paths_agree(text)
+        if not isinstance(outcome(text), str):
+            assert _parse_canonical(text) is not None
+
+    def test_not_utf8(self):
+        with pytest.raises(MarketDataError, match="A: not UTF-8 text at line 3"):
+            parse_price_csv(b"date,close\n2015-01-02,100\n2015-01-05,1\xff\n", "A")
 
 
 class TestAlignPanel:

@@ -332,3 +332,10 @@ class TestBulkFormatterAgainstDecimal:
 
     def test_non_finite(self):
         assert format_pcts([float("nan")]) == [decimal_pct(float("nan"), 2)]
+
+    def test_huge_and_infinite(self):
+        # every digit of the shortest repr, past the default 28-digit Decimal precision
+        assert format_pcts([1e30, -1.7e306], 0) == ["1" + "0" * 32 + "%", "-17" + "0" * 307 + "%"]
+        for x in (1e307, float("inf"), -float("inf")):
+            with pytest.raises(ReportError, match="too large to print as a percent"):
+                format_pcts([0.5, x])
