@@ -53,7 +53,14 @@ class OutputSet:
         self._pending.append((path, text))
 
     def commit(self):
-        temps = []
+        """Write every file beside its target, then rename each into place.
+
+        An existing target is first moved aside. If any write or rename
+        fails, the new files are removed and the old ones put back, so the
+        targets hold either all the new files or exactly what they held
+        before.
+        """
+        temps, saved, placed = [], [], []
         try:
             for path, text in self._pending:
                 path.parent.mkdir(parents=True, exist_ok=True)
@@ -61,11 +68,22 @@ class OutputSet:
                 tmp.write_text(text, encoding="utf-8")
                 temps.append((tmp, path))
             for tmp, path in temps:
+                if path.exists():
+                    old = path.with_name(path.name + f".old{os.getpid()}")
+                    path.replace(old)
+                    saved.append((old, path))
                 tmp.replace(path)
+                placed.append(path)
         except BaseException:
+            for path in placed:
+                path.unlink(missing_ok=True)
+            for old, path in saved:
+                old.replace(path)
             for tmp, _ in temps:
                 tmp.unlink(missing_ok=True)
             raise
+        for old, _ in saved:
+            old.unlink()
 
 
 def _require(obj, field: str, path: str, convert=None):

@@ -89,16 +89,22 @@ def analyze_window(
     ann_vol = st.annualized_volatility(r, trading_days)
     betas = np.append(st.beta(r[:-1], r[-1]), 1.0)  # the market's own beta is 1
     capm = st.capm_expected_return(betas, rf, ann_return[-1])
-    sharpe = st.asset_sharpe(ann_return, rf, ann_vol)
-    treynor = st.asset_treynor(ann_return, rf, betas)
-    *asset_stats, market_stats = (
-        st.AssetStats(label, *map(float, values))
-        for label, *values in zip(
-            sliced.labels + (sliced.market_id,), ann_return, ann_vol, betas, capm, sharpe, treynor
-        )
+    *asset_stats, market_stats = _asset_stats(
+        sliced.labels + (sliced.market_id,), ann_return, ann_vol, betas, capm, rf
     )
     cov = st.covariance_matrix(r[:-1], sliced.labels, trading_days)
     return _build_report(window, cov.labels, capm[:-1], tuple(asset_stats), market_stats, cov)
+
+
+def _asset_stats(labels, ann_return, ann_vol, betas, capm, rf) -> tuple[st.AssetStats, ...]:
+    """One AssetStats per label from per-asset arrays; Sharpe and Treynor
+    take one array call each."""
+    sharpe = st.asset_sharpe(ann_return, rf, ann_vol)
+    treynor = st.asset_treynor(ann_return, rf, betas)
+    return tuple(
+        st.AssetStats(label, *map(float, values))
+        for label, *values in zip(labels, ann_return, ann_vol, betas, capm, sharpe, treynor)
+    )
 
 
 def replay_paper(replay: ReplayInput) -> WindowReport:
@@ -119,18 +125,10 @@ def replay_paper(replay: ReplayInput) -> WindowReport:
     if replay.aux is not None:
         if len(replay.aux) != len(labels):
             raise ReportError("aux stats length does not match labels")
-        asset_stats = tuple(
-            st.AssetStats(
-                asset_id=label,
-                ann_return=aux.ann_return,
-                ann_vol=aux.ann_vol,
-                beta=aux.beta,
-                capm=float(er[i]),
-                sharpe=st.asset_sharpe(aux.ann_return, rf, aux.ann_vol),
-                treynor=st.asset_treynor(aux.ann_return, rf, aux.beta),
-            )
-            for i, (label, aux) in enumerate(zip(labels, replay.aux))
-        )
+        ann_return, ann_vol, betas = np.array(
+            [(aux.ann_return, aux.ann_vol, aux.beta) for aux in replay.aux], dtype=float
+        ).T
+        asset_stats = _asset_stats(labels, ann_return, ann_vol, betas, er, rf)
     market_stats = None
     if replay.market_aux is not None:
         market_id, m_ret, m_vol = replay.market_aux
@@ -304,7 +302,9 @@ def format_pct(x: float | None, places: int = 2) -> str:
 def format_pcts(values, places: int = 2):
     """``format_pct`` of every number in ``values``, nested like ``values``.
 
-    A cell is printed from its binary value with ``f"{y:.{places}f}"``. The
+    Every cell is printed from its binary value by one ``%`` call over the
+    whole array, ``"%.{places}f%%"`` per cell, which rounds as
+    ``f"{y:.{places}f}"`` does (both are ``PyOS_double_to_string``). The
     shortest repr is within half an ulp of that value, so away from a .5 tie
     the two round alike; only cells within 1e-9 relative of a tie, and
     non-finite cells, take the ``Decimal`` path. NaN prints as ``NaN%``; a
@@ -322,7 +322,8 @@ def format_pcts(values, places: int = 2):
     if len(infinite):
         big = float(x[infinite[0]])
         raise ReportError(f"cell value {big!r} is too large to print as a percent")
-    cells = [f"{v:.{places}f}%" for v in y.tolist()]
+    cells = (f"%.{places}f%%\n" * len(y) % tuple(y.tolist())).split("\n")
+    cells.pop()  # the empty string after the last newline
     q = Decimal(1).scaleb(-places)
     with localcontext() as ctx:
         ctx.prec = 310 + places  # every digit of a finite double at `places`

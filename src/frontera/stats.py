@@ -131,9 +131,14 @@ def invert_matrix(matrix: np.ndarray, sym_tol: float = 1e-10) -> np.ndarray:
     No row pivoting: for an SPD matrix the diagonal pivots are all positive,
     and each pivot is checked against 1e-12 times the largest diagonal entry.
     A failing pivot means the k-th leading minor is not positive, i.e. the
-    matrix is not positive definite, and is reported as such. Each pivot
-    eliminates its column from all other rows in one rank-1 array update,
-    which does the same floating-point operations as a row-by-row loop.
+    matrix is not positive definite, and is reported as such.
+
+    The elimination runs in place in one n×n array: once pivot k is done,
+    column k holds column k of the inverse. Each pivot clears its column
+    from all other rows in one rank-1 array update. Every stored value
+    comes from the same floating-point operations as a row-by-row loop over
+    the augmented [A | I] array, so the result is the same to the bit,
+    signed zeros included.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -146,24 +151,27 @@ def invert_matrix(matrix: np.ndarray, sym_tol: float = 1e-10) -> np.ndarray:
     n = a.shape[0]
     max_diag = float(np.max(np.abs(np.diag(a)))) or 1.0
     threshold = 1e-12 * max_diag
-    aug = np.hstack([a, np.eye(n)])
+    inv = a  # np.array above made a private copy
+    tmp = np.empty_like(inv)
     with np.errstate(over="ignore", invalid="ignore"):  # the result is checked below
         for k in range(n):
-            pivot = aug[k, k]
+            pivot = inv[k, k]
             if not (pivot > threshold):
                 raise NotPositiveDefiniteError(
                     f"pivot {pivot:.3e} at index {k} fails the positive-definiteness check "
                     f"(leading minor {k + 1} not positive)",
                     pivot_index=k,
                 )
-            # Columns left of k are already unit vectors and never read again, and
-            # row k is exactly 0 right of column n+k, so only this window changes.
-            row = aug[k, k:n + k + 1]
-            row /= pivot
-            factors = aug[:, k].copy()
-            factors[k] = 0.0
-            aug[:, k:n + k + 1] -= np.outer(factors, row)
-    inv = aug[:, n:]
+            # In [A | I], column k of the right half is e_k until now: row k
+            # divided by the pivot holds 1.0 / pivot there, and every other row
+            # gets +0 - factor * (1.0 / pivot). That is 0.0 - x, not -x, which
+            # would turn +0 into -0. Row k takes no update of its own.
+            row = inv[k] / pivot
+            row[k] = 1.0 / pivot
+            np.multiply(inv[:, k, None], row, out=tmp)
+            np.subtract(inv, tmp, out=inv)
+            np.subtract(0.0, tmp[:, k], out=inv[:, k])
+            inv[k] = row
     if not np.all(np.isfinite(inv)):
         raise StatsError("elimination overflows the floating-point range")
     # elimination leaves tiny asymmetry; the exact inverse is symmetric

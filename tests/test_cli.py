@@ -454,3 +454,36 @@ class TestLoaders:
         out.commit()
         assert (tmp_path / "sub" / "a.txt").read_text() == "hello"
         assert not list((tmp_path / "sub").glob("*.tmp*"))
+
+    def test_output_set_replaces_existing(self, tmp_path):
+        (tmp_path / "a.txt").write_text("old a")
+        out = OutputSet()
+        out.add(tmp_path / "a.txt", "new a")
+        out.add(tmp_path / "b.txt", "new b")
+        out.commit()
+        assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {
+            "a.txt": "new a",
+            "b.txt": "new b",
+        }
+
+    @pytest.mark.parametrize("order", [("a.txt", "b.txt", "c.txt"), ("c.txt", "b.txt", "a.txt")])
+    def test_output_set_failed_rename_restores(self, tmp_path, monkeypatch, order):
+        (tmp_path / "a.txt").write_text("old a")
+        (tmp_path / "b.txt").write_text("old b")
+        before = {p.name: p.read_text() for p in tmp_path.iterdir()}
+        real_replace = type(tmp_path).replace
+        calls = []
+
+        def replace(self, target):
+            calls.append(self.name)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return real_replace(self, target)
+
+        monkeypatch.setattr(type(tmp_path), "replace", replace)
+        out = OutputSet()
+        for name in order:
+            out.add(tmp_path / name, f"new {name}")
+        with pytest.raises(OSError, match="disk full"):
+            out.commit()
+        assert {p.name: p.read_text() for p in tmp_path.iterdir()} == before

@@ -19,7 +19,7 @@ from frontera import (
     weights_for_target,
 )
 from frontera.report import AssetAux, ReportError, format_pct, format_pcts
-from frontera.stats import NotPositiveDefiniteError
+from frontera.stats import NotPositiveDefiniteError, StatsError
 
 from conftest import (
     assert_reports_identical,
@@ -112,6 +112,25 @@ class TestReplayPaper:
                     cov_matrix=[[0.01, 0.02], [0.02, 0.01]],
                     expected_returns=[0.03, 0.04],
                     rf=0.02,
+                )
+            )
+
+    @pytest.mark.parametrize(
+        "aux, message",
+        [
+            ((0.05, 0.0, 1.0), "Sharpe undefined for zero volatility"),
+            ((0.05, 0.2, 0.0), "Treynor undefined for zero beta"),
+        ],
+    )
+    def test_aux_undefined_ratio(self, aux, message):
+        with pytest.raises(StatsError, match=message):
+            replay_paper(
+                ReplayInput(
+                    labels=("A", "B"),
+                    cov_matrix=[[0.04, 0.01], [0.01, 0.09]],
+                    expected_returns=[0.03, 0.04],
+                    rf=0.02,
+                    aux=(AssetAux(0.04, 0.2, 0.8), AssetAux(*aux)),
                 )
             )
 

@@ -250,8 +250,8 @@ class TestInvertMatrix:
 
 
 def row_loop_inverse(a: np.ndarray) -> np.ndarray:
-    """Gauss-Jordan elimination one row at a time, as invert_matrix did it before
-    the elimination became one rank-1 array update per pivot."""
+    """Gauss-Jordan elimination one row at a time over the augmented [A | I]
+    array: the reference that invert_matrix must match to the bit."""
     n = a.shape[0]
     aug = np.hstack([a, np.eye(n)])
     for k in range(n):
@@ -270,11 +270,40 @@ def factor_covariance(rng: np.random.Generator, n: int) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
+def structured_spd(kind: str) -> np.ndarray:
+    """SPD matrices with exact zeros, where a sign slip in the elimination
+    shows up as a -0.0 that np.array_equal would not see."""
+    rng = np.random.default_rng(4000)
+    if kind == "diagonal":
+        return np.diag(rng.uniform(0.01, 0.09, 5))
+    if kind == "block_diagonal":
+        a = np.zeros((7, 7))
+        a[:3, :3] = factor_covariance(rng, 3)
+        a[3:, 3:] = factor_covariance(rng, 4)
+        return a
+    # tridiagonal, every entry off the three diagonals -0.0
+    a = np.full((6, 6), -0.0)
+    np.fill_diagonal(a, 4.0)
+    i = np.arange(5)
+    a[i, i + 1] = a[i + 1, i] = -1.0
+    return a
+
+
+def assert_same_bits(x: np.ndarray, y: np.ndarray):
+    assert x.shape == y.shape
+    assert np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
 class TestInverseAgainstReference:
     @pytest.mark.parametrize("n", [2, 20, 300])
     def test_bit_equal_to_row_loop(self, n):
         a = factor_covariance(np.random.default_rng(2000 + n), n)
-        assert np.array_equal(invert_matrix(a), row_loop_inverse(a))
+        assert_same_bits(invert_matrix(a), row_loop_inverse(a))
+
+    @pytest.mark.parametrize("kind", ["diagonal", "block_diagonal", "negative_zeros"])
+    def test_bit_equal_on_exact_zeros(self, kind):
+        a = structured_spd(kind)
+        assert_same_bits(invert_matrix(a), row_loop_inverse(a))
 
     @pytest.mark.parametrize("n", [2, 4, 50, 200, 500])
     def test_accuracy_scales_with_n(self, n):
