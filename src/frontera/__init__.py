@@ -33,19 +33,14 @@ from .frontier import (
     TangencySolution,
     TangencyUndefinedError,
     Viability,
-    cml_value,
     frontier_constants,
     frontier_risk,
     gmv_portfolio,
-    portfolio_return,
-    portfolio_sharpe,
-    portfolio_variance,
     tangency,
     viability_check,
     weights_for_target,
 )
 from .report import (
-    AssetAux,
     FrontierCurve,
     ReplayInput,
     Summary,

@@ -13,6 +13,7 @@ command leaves no partial files behind.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -56,14 +57,17 @@ class OutputSet:
         """Write every file beside its target, then rename each into place.
 
         An existing target is first moved aside. If any write or rename
-        fails, the new files are removed and the old ones put back, so the
-        targets hold either all the new files or exactly what they held
-        before.
+        fails, the new files are removed, the old ones put back and the
+        directories this commit created removed, so the targets hold either
+        all the new files or exactly what they held before.
         """
-        temps, saved, placed = [], [], []
+        temps, saved, placed, made = [], [], [], []
         try:
             for path, text in self._pending:
-                path.parent.mkdir(parents=True, exist_ok=True)
+                if not path.parent.is_dir():
+                    new = [d for d in [path.parent, *path.parent.parents] if not d.exists()]
+                    made += reversed(new)  # each directory after its parent
+                    path.parent.mkdir(parents=True, exist_ok=True)
                 tmp = path.with_name(path.name + f".tmp{os.getpid()}")
                 tmp.write_text(text, encoding="utf-8")
                 temps.append((tmp, path))
@@ -81,6 +85,9 @@ class OutputSet:
                 old.replace(path)
             for tmp, _ in temps:
                 tmp.unlink(missing_ok=True)
+            for d in reversed(made):
+                with contextlib.suppress(OSError):
+                    d.rmdir()
             raise
         for old, _ in saved:
             old.unlink()
@@ -231,13 +238,11 @@ def load_replay_input(path: Path) -> rp.ReplayInput:
     rf = _require(doc, "rf", where, _number)
     aux = None
     if "asset_stats" in doc:
-        aux = tuple(
-            rp.AssetAux(
-                ann_return=_require(a, "ann_return", f"{where}.asset_stats[{i}]", _number),
-                ann_vol=_require(a, "ann_vol", f"{where}.asset_stats[{i}]", _number),
-                beta=_require(a, "beta", f"{where}.asset_stats[{i}]", _number),
-            )
-            for i, a in enumerate(_require(doc, "asset_stats", where, _list))
+        fields = ("ann_return", "ann_vol", "beta")  # the columns of ReplayInput.aux
+        rows = enumerate(_require(doc, "asset_stats", where, _list))
+        aux = np.array(
+            [[_require(a, f, f"{where}.asset_stats[{i}]", _number) for f in fields]
+             for i, a in rows]
         )
     market_aux = None
     if "market" in doc:

@@ -56,9 +56,6 @@ class TangencySolution:
 
 @dataclass(frozen=True)
 class PortfolioSolution:
-    target_return: float
-    lambda_: float
-    theta: float
     weights: np.ndarray
     port_return: float
     variance: float
@@ -99,14 +96,10 @@ def _check_delta(fc: FrontierConstants):
 def gmv_portfolio(fc: FrontierConstants, cov: CovarianceModel, rf: float) -> PortfolioSolution:
     """Global minimum-variance portfolio: omega = h/alpha, variance = 1/alpha."""
     mu = fc.b / fc.alpha
-    weights = fc.h / fc.alpha
     variance = 1.0 / fc.alpha
     risk = float(np.sqrt(variance))
     return PortfolioSolution(
-        target_return=mu,
-        lambda_=1.0 / fc.alpha,
-        theta=0.0,
-        weights=weights,
+        weights=fc.h / fc.alpha,
         port_return=mu,
         variance=variance,
         risk=risk,
@@ -126,41 +119,15 @@ def weights_for_target(
     _check_delta(fc)
     lam = (fc.gamma - fc.b * target) / fc.delta
     theta = (fc.alpha * target - fc.b) / fc.delta
-    weights = lam * fc.h + theta * fc.g
     variance = (fc.alpha * target * target - 2.0 * fc.b * target + fc.gamma) / fc.delta
     risk = float(np.sqrt(variance))
     return PortfolioSolution(
-        target_return=target,
-        lambda_=lam,
-        theta=theta,
-        weights=weights,
+        weights=lam * fc.h + theta * fc.g,
         port_return=target,
         variance=variance,
         risk=risk,
         sharpe=None if rf is None else (target - rf) / risk,
     )
-
-
-def portfolio_return(weights: np.ndarray, expected_returns: np.ndarray) -> float:
-    w = np.asarray(weights, dtype=float)
-    er = np.asarray(expected_returns, dtype=float)
-    if w.shape != er.shape:
-        raise FrontierError("weights/expected-returns dimension mismatch")
-    return float(w @ er)
-
-
-def portfolio_variance(weights: np.ndarray, cov: CovarianceModel) -> tuple[float, float]:
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (cov.n,):
-        raise FrontierError(f"weights length {w.shape} does not match {cov.n} assets")
-    variance = float(w @ cov.matrix @ w)
-    return variance, float(np.sqrt(variance))
-
-
-def portfolio_sharpe(port_return: float, rf: float, risk: float) -> float:
-    if risk <= 0:
-        raise FrontierError("Sharpe undefined for zero risk")
-    return (port_return - rf) / risk
 
 
 def tangency(fc: FrontierConstants, rf: float) -> TangencySolution:
@@ -187,13 +154,6 @@ def frontier_risk(fc: FrontierConstants, target: float | np.ndarray) -> float | 
         raise FrontierError(f"negative radicand {np.min(radicand):.3e} in frontier risk")
     risk = np.sqrt(radicand)
     return float(risk) if risk.ndim == 0 else risk
-
-
-def cml_value(rf: float, slope: float, risk: float) -> float:
-    """Capital market line: rf + risk * slope."""
-    if risk < 0:
-        raise FrontierError("risk must be nonnegative")
-    return rf + risk * slope
 
 
 def viability_check(expected_returns: np.ndarray) -> Viability:

@@ -15,7 +15,7 @@ no weights, tangency or curve are produced for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date as Date
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 
@@ -34,10 +34,15 @@ class ReportError(ValueError):
 
 @dataclass(frozen=True)
 class FrontierCurve:
-    """Sampled frontier and CML, plus the markers drawn on the figure."""
+    """Sampled frontier and CML, plus the markers drawn on the figure.
 
-    points: tuple[tuple[float, float], ...]  # (target_return, frontier_risk)
-    cml_points: tuple[tuple[float, float], ...]  # (risk, cml_value)
+    ``points`` is an (n, 2) float array of (target return, frontier risk)
+    rows and ``cml_points`` an (n, 2) array of (risk, CML value) rows; it
+    is (0, 2) when the window has no tangency.
+    """
+
+    points: np.ndarray
+    cml_points: np.ndarray
     asset_markers: tuple[tuple[str, float, float], ...]  # (label, ann_vol, capm)
     gmv_marker: tuple[float, float]  # (risk, return)
     tangency_marker: tuple[float, float] | None  # (sigma_rt, r_t)
@@ -59,21 +64,13 @@ class WindowReport:
 
 
 @dataclass(frozen=True)
-class AssetAux:
-    """Indicator-table echo values for replay mode (from the published tables)."""
-
-    ann_return: float
-    ann_vol: float
-    beta: float
-
-
-@dataclass(frozen=True)
 class ReplayInput:
     labels: tuple[str, ...]
     cov_matrix: np.ndarray
     expected_returns: np.ndarray
     rf: float
-    aux: tuple[AssetAux, ...] | None = None
+    # (N, 3) published ann_return, ann_vol and beta per label, echoed in the indicator table
+    aux: np.ndarray | None = None
     market_aux: tuple[str, float, float] | None = None  # (id, ann_return, ann_vol)
     window: WindowSpec | None = None
 
@@ -123,12 +120,10 @@ def replay_paper(replay: ReplayInput) -> WindowReport:
 
     asset_stats = None
     if replay.aux is not None:
-        if len(replay.aux) != len(labels):
-            raise ReportError("aux stats length does not match labels")
-        ann_return, ann_vol, betas = np.array(
-            [(aux.ann_return, aux.ann_vol, aux.beta) for aux in replay.aux], dtype=float
-        ).T
-        asset_stats = _asset_stats(labels, ann_return, ann_vol, betas, er, rf)
+        aux = np.asarray(replay.aux, dtype=float)
+        if aux.shape != (len(labels), 3):
+            raise ReportError(f"aux stats shape {aux.shape} does not match {len(labels)} labels")
+        asset_stats = _asset_stats(labels, *aux.T, er, rf)
     market_stats = None
     if replay.market_aux is not None:
         market_id, m_ret, m_vol = replay.market_aux
@@ -149,30 +144,22 @@ def _build_report(window, labels, er, asset_stats, market_stats, cov) -> WindowR
     modes numerically identical on identical intermediate inputs."""
     fc = fr.frontier_constants(cov, er)
     viability = fr.viability_check(er)
-    tang = solution = curve = None
+    tang = solution = None
     if viability.viable:
         solution = fr.gmv_portfolio(fc, cov, window.rf_annual)
         try:
             tang = fr.tangency(fc, window.rf_annual)
         except (fr.TangencyUndefinedError, fr.DegenerateFrontierError):
-            tang = None
-        report = WindowReport(
-            window, labels, er, asset_stats, market_stats, cov, fc, viability, tang, solution, None
-        )
-        try:
-            curve = emit_frontier_curve(report, DEFAULT_CURVE_POINTS, _default_span(er, solution))
-        except fr.DegenerateFrontierError:
-            curve = None
-    return WindowReport(
-        window, labels, er, asset_stats, market_stats, cov, fc, viability, tang, solution, curve
+            pass
+    report = WindowReport(
+        window, labels, er, asset_stats, market_stats, cov, fc, viability, tang, solution, None
     )
-
-
-def _default_span(er: np.ndarray, solution: fr.PortfolioSolution) -> tuple[float, float]:
-    hi = 1.5 * float(np.max(er))
-    if hi <= solution.port_return:
-        hi = solution.port_return + 0.02
-    return (min(0.0, solution.port_return - 0.02), hi)
+    if solution is not None:
+        try:
+            report = replace(report, curve=emit_frontier_curve(report))
+        except fr.DegenerateFrontierError:
+            pass
+    return report
 
 
 def emit_frontier_curve(
@@ -180,33 +167,35 @@ def emit_frontier_curve(
     n_points: int = DEFAULT_CURVE_POINTS,
     return_span: tuple[float, float] | None = None,
 ) -> FrontierCurve:
-    """Sample the frontier over a return span and the CML over [0, max risk]."""
+    """Sample the frontier over a return span and the CML over [0, max risk].
+
+    The default span runs from min(0, GMV return - 2%) to 1.5 times the
+    largest expected return, or to GMV return + 2% if that is not above it.
+    """
     if report.solution is None:
         raise ReportError(f"window {report.window.name} is non-viable; no curve")
     if n_points < 2:
         raise ReportError("need at least 2 curve points")
-    lo, hi = return_span if return_span is not None else _default_span(
-        report.expected_returns, report.solution
-    )
+    if return_span is None:
+        mu = report.solution.port_return
+        hi = 1.5 * float(np.max(report.expected_returns))
+        return_span = (min(0.0, mu - 0.02), mu + 0.02 if hi <= mu else hi)
+    lo, hi = return_span
     if not lo < hi:
         raise ReportError(f"invalid return span [{lo}, {hi}]")
     targets = np.linspace(lo, hi, n_points)
     risks = fr.frontier_risk(report.constants, targets)
-    points = tuple(zip(targets.tolist(), risks.tolist()))
-    max_risk = float(risks.max())
-    cml_points: tuple[tuple[float, float], ...] = ()
+    cml_points = np.empty((0, 2))
     if report.tangency is not None:
-        cml_points = tuple(
-            (float(v), fr.cml_value(report.tangency.rf, report.tangency.slope, float(v)))
-            for v in np.linspace(0.0, max_risk, n_points)
-        )
+        v = np.linspace(0.0, risks.max(), n_points)
+        cml_points = np.column_stack([v, report.tangency.rf + v * report.tangency.slope])
     vols = np.sqrt(np.diag(report.cov.matrix))
     asset_markers = tuple(
         (label, float(vols[i]), float(report.expected_returns[i]))
         for i, label in enumerate(report.labels)
     )
     return FrontierCurve(
-        points=points,
+        points=np.column_stack([targets, risks]),
         cml_points=cml_points,
         asset_markers=asset_markers,
         gmv_marker=(report.solution.risk, report.solution.port_return),
@@ -221,18 +210,29 @@ def emit_frontier_curve(
 
 @dataclass(frozen=True)
 class Summary:
+    """Cross-window summary of W windows over N assets, held in arrays.
+
+    ``returns``, ``betas``, ``variances``, ``risks`` and ``sharpes`` are
+    (W,) rows; ``weights``, ``historical``, ``capm`` and ``contributions``
+    are (N, W). The (W,) bool masks ``viable`` (the window has a portfolio)
+    and ``has_stats`` (per-asset stats are known) mark the known columns:
+    the portfolio rows, weights and contributions need ``viable``, the
+    historical returns ``has_stats`` and the beta both. Unknown cells are NaN.
+    """
+
     windows: tuple[str, ...]
     labels: tuple[str, ...]
-    # per window, None where non-viable
-    returns: tuple[float | None, ...]
-    betas: tuple[float | None, ...]  # portfolio beta = sum(w_i * beta_i)
-    variances: tuple[float | None, ...]
-    risks: tuple[float | None, ...]
-    sharpes: tuple[float | None, ...]
-    weights: tuple[tuple[float | None, ...], ...]  # [asset][window]
-    historical: tuple[tuple[float | None, ...], ...]  # per-asset annualized return
-    capm: tuple[tuple[float, ...], ...]
-    contributions: tuple[tuple[float | None, ...], ...]  # w_i * E(R)_i
+    viable: np.ndarray
+    has_stats: np.ndarray
+    returns: np.ndarray
+    betas: np.ndarray  # portfolio beta = sum(w_i * beta_i)
+    variances: np.ndarray
+    risks: np.ndarray
+    sharpes: np.ndarray
+    weights: np.ndarray
+    historical: np.ndarray  # per-asset annualized return
+    capm: np.ndarray
+    contributions: np.ndarray  # w_i * E(R)_i
 
 
 def summarize(reports: list[WindowReport]) -> Summary:
@@ -240,7 +240,8 @@ def summarize(reports: list[WindowReport]) -> Summary:
 
     Every cell is copied from its WindowReport; nothing is recomputed here
     except the portfolio beta, which is the weight-average of asset betas
-    (reported only when per-asset betas are available).
+    (known only when per-asset betas are available), and the contributions
+    ``weights * capm``.
     """
     if not reports:
         raise ReportError("need at least one report to summarize")
@@ -248,67 +249,53 @@ def summarize(reports: list[WindowReport]) -> Summary:
     for r in reports[1:]:
         if r.labels != labels:
             raise ReportError("reports have mismatched asset labels")
+    sols = [r.solution for r in reports]
+    unknown = np.full(len(labels), np.nan)
 
-    def per_window(fn):
-        return tuple(fn(r) for r in reports)
+    def row(attr: str) -> np.ndarray:
+        return np.array([np.nan if s is None else getattr(s, attr) for s in sols])
 
-    def port_beta(r: WindowReport):
-        if r.solution is None or r.stats is None:
-            return None
-        return float(np.array([s.beta for s in r.stats]) @ r.solution.weights)
-
+    weights = np.column_stack([unknown if s is None else s.weights for s in sols])
+    capm = np.column_stack([r.expected_returns for r in reports])
     return Summary(
         windows=tuple(r.window.name for r in reports),
         labels=labels,
-        returns=per_window(lambda r: None if r.solution is None else r.solution.port_return),
-        betas=per_window(port_beta),
-        variances=per_window(lambda r: None if r.solution is None else r.solution.variance),
-        risks=per_window(lambda r: None if r.solution is None else r.solution.risk),
-        sharpes=per_window(lambda r: None if r.solution is None else r.solution.sharpe),
-        weights=tuple(
-            per_window(lambda r, i=i: None if r.solution is None else float(r.solution.weights[i]))
-            for i in range(len(labels))
+        viable=np.array([s is not None for s in sols]),
+        has_stats=np.array([r.stats is not None for r in reports]),
+        returns=row("port_return"),
+        betas=np.array(
+            [
+                np.nan if s is None or r.stats is None else [a.beta for a in r.stats] @ s.weights
+                for r, s in zip(reports, sols)
+            ]
         ),
-        historical=tuple(
-            per_window(lambda r, i=i: None if r.stats is None else r.stats[i].ann_return)
-            for i in range(len(labels))
+        variances=row("variance"),
+        risks=row("risk"),
+        sharpes=row("sharpe"),
+        weights=weights,
+        historical=np.column_stack(
+            [unknown if r.stats is None else [a.ann_return for a in r.stats] for r in reports]
         ),
-        capm=tuple(
-            per_window(lambda r, i=i: float(r.expected_returns[i])) for i in range(len(labels))
-        ),
-        contributions=tuple(
-            per_window(
-                lambda r, i=i: None
-                if r.solution is None
-                else float(r.solution.weights[i] * r.expected_returns[i])
-            )
-            for i in range(len(labels))
-        ),
+        capm=capm,
+        contributions=weights * capm,
     )
 
 
 # --- rendering ---
 
 
-def format_pct(x: float | None, places: int = 2) -> str:
-    """Percent with fixed decimals, half-up rounding; "non-viable" for None.
-
-    The shortest ``repr`` of ``x * 100`` is rounded half up (away from zero
-    on a tie) to ``places`` decimals. Scalar form of ``format_pcts``.
-    """
-    return "non-viable" if x is None else format_pcts(x, places)
-
-
 def format_pcts(values, places: int = 2):
-    """``format_pct`` of every number in ``values``, nested like ``values``.
+    """Percent strings of the numbers in ``values``, nested like ``values``.
 
-    Every cell is printed from its binary value by one ``%`` call over the
-    whole array, ``"%.{places}f%%"`` per cell, which rounds as
-    ``f"{y:.{places}f}"`` does (both are ``PyOS_double_to_string``). The
-    shortest repr is within half an ulp of that value, so away from a .5 tie
-    the two round alike; only cells within 1e-9 relative of a tie, and
-    non-finite cells, take the ``Decimal`` path. NaN prints as ``NaN%``; a
-    cell whose percent is infinite raises ReportError.
+    Each cell is the shortest ``repr`` of ``x * 100`` rounded half up (away
+    from zero on a tie) to ``places`` decimals. Cells are printed from their
+    binary values by one ``%`` call over the whole array,
+    ``"%.{places}f%%"`` per cell, which rounds as ``f"{y:.{places}f}"`` does
+    (both are ``PyOS_double_to_string``). The shortest repr is within half
+    an ulp of that value, so away from a .5 tie the two round alike; only
+    cells within 1e-9 relative of a tie, and non-finite cells, take the
+    ``Decimal`` path. NaN prints as ``NaN%``; a cell whose percent is
+    infinite raises ReportError.
     """
     shape = np.shape(values)
     x = np.asarray(values, dtype=float).ravel()
@@ -332,12 +319,11 @@ def format_pcts(values, places: int = 2):
     return np.array(cells, dtype=object).reshape(shape).tolist()
 
 
-def _pct_rows(rows, missing: str) -> list[list[str]]:
-    """``format_pcts`` of equal-length rows in which None prints as ``missing``."""
-    cells = format_pcts([[0.0 if x is None else x for x in row] for row in rows])
-    return [
-        [missing if x is None else c for x, c in zip(row, out)] for row, out in zip(rows, cells)
-    ]
+def _pct_rows(rows: np.ndarray, known: np.ndarray, missing: str) -> list[list[str]]:
+    """``format_pcts`` of a (k, W) array; columns where the (W,) mask ``known``
+    is False print as ``missing``."""
+    cells = format_pcts(np.where(known, rows, 0.0))
+    return [[c if ok else missing for c, ok in zip(row, known.tolist())] for row in cells]
 
 
 def _table(header: list[str], rows: list[list[str]], fmt: str) -> str:
@@ -370,42 +356,18 @@ def render_tables(report: WindowReport, format: str = "csv") -> str:
         cells = format_pcts([[getattr(s, attr) for s in all_stats] for _, attr in indicators])
         rows = [[name] + row for (name, _), row in zip(indicators, cells)]
         out.append(_table(["Indicator"] + stat_cols, rows, format))
-    out.append(
-        _table(
-            ["Covariance"] + cols,
-            [[lab] + row for lab, row in zip(cols, format_pcts(report.cov.matrix))],
-            format,
-        )
-    )
-    out.append(
-        _table(
-            ["Inverse"] + cols,
-            [[lab] + row for lab, row in zip(cols, format_pcts(report.cov.inverse, 0))],
-            format,
-        )
-    )
+    for name, matrix, places in [
+        ("Covariance", report.cov.matrix, 2),
+        ("Inverse", report.cov.inverse, 0),
+    ]:
+        rows = [[lab] + row for lab, row in zip(cols, format_pcts(matrix, places))]
+        out.append(_table([name] + cols, rows, format))
     fc = report.constants
-    out.append(
-        _table(
-            ["Constant", "Value"],
-            [
-                [name, cell]
-                for name, cell in zip(
-                    ["alpha", "b", "gamma", "delta"],
-                    format_pcts([fc.alpha, fc.b, fc.gamma, fc.delta]),
-                )
-            ],
-            format,
-        )
-    )
+    cells = format_pcts([fc.alpha, fc.b, fc.gamma, fc.delta])
+    rows = [[name, cell] for name, cell in zip(["alpha", "b", "gamma", "delta"], cells)]
+    out.append(_table(["Constant", "Value"], rows, format))
     if report.solution is None:
-        out.append(
-            _table(
-                ["Portfolio", "Value"],
-                [["viability", f"non-viable: {report.viability.reason}"]],
-                format,
-            )
-        )
+        rows = [["viability", f"non-viable: {report.viability.reason}"]]
     else:
         sol = report.solution
         names = cols + ["return", "variance", "risk", "sharpe"]
@@ -414,7 +376,7 @@ def render_tables(report: WindowReport, format: str = "csv") -> str:
             names += ["tangency return", "tangency risk", "cml slope"]
             values += [report.tangency.r_t, report.tangency.sigma_rt, report.tangency.slope]
         rows = [[name, cell] for name, cell in zip(names, format_pcts(values))]
-        out.append(_table(["Portfolio", "Value"], rows, format))
+    out.append(_table(["Portfolio", "Value"], rows, format))
     return "\n\n".join(out) + "\n"
 
 
@@ -423,11 +385,15 @@ def render_summary(summary: Summary, format: str = "csv") -> str:
     if format not in ("csv", "markdown"):
         raise ReportError(f"unknown format {format!r}")
     win = list(summary.windows)
+    viable = summary.viable
     beta_cells = [
-        "non-viable" if b is None else f"{b:.2f}" for b in summary.betas
+        f"{b:.2f}" if ok else "non-viable"
+        for b, ok in zip(summary.betas.tolist(), (viable & summary.has_stats).tolist())
     ]
     ret, var, risk, sharpe = _pct_rows(
-        [summary.returns, summary.variances, summary.risks, summary.sharpes], "non-viable"
+        np.array([summary.returns, summary.variances, summary.risks, summary.sharpes]),
+        viable,
+        "non-viable",
     )
     perf = [
         ["Return"] + ret,
@@ -438,15 +404,15 @@ def render_summary(summary: Summary, format: str = "csv") -> str:
     ]
     weights = [
         [lab] + row
-        for lab, row in zip(summary.labels, _pct_rows(summary.weights, "non-viable"))
+        for lab, row in zip(summary.labels, _pct_rows(summary.weights, viable, "non-viable"))
     ]
     returns = []
-    for block, matrix, missing in [
-        ("Historical", summary.historical, ""),
-        ("CAPM", summary.capm, "non-viable"),
-        ("Markowitz", summary.contributions, "non-viable"),
+    for block, matrix, known, missing in [
+        ("Historical", summary.historical, summary.has_stats, ""),
+        ("CAPM", summary.capm, np.ones_like(viable), "non-viable"),
+        ("Markowitz", summary.contributions, viable, "non-viable"),
     ]:
-        for lab, row in zip(summary.labels, _pct_rows(matrix, missing)):
+        for lab, row in zip(summary.labels, _pct_rows(matrix, known, missing)):
             returns.append([block, lab] + row)
     return "\n\n".join(
         [
@@ -457,13 +423,17 @@ def render_summary(summary: Summary, format: str = "csv") -> str:
     ) + "\n"
 
 
+def _pairs(fmt: str, xy: np.ndarray, end: str) -> str:
+    """``fmt % (x, y) + end`` for every row of an (n, 2) array, in one ``%`` call."""
+    return (fmt + end) * len(xy) % tuple(xy.ravel().tolist())
+
+
 def curve_csv(curve: FrontierCurve) -> tuple[str, str]:
     """Frontier and CML curve files: 10 significant digits, one pair per line."""
-    frontier_lines = ["target_return,frontier_risk"] + [
-        f"{t:.10g},{r:.10g}" for t, r in curve.points
-    ]
-    cml_lines = ["risk,cml_value"] + [f"{v:.10g},{y:.10g}" for v, y in curve.cml_points]
-    return "\n".join(frontier_lines) + "\n", "\n".join(cml_lines) + "\n"
+    return (
+        "target_return,frontier_risk\n" + _pairs("%.10g,%.10g", curve.points, "\n"),
+        "risk,cml_value\n" + _pairs("%.10g,%.10g", curve.cml_points, "\n"),
+    )
 
 
 # --- SVG figure ---
@@ -478,18 +448,17 @@ def _xml_escape(s: str) -> str:
 
 def render_svg(curve: FrontierCurve) -> str:
     """Standalone SVG: frontier polyline, CML polyline, labeled markers, percent axes."""
-    if not curve.points:
+    if not len(curve.points):
         raise ReportError("empty curve")
-    xs = [r for _, r in curve.points] + [v for v, _ in curve.cml_points]
-    xs += [m[1] for m in curve.asset_markers] + [curve.gmv_marker[0]]
-    ys = [t for t, _ in curve.points] + [y for _, y in curve.cml_points]
-    ys += [m[2] for m in curve.asset_markers] + [curve.gmv_marker[1]]
+    frontier_xy = curve.points[:, ::-1]  # (risk, return) rows
+    markers = [(vol, capm) for _, vol, capm in curve.asset_markers] + [curve.gmv_marker]
     if curve.tangency_marker is not None:
-        xs.append(curve.tangency_marker[0])
-        ys.append(curve.tangency_marker[1])
-    x_lo, x_hi = 0.0, max(xs) * 1.05 or 1.0
-    pad = (max(ys) - min(ys)) * 0.08 or 0.01
-    y_lo, y_hi = min(ys) - pad, max(ys) + pad
+        markers.append(curve.tangency_marker)
+    xy = np.concatenate([frontier_xy, curve.cml_points, markers])
+    x_lo, x_hi = 0.0, float(xy[:, 0].max()) * 1.05 or 1.0
+    y_min, y_max = float(xy[:, 1].min()), float(xy[:, 1].max())
+    pad = (y_max - y_min) * 0.08 or 0.01
+    y_lo, y_hi = y_min - pad, y_max + pad
 
     def sx(x):
         return _MARGIN + (x - x_lo) / (x_hi - x_lo) * (_SVG_W - 2 * _MARGIN)
@@ -498,7 +467,7 @@ def render_svg(curve: FrontierCurve) -> str:
         return _SVG_H - _MARGIN - (y - y_lo) / (y_hi - y_lo) * (_SVG_H - 2 * _MARGIN)
 
     def poly(pairs, color):
-        pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in pairs)
+        pts = _pairs("%.2f,%.2f", np.column_stack([sx(pairs[:, 0]), sy(pairs[:, 1])]), " ")[:-1]
         return f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>'
 
     parts = [
@@ -525,8 +494,8 @@ def render_svg(curve: FrontierCurve) -> str:
         f'<text x="{_SVG_W / 2}" y="{_SVG_H - 18}" font-size="13" '
         'text-anchor="middle">Risk (annualized)</text>'
     )
-    parts.append(poly([(r, t) for t, r in curve.points], "#1f77b4"))
-    if curve.cml_points:
+    parts.append(poly(frontier_xy, "#1f77b4"))
+    if len(curve.cml_points):
         parts.append(poly(curve.cml_points, "#d62728"))
     for label, vol, capm in curve.asset_markers:
         parts.append(f'<circle cx="{sx(vol):.2f}" cy="{sy(capm):.2f}" r="4" fill="#2ca02c"/>')

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 TRADING_DAYS = 252
+SYM_TOL = 1e-10  # largest |A - A'| entry accepted, relative to the largest |A| entry
 
 
 class StatsError(ValueError):
@@ -125,7 +126,7 @@ def covariance_matrix(
     return CovarianceModel(tuple(labels), a, invert_matrix(a))
 
 
-def invert_matrix(matrix: np.ndarray, sym_tol: float = 1e-10) -> np.ndarray:
+def invert_matrix(matrix: np.ndarray) -> np.ndarray:
     """Invert a symmetric positive definite matrix by Gauss-Jordan elimination.
 
     No row pivoting: for an SPD matrix the diagonal pivots are all positive,
@@ -146,7 +147,7 @@ def invert_matrix(matrix: np.ndarray, sym_tol: float = 1e-10) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise StatsError("matrix has non-finite entries")
     scale = float(np.max(np.abs(a))) or 1.0
-    if float(np.max(np.abs(a - a.T))) > sym_tol * scale:
+    if float(np.max(np.abs(a - a.T))) > SYM_TOL * scale:
         raise StatsError("matrix is not symmetric")
     n = a.shape[0]
     max_diag = float(np.max(np.abs(np.diag(a)))) or 1.0

@@ -76,8 +76,4 @@ def assert_reports_identical(a, b):
         assert_fields_equal(a.solution, b.solution)
     assert (a.curve is None) == (b.curve is None)
     if a.curve is not None:
-        assert a.curve.points == b.curve.points
-        assert a.curve.cml_points == b.curve.cml_points
-        assert a.curve.asset_markers == b.curve.asset_markers
-        assert a.curve.gmv_marker == b.curve.gmv_marker
-        assert a.curve.tangency_marker == b.curve.tangency_marker
+        assert_fields_equal(a.curve, b.curve)

@@ -23,7 +23,6 @@ from frontera import (
     frontier_constants,
     frontier_risk,
     invert_matrix,
-    portfolio_return,
     replay_paper,
     tangency,
     weights_for_target,
@@ -31,7 +30,6 @@ from frontera import (
 from frontera.cli import main
 from frontera.frontier import TangencyUndefinedError
 from frontera.oracle import GridSpec, fd_tangency_check, grid_min_variance
-from frontera.report import AssetAux
 
 from conftest import (
     FIXTURES,
@@ -142,7 +140,7 @@ def test_criterion_8_property_suite():
         target = float(rng.uniform(-0.02, 0.15))
         sol = weights_for_target(fc, target)
         assert sol.weights.sum() == pytest.approx(1.0, abs=1e-9)
-        assert portfolio_return(sol.weights, er) == pytest.approx(target, abs=1e-9)
+        assert sol.weights @ er == pytest.approx(target, abs=1e-9)
         assert frontier_risk(fc, fc.b / fc.alpha) == pytest.approx(
             np.sqrt(1.0 / fc.alpha), rel=1e-12
         )
@@ -175,7 +173,7 @@ def test_criterion_9_pipeline_equivalence():
         cov_matrix=first.cov.matrix,
         expected_returns=first.expected_returns,
         rf=window.rf_annual,
-        aux=tuple(AssetAux(s.ann_return, s.ann_vol, s.beta) for s in first.stats),
+        aux=np.array([(s.ann_return, s.ann_vol, s.beta) for s in first.stats]),
         market_aux=(
             first.market_stats.asset_id,
             first.market_stats.ann_return,

@@ -443,7 +443,7 @@ class TestLoaders:
         replay = load_replay_input(FIXTURES / "replay_2015_2023.json")
         assert replay.labels == ("PFBANCOLOMBIA", "ECOPETROL", "ISA", "BANCOLOMBIA")
         assert replay.rf == pytest.approx(0.0687)
-        assert replay.aux is not None and len(replay.aux) == 4
+        assert replay.aux.shape == (4, 3) and replay.aux.dtype == float
         assert replay.market_aux[0] == "ICOLCAP"
 
     def test_output_set_atomic(self, tmp_path):
@@ -487,3 +487,28 @@ class TestLoaders:
         with pytest.raises(OSError, match="disk full"):
             out.commit()
         assert {p.name: p.read_text() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("od_existed", [False, True])
+    def test_output_set_failed_commit_removes_new_dirs(self, tmp_path, monkeypatch, od_existed):
+        od = tmp_path / "od"
+        if od_existed:
+            od.mkdir()
+            (od / "keep.txt").write_text("kept")
+        before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+        real_replace = type(tmp_path).replace
+        calls = []
+
+        def replace(self, target):
+            calls.append(self.name)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return real_replace(self, target)
+
+        monkeypatch.setattr(type(tmp_path), "replace", replace)
+        out = OutputSet()
+        out.add(od / "win" / "a.csv", "new a")
+        out.add(od / "win" / "b.csv", "new b")
+        with pytest.raises(OSError, match="disk full"):
+            out.commit()
+        assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
+        assert od.exists() == od_existed

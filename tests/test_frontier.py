@@ -6,14 +6,11 @@ from frontera import (
     DegenerateFrontierError,
     FrontierError,
     TangencyUndefinedError,
-    cml_value,
     frontier_constants,
     frontier_risk,
     gmv_portfolio,
     invert_matrix,
-    portfolio_return,
-    portfolio_sharpe,
-    portfolio_variance,
+    replay_paper,
     tangency,
     viability_check,
     weights_for_target,
@@ -88,24 +85,30 @@ class TestGmvPortfolio:
     def test_matches_quadratic_form(self):
         fc, cov, rf = fixture_constants("2016_2020")
         sol = gmv_portfolio(fc, cov, rf)
-        variance, risk = portfolio_variance(sol.weights, cov)
+        variance = sol.weights @ cov.matrix @ sol.weights
         assert variance == pytest.approx(sol.variance, rel=1e-9)
-        assert risk == pytest.approx(sol.risk, rel=1e-9)
+        assert np.sqrt(variance) == pytest.approx(sol.risk, rel=1e-9)
 
 
 class TestWeightsForTarget:
     def test_gmv_consistency(self):
         fc, cov, rf = fixture_constants("2015_2023")
-        sol = weights_for_target(fc, fc.b / fc.alpha)
-        assert abs(sol.theta) < 1e-9
+        target = fc.b / fc.alpha
+        sol = weights_for_target(fc, target)
+        assert abs((fc.alpha * target - fc.b) / fc.delta) < 1e-9  # theta
         assert np.allclose(sol.weights, fc.h / fc.alpha, atol=1e-9)
 
     def test_paper_lambda_theta(self):
         fc, _, _ = fixture_constants("2015_2023")
-        sol = weights_for_target(fc, 0.038)
+        target = 0.038
+        lam = (fc.gamma - fc.b * target) / fc.delta
+        theta = (fc.alpha * target - fc.b) / fc.delta
         # published values chain rounded inputs: 6.9% and -12.3%
-        assert sol.lambda_ == pytest.approx(0.069, abs=0.002)
-        assert sol.theta == pytest.approx(-0.123, abs=0.005)
+        assert lam == pytest.approx(0.069, abs=0.002)
+        assert theta == pytest.approx(-0.123, abs=0.005)
+        # the weights are lambda * h + theta * g
+        sol = weights_for_target(fc, target)
+        assert np.allclose(sol.weights, lam * fc.h + theta * fc.g, rtol=0, atol=1e-12)
 
     def test_paper_weights_2015_2019(self):
         fc, _, _ = fixture_constants("2015_2019")
@@ -131,46 +134,37 @@ class TestWeightsForTarget:
 
 
 class TestPortfolioMetrics:
+    """Portfolio return, variance and Sharpe ratio computed inline as w @ er,
+    w @ A @ w and (return - rf) / risk, against the paper's 2015-2023 figures."""
+
     def test_paper_return(self):
         w = np.array([0.498, 0.171, 0.313, 0.018])
         er = np.array([0.0303, 0.0432, 0.0473, 0.0392])
-        assert portfolio_return(w, er) == pytest.approx(0.038, abs=1e-3)
+        assert w @ er == pytest.approx(0.038, abs=1e-3)
 
     def test_one_hot_return(self):
         er = np.array([0.01, 0.07, 0.03])
-        assert portfolio_return(np.array([0.0, 1.0, 0.0]), er) == 0.07
+        assert np.array([0.0, 1.0, 0.0]) @ er == 0.07
 
     def test_equal_weights_constant_returns(self):
-        assert portfolio_return(np.full(4, 0.25), np.full(4, 0.06)) == pytest.approx(0.06)
+        assert np.full(4, 0.25) @ np.full(4, 0.06) == pytest.approx(0.06)
 
     def test_paper_variance(self):
-        replay = load_fixture("2015_2023")
-        cov = cov_model(replay.cov_matrix, replay.labels)
-        variance, risk = portfolio_variance(np.array([0.498, 0.171, 0.313, 0.018]), cov)
-        assert variance == pytest.approx(0.0640, abs=1e-3)
-        assert risk == pytest.approx(0.253, abs=2e-3)
+        a = load_fixture("2015_2023").cov_matrix
+        w = np.array([0.498, 0.171, 0.313, 0.018])
+        assert w @ a @ w == pytest.approx(0.0640, abs=1e-3)
+        assert np.sqrt(w @ a @ w) == pytest.approx(0.253, abs=2e-3)
 
     def test_one_hot_variance(self):
-        replay = load_fixture("2015_2023")
-        cov = cov_model(replay.cov_matrix, replay.labels)
-        variance, risk = portfolio_variance(np.array([0.0, 1.0, 0.0, 0.0]), cov)
-        assert variance == pytest.approx(cov.matrix[1, 1])
-        assert risk == pytest.approx(np.sqrt(cov.matrix[1, 1]))
-
-    def test_dimension_mismatch(self):
-        replay = load_fixture("2015_2023")
-        cov = cov_model(replay.cov_matrix, replay.labels)
-        with pytest.raises(FrontierError):
-            portfolio_variance(np.array([0.5, 0.5]), cov)
-        with pytest.raises(FrontierError):
-            portfolio_return(np.array([0.5, 0.5]), np.array([0.1]))
+        a = load_fixture("2015_2023").cov_matrix
+        w = np.array([0.0, 1.0, 0.0, 0.0])
+        assert w @ a @ w == pytest.approx(a[1, 1])
 
     def test_sharpe(self):
-        assert portfolio_sharpe(0.038, 0.0687, 0.253) == pytest.approx(-0.121, abs=1e-3)
-        assert portfolio_sharpe(0.019, 0.0726, 0.3131) == pytest.approx(-0.1712, abs=1e-3)
-        assert portfolio_sharpe(0.05, 0.05, 0.2) == 0.0
-        with pytest.raises(FrontierError):
-            portfolio_sharpe(0.05, 0.02, 0.0)
+        assert (0.038 - 0.0687) / 0.253 == pytest.approx(-0.121, abs=1e-3)
+        assert (0.019 - 0.0726) / 0.3131 == pytest.approx(-0.1712, abs=1e-3)
+        sol = gmv_portfolio(*fixture_constants("2015_2023"))
+        assert sol.sharpe == (sol.port_return - 0.0687) / sol.risk
 
 
 class TestTangency:
@@ -243,16 +237,21 @@ class TestFrontierRiskAndCml:
         with pytest.raises(DegenerateFrontierError):
             frontier_risk(fc, 0.06)
 
-    def test_cml_intercept_and_flat(self):
-        assert cml_value(0.0687, -0.133, 0.0) == 0.0687
-        assert cml_value(0.05, 0.0, 0.3) == 0.05
-        with pytest.raises(FrontierError):
-            cml_value(0.05, 0.1, -0.1)
+    def test_curve_cml_intercept_and_line(self):
+        # the curve's CML starts at (0, rf) and is rf + risk * slope at every sample
+        report = replay_paper(load_fixture("2015_2023"))
+        t = report.tangency
+        cml = report.curve.cml_points
+        assert cml.shape == (200, 2)
+        assert cml[0].tolist() == [0.0, t.rf]
+        assert cml[:, 1].tolist() == [t.rf + v * t.slope for v in cml[:, 0].tolist()]
+        assert cml[-1, 0] == report.curve.points[:, 1].max()
+        assert np.all(np.diff(cml[:, 1]) < 0)  # the 2015-2023 slope is negative
 
     def test_cml_recovers_tangency(self):
         fc, _, rf = fixture_constants("2015_2023")
         t = tangency(fc, rf)
-        assert cml_value(rf, t.slope, t.sigma_rt) == pytest.approx(t.r_t, rel=1e-12)
+        assert rf + t.sigma_rt * t.slope == pytest.approx(t.r_t, rel=1e-12)
 
 
 class TestViability:

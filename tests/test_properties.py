@@ -10,13 +10,10 @@ import pytest
 
 from frontera import (
     CovarianceModel,
-    cml_value,
     frontier_constants,
     frontier_risk,
     gmv_portfolio,
     invert_matrix,
-    portfolio_return,
-    portfolio_variance,
     tangency,
     weights_for_target,
 )
@@ -52,7 +49,7 @@ class TestFrontierIdentities:
         fc = frontier_constants(cov, er)
         for target in (0.01, 0.07, 0.2):
             sol = weights_for_target(fc, target)
-            assert portfolio_return(sol.weights, er) == pytest.approx(target, abs=1e-9)
+            assert sol.weights @ er == pytest.approx(target, abs=1e-9)
 
     @pytest.mark.parametrize("seed,n", CASES)
     def test_gmv_is_frontier_vertex(self, seed, n):
@@ -62,8 +59,8 @@ class TestFrontierIdentities:
         fc = frontier_constants(cov, er)
         gmv = gmv_portfolio(fc, cov, 0.02)
         # quadratic-form variance agrees with 1/alpha
-        var, risk = portfolio_variance(gmv.weights, cov)
-        assert var == pytest.approx(1.0 / fc.alpha, rel=1e-10)
+        w = gmv.weights
+        assert w @ cov.matrix @ w == pytest.approx(1.0 / fc.alpha, rel=1e-10)
         # any other frontier portfolio is riskier
         for target in (gmv.port_return - 0.03, gmv.port_return + 0.03):
             assert frontier_risk(fc, target) > gmv.risk
@@ -75,8 +72,8 @@ class TestFrontierIdentities:
         fc = frontier_constants(cov, random_expected_returns(rng, n))
         for target in (0.0, 0.05, 0.15):
             sol = weights_for_target(fc, target)
-            var, _ = portfolio_variance(sol.weights, cov)
-            assert var == pytest.approx(sol.variance, rel=1e-9)
+            w = sol.weights
+            assert w @ cov.matrix @ w == pytest.approx(sol.variance, rel=1e-9)
             assert frontier_risk(fc, target) == pytest.approx(sol.risk, rel=1e-9)
 
     @pytest.mark.parametrize("seed,n", CASES)
@@ -98,7 +95,7 @@ class TestTangencyProperties:
             pytest.skip("tangency at infinity for this draw")
         tang = tangency(fc, rf)
         assert tang.sigma_rt == pytest.approx(frontier_risk(fc, tang.r_t), rel=1e-12)
-        assert cml_value(rf, tang.slope, tang.sigma_rt) == pytest.approx(tang.r_t, rel=1e-10)
+        assert rf + tang.sigma_rt * tang.slope == pytest.approx(tang.r_t, rel=1e-10)
 
     @pytest.mark.parametrize("seed,n", CASES)
     def test_cml_dominates_frontier(self, seed, n):
@@ -113,7 +110,7 @@ class TestTangencyProperties:
         mu = fc.b / fc.alpha
         for target in np.linspace(mu, mu + 0.2, 15):
             risk = frontier_risk(fc, target)
-            assert cml_value(rf, tang.slope, risk) >= target - 1e-9
+            assert rf + risk * tang.slope >= target - 1e-9
 
     @pytest.mark.parametrize("seed,n", CASES)
     def test_fd_residual(self, seed, n):

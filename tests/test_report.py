@@ -1,3 +1,4 @@
+import dataclasses
 import xml.etree.ElementTree as ET
 from datetime import date
 from decimal import ROUND_HALF_UP, Decimal
@@ -18,7 +19,7 @@ from frontera import (
     summarize,
     weights_for_target,
 )
-from frontera.report import AssetAux, ReportError, format_pct, format_pcts
+from frontera.report import ReportError, format_pcts
 from frontera.stats import NotPositiveDefiniteError, StatsError
 
 from conftest import (
@@ -130,7 +131,20 @@ class TestReplayPaper:
                     cov_matrix=[[0.04, 0.01], [0.01, 0.09]],
                     expected_returns=[0.03, 0.04],
                     rf=0.02,
-                    aux=(AssetAux(0.04, 0.2, 0.8), AssetAux(*aux)),
+                    aux=np.array([(0.04, 0.2, 0.8), aux]),
+                )
+            )
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 2), (2, 3, 1), (6,)])
+    def test_aux_shape_mismatch(self, shape):
+        with pytest.raises(ReportError, match="aux stats shape"):
+            replay_paper(
+                ReplayInput(
+                    labels=("A", "B"),
+                    cov_matrix=[[0.04, 0.01], [0.01, 0.09]],
+                    expected_returns=[0.03, 0.04],
+                    rf=0.02,
+                    aux=np.full(shape, 0.5),
                 )
             )
 
@@ -163,9 +177,7 @@ class TestPipelineEquivalence:
             cov_matrix=first.cov.matrix,
             expected_returns=first.expected_returns,
             rf=WINDOW.rf_annual,
-            aux=tuple(
-                AssetAux(s.ann_return, s.ann_vol, s.beta) for s in first.stats
-            ),
+            aux=np.array([(s.ann_return, s.ann_vol, s.beta) for s in first.stats]),
             market_aux=(
                 first.market_stats.asset_id,
                 first.market_stats.ann_return,
@@ -183,9 +195,19 @@ class TestSummarize:
         reports = [replay_paper(load_fixture(n)) for n in names]
         summary = summarize(reports)
         assert summary.windows == ("2015-2023", "2015-2019", "2016-2020", "2020-2023", "2023")
+        assert summary.viable.tolist() == summary.has_stats.tolist() == [True] * 5
+        for row in (summary.returns, summary.betas, summary.variances, summary.risks):
+            assert row.shape == (5,) and row.dtype == float
+        for block in (summary.weights, summary.historical, summary.capm, summary.contributions):
+            assert block.shape == (4, 5) and block.dtype == float
+        assert np.array_equal(summary.contributions, summary.weights * summary.capm)
         assert summary.returns[0] == pytest.approx(0.038, abs=0.001)
         # cells are copied from the reports, not recomputed
         for i, r in enumerate(reports):
+            betas = np.array([s.beta for s in r.stats])
+            assert summary.betas[i] == betas @ r.solution.weights
+            assert summary.historical[:, i].tolist() == [s.ann_return for s in r.stats]
+            assert summary.capm[:, i].tolist() == r.expected_returns.tolist()
             assert summary.returns[i] == r.solution.port_return
             assert summary.variances[i] == r.solution.variance
             assert summary.risks[i] == r.solution.risk
@@ -199,13 +221,59 @@ class TestSummarize:
 
     def test_non_viable_column(self):
         summary = summarize([replay_paper(load_fixture("2020"))])
-        assert summary.returns == (None,)
+        assert summary.viable.tolist() == [False] and summary.has_stats.tolist() == [True]
+        assert np.isnan(summary.returns[0]) and np.isnan(summary.betas[0])
+        assert np.isnan(summary.weights).all() and np.isnan(summary.contributions).all()
         text = render_summary(summary)
         assert "non-viable" in text
 
     def test_empty(self):
         with pytest.raises(ReportError):
             summarize([])
+
+    @staticmethod
+    def mixed_reports():
+        # window 1 has no per-asset stats, window 2 (2020) no portfolio, window 3 both
+        no_stats = dataclasses.replace(load_fixture("2015_2023"), aux=None)
+        return [replay_paper(r) for r in (no_stats, load_fixture("2020"), load_fixture("2023"))]
+
+    def test_masks(self):
+        summary = summarize(self.mixed_reports())
+        assert summary.viable.tolist() == [True, False, True]
+        assert summary.has_stats.tolist() == [False, True, True]
+        assert np.isnan(summary.historical[:, 0]).all() and np.isnan(summary.betas[:2]).all()
+
+    @pytest.mark.parametrize("fmt", ["csv", "markdown"])
+    def test_missing_stats_and_non_viable_cells(self, fmt):
+        reports = self.mixed_reports()
+        summary = summarize(reports)
+        tables = render_summary(summary, fmt).split("\n\n")
+        perf, weights, blocks = [table_cells(t, fmt) for t in tables]
+        assert perf[0] == ["Indicator", "2015-2023", "2020", "2023"]
+        rows = {row[0]: row[1:] for row in perf[1:]}
+        beta_2023 = np.array([s.beta for s in reports[2].stats]) @ reports[2].solution.weights
+        assert rows["Beta"] == ["non-viable", "non-viable", f"{beta_2023:.2f}"]
+        for name in ("Return", "Variance", "Risk", "Sharpe"):
+            assert rows[name][1] == "non-viable"
+            assert rows[name][0].endswith("%") and rows[name][2].endswith("%")
+        for row in weights[1:]:
+            assert row[2] == "non-viable" and row[1].endswith("%") and row[3].endswith("%")
+        by_block = {}
+        for row in blocks[1:]:
+            by_block.setdefault(row[0], []).append(row[2:])
+        assert [cells[0] for cells in by_block["Historical"]] == [""] * 4
+        assert all(c.endswith("%") for cells in by_block["Historical"] for c in cells[1:])
+        assert all(c.endswith("%") for cells in by_block["CAPM"] for c in cells)
+        for cells in by_block["Markowitz"]:
+            assert cells[1] == "non-viable" and cells[0].endswith("%") and cells[2].endswith("%")
+
+
+def table_cells(text: str, fmt: str) -> list[list[str]]:
+    """Rows of cells of one rendered csv or markdown table (markdown rule line dropped)."""
+    if fmt == "csv":
+        return [line.split(",") for line in text.strip("\n").split("\n")]
+    lines = [line for line in text.strip("\n").split("\n") if not line.startswith("|-")]
+    return [[c.strip() for c in line.strip("|").split("|")] for line in lines]
 
 
 class TestEmitFrontierCurve:
@@ -214,7 +282,9 @@ class TestEmitFrontierCurve:
         fc = report.constants
         mu = fc.b / fc.alpha
         curve = emit_frontier_curve(report, 201, (mu - 0.02, mu + 0.02))
-        min_risk = min(r for _, r in curve.points)
+        assert curve.points.shape == (201, 2)
+        assert curve.points[:, 0].tolist() == np.linspace(mu - 0.02, mu + 0.02, 201).tolist()
+        min_risk = curve.points[:, 1].min()
         assert min_risk == pytest.approx(np.sqrt(1 / fc.alpha), abs=1e-4)
 
     def test_paper_markers(self):
@@ -228,7 +298,20 @@ class TestEmitFrontierCurve:
     def test_two_points(self):
         report = replay_paper(load_fixture("2023"))
         curve = emit_frontier_curve(report, 2, (0.0, 0.1))
-        assert len(curve.points) == 2
+        assert curve.points.shape == curve.cml_points.shape == (2, 2)
+
+    def test_no_tangency_curve(self):
+        # at rf equal to the GMV return the tangency is at infinity: no CML
+        replay = load_fixture("2015_2023")
+        fc = replay_paper(replay).constants
+        window = dataclasses.replace(replay.window, rf_annual=fc.b / fc.alpha)
+        report = replay_paper(dataclasses.replace(replay, window=window))
+        assert report.tangency is None and report.curve.tangency_marker is None
+        assert report.curve.points.shape == (200, 2)
+        assert report.curve.cml_points.shape == (0, 2)
+        assert curve_csv(report.curve)[1] == "risk,cml_value\n"
+        root = ET.fromstring(render_svg(report.curve))
+        assert len(root.findall("{http://www.w3.org/2000/svg}polyline")) == 1
 
     def test_non_viable_rejected(self):
         report = replay_paper(load_fixture("2020"))
@@ -244,7 +327,7 @@ class TestEmitFrontierCurve:
 
     def test_gmv_left_of_all_points(self):
         report = replay_paper(load_fixture("2015_2023"))
-        assert all(r >= report.solution.risk - 1e-12 for _, r in report.curve.points)
+        assert np.all(report.curve.points[:, 1] >= report.solution.risk - 1e-12)
 
 
 class TestRendering:
@@ -272,10 +355,7 @@ class TestRendering:
             render_tables(report, "yaml")
 
     def test_format_pct_half_up(self):
-        assert format_pct(0.12345) == "12.35%"
-        assert format_pct(0.12125) == "12.13%"
-        assert format_pct(0.005) == "0.50%"
-        assert format_pct(None) == "non-viable"
+        assert format_pcts([0.12345, 0.12125, 0.005]) == ["12.35%", "12.13%", "0.50%"]
 
     def test_format_pcts_shapes(self):
         assert format_pcts(0.5) == "50.00%"
@@ -347,7 +427,7 @@ class TestBulkFormatterAgainstDecimal:
         # x * 100 is exactly 0.125 ... 1.125 in the first five, a tie at 2 places;
         # 0.145 has a binary value just below the tie, where f-string rounding goes down
         assert format_pcts([x], places) == [decimal_pct(x, places)]
-        assert format_pct(x, places) == decimal_pct(x, places)
+        assert format_pcts(x, places) == decimal_pct(x, places)
 
     def test_non_finite(self):
         assert format_pcts([float("nan")]) == [decimal_pct(float("nan"), 2)]
