@@ -93,7 +93,7 @@ def _check_delta(fc: FrontierConstants):
         )
 
 
-def gmv_portfolio(fc: FrontierConstants, cov: CovarianceModel, rf: float) -> PortfolioSolution:
+def gmv_portfolio(fc: FrontierConstants, rf: float) -> PortfolioSolution:
     """Global minimum-variance portfolio: omega = h/alpha, variance = 1/alpha."""
     mu = fc.b / fc.alpha
     variance = 1.0 / fc.alpha

@@ -146,7 +146,7 @@ def _build_report(window, labels, er, asset_stats, market_stats, cov) -> WindowR
     viability = fr.viability_check(er)
     tang = solution = None
     if viability.viable:
-        solution = fr.gmv_portfolio(fc, cov, window.rf_annual)
+        solution = fr.gmv_portfolio(fc, window.rf_annual)
         try:
             tang = fr.tangency(fc, window.rf_annual)
         except (fr.TangencyUndefinedError, fr.DegenerateFrontierError):

@@ -41,9 +41,9 @@ class AssetStats:
 
 @dataclass(frozen=True)
 class CovarianceModel:
-    """Annualized covariance matrix with its Gauss-Jordan inverse from
-    ``invert_matrix``: every elimination pivot passed the positivity check,
-    which certifies the matrix positive definite."""
+    """Annualized covariance matrix with its inverse from ``invert_matrix``:
+    every pivot of its Cholesky factor passed the positivity check, which
+    certifies the matrix positive definite."""
 
     labels: tuple[str, ...]
     matrix: np.ndarray
@@ -127,19 +127,13 @@ def covariance_matrix(
 
 
 def invert_matrix(matrix: np.ndarray) -> np.ndarray:
-    """Invert a symmetric positive definite matrix by Gauss-Jordan elimination.
+    """Invert a symmetric positive definite matrix through its Cholesky factor.
 
-    No row pivoting: for an SPD matrix the diagonal pivots are all positive,
-    and each pivot is checked against 1e-12 times the largest diagonal entry.
-    A failing pivot means the k-th leading minor is not positive, i.e. the
-    matrix is not positive definite, and is reported as such.
-
-    The elimination runs in place in one n×n array: once pivot k is done,
-    column k holds column k of the inverse. Each pivot clears its column
-    from all other rows in one rank-1 array update. Every stored value
-    comes from the same floating-point operations as a row-by-row loop over
-    the augmented [A | I] array, so the result is the same to the bit,
-    signed zeros included.
+    The pivots diag(L)² of A = L L' are those of elimination without row
+    exchanges. Each must exceed 1e-12 times the largest diagonal entry, or the
+    k-th leading minor is not positive and the matrix is reported as not
+    positive definite. A leading block's factor is the leading block of L, so
+    bisection on the block size finds k. The inverse is Li' Li, Li = L^-1.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -149,31 +143,30 @@ def invert_matrix(matrix: np.ndarray) -> np.ndarray:
     scale = float(np.max(np.abs(a))) or 1.0
     if float(np.max(np.abs(a - a.T))) > SYM_TOL * scale:
         raise StatsError("matrix is not symmetric")
-    n = a.shape[0]
-    max_diag = float(np.max(np.abs(np.diag(a)))) or 1.0
-    threshold = 1e-12 * max_diag
-    inv = a  # np.array above made a private copy
-    tmp = np.empty_like(inv)
-    with np.errstate(over="ignore", invalid="ignore"):  # the result is checked below
-        for k in range(n):
-            pivot = inv[k, k]
-            if not (pivot > threshold):
-                raise NotPositiveDefiniteError(
-                    f"pivot {pivot:.3e} at index {k} fails the positive-definiteness check "
-                    f"(leading minor {k + 1} not positive)",
-                    pivot_index=k,
-                )
-            # In [A | I], column k of the right half is e_k until now: row k
-            # divided by the pivot holds 1.0 / pivot there, and every other row
-            # gets +0 - factor * (1.0 / pivot). That is 0.0 - x, not -x, which
-            # would turn +0 into -0. Row k takes no update of its own.
-            row = inv[k] / pivot
-            row[k] = 1.0 / pivot
-            np.multiply(inv[:, k, None], row, out=tmp)
-            np.subtract(inv, tmp, out=inv)
-            np.subtract(0.0, tmp[:, k], out=inv[:, k])
-            inv[k] = row
+    threshold = 1e-12 * (float(np.max(np.abs(np.diag(a)))) or 1.0)
+    def certified(m: int) -> np.ndarray | None:
+        """Cholesky factor of the leading m×m block, or None if a pivot fails."""
+        try:
+            low = np.linalg.cholesky(a[:m, :m])
+        except np.linalg.LinAlgError:
+            return None
+        return low if np.all(np.diag(low) ** 2 > threshold) else None
+
+    with np.errstate(over="ignore", invalid="ignore"):  # results are checked below
+        low = certified(len(a))
+        if low is None:
+            k, bad = 0, len(a)  # the leading k×k block passes, the bad×bad one fails
+            while bad - k > 1:
+                mid = (k + bad) // 2
+                k, bad = (mid, bad) if certified(mid) is not None else (k, mid)
+            pivot = a[k, k] - np.sum(np.linalg.solve(certified(k), a[:k, k]) ** 2)
+            raise NotPositiveDefiniteError(
+                f"pivot {pivot:.3e} at index {k} fails the positive-definiteness check "
+                f"(leading minor {k + 1} not positive)",
+                pivot_index=k,
+            )
+        low_inv = np.linalg.solve(low, np.eye(len(a)))
+        inv = low_inv.T @ low_inv
     if not np.all(np.isfinite(inv)):
-        raise StatsError("elimination overflows the floating-point range")
-    # elimination leaves tiny asymmetry; the exact inverse is symmetric
-    return (inv + inv.T) / 2.0
+        raise StatsError("inverse overflows the floating-point range")
+    return (inv + inv.T) / 2.0  # rounding can leave tiny asymmetry

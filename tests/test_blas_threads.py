@@ -1,0 +1,62 @@
+"""Importing frontera defaults OpenBLAS and OpenMP to one thread; a count the
+caller set is kept. Each case runs in a fresh interpreter, because OpenBLAS
+reads the variables once, when numpy first loads it."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+# the thread count of the OpenBLAS that numpy loaded, or None where it cannot be asked
+PROBE = """
+import ctypes, json, os
+import frontera
+
+def blas_threads():
+    try:
+        libs = {line.split()[-1] for line in open("/proc/self/maps") if "openblas" in line}
+    except OSError:
+        return None
+    for lib in sorted(libs):
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            fn = getattr(ctypes.CDLL(lib), name, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return int(fn())
+    return None
+
+print(json.dumps({"env": [os.environ.get(v) for v in %r], "threads": blas_threads()}))
+""" % (VARS,)
+
+
+def probe(**preset) -> dict:
+    env = {k: v for k, v in os.environ.items() if k not in VARS}
+    env.update(preset)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_unset_defaults_to_one():
+    assert probe()["env"] == ["1", "1"]
+
+
+def test_preset_count_is_kept():
+    assert probe(OPENBLAS_NUM_THREADS="2")["env"] == ["2", "1"]
+
+
+def test_loaded_openblas_runs_one_thread():
+    threads = probe()["threads"]
+    if threads is None:
+        pytest.skip("no OpenBLAS thread-count query in this process")
+    assert threads == 1

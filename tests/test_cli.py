@@ -304,6 +304,7 @@ class TestReplay:
         assert err.startswith("error: ") and err.count("\n") == 1 and field in err, err
         assert files_under(tmp_path) == [bad]
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_inverse_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(

@@ -73,18 +73,18 @@ class TestGmvPortfolio:
         sigma2 = 0.09
         cov = cov_model(sigma2 * np.eye(2))
         fc = frontier_constants(cov, np.array([0.05, 0.05]))
-        sol = gmv_portfolio(fc, cov, 0.02)
+        sol = gmv_portfolio(fc, 0.02)
         assert np.allclose(sol.weights, [0.5, 0.5])
         assert sol.variance == pytest.approx(sigma2 / 2)
 
     def test_weights_sum_to_one(self):
-        fc, cov, rf = fixture_constants("2015_2023")
-        sol = gmv_portfolio(fc, cov, rf)
+        fc, _, rf = fixture_constants("2015_2023")
+        sol = gmv_portfolio(fc, rf)
         assert abs(sol.weights.sum() - 1.0) < 1e-9
 
     def test_matches_quadratic_form(self):
         fc, cov, rf = fixture_constants("2016_2020")
-        sol = gmv_portfolio(fc, cov, rf)
+        sol = gmv_portfolio(fc, rf)
         variance = sol.weights @ cov.matrix @ sol.weights
         assert variance == pytest.approx(sol.variance, rel=1e-9)
         assert np.sqrt(variance) == pytest.approx(sol.risk, rel=1e-9)
@@ -163,7 +163,8 @@ class TestPortfolioMetrics:
     def test_sharpe(self):
         assert (0.038 - 0.0687) / 0.253 == pytest.approx(-0.121, abs=1e-3)
         assert (0.019 - 0.0726) / 0.3131 == pytest.approx(-0.1712, abs=1e-3)
-        sol = gmv_portfolio(*fixture_constants("2015_2023"))
+        fc, _, rf = fixture_constants("2015_2023")
+        sol = gmv_portfolio(fc, rf)
         assert sol.sharpe == (sol.port_return - 0.0687) / sol.risk
 
 
@@ -201,8 +202,8 @@ class TestTangency:
         c = 0.0123
         fc0 = frontier_constants(cov, er)
         fc1 = frontier_constants(cov, er + c)
-        g0 = gmv_portfolio(fc0, cov, replay.rf)
-        g1 = gmv_portfolio(fc1, cov, replay.rf + c)
+        g0 = gmv_portfolio(fc0, replay.rf)
+        g1 = gmv_portfolio(fc1, replay.rf + c)
         assert np.array_equal(g0.weights, g1.weights)
         t0 = tangency(fc0, replay.rf)
         t1 = tangency(fc1, replay.rf + c)

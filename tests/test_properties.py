@@ -57,7 +57,7 @@ class TestFrontierIdentities:
         cov = random_model(rng, n)
         er = random_expected_returns(rng, n)
         fc = frontier_constants(cov, er)
-        gmv = gmv_portfolio(fc, cov, 0.02)
+        gmv = gmv_portfolio(fc, 0.02)
         # quadratic-form variance agrees with 1/alpha
         w = gmv.weights
         assert w @ cov.matrix @ w == pytest.approx(1.0 / fc.alpha, rel=1e-10)

@@ -244,6 +244,7 @@ class TestInvertMatrix:
             invert_matrix(a)
         assert not isinstance(exc.value, NotPositiveDefiniteError)
 
+    @pytest.mark.filterwarnings("error")
     def test_inverse_overflow(self):
         with pytest.raises(StatsError, match="overflow"):
             invert_matrix(np.array([[1e-310]]))
@@ -251,7 +252,7 @@ class TestInvertMatrix:
 
 def row_loop_inverse(a: np.ndarray) -> np.ndarray:
     """Gauss-Jordan elimination one row at a time over the augmented [A | I]
-    array: the reference that invert_matrix must match to the bit."""
+    array: the reference that invert_matrix must agree with."""
     n = a.shape[0]
     aug = np.hstack([a, np.eye(n)])
     for k in range(n):
@@ -263,6 +264,22 @@ def row_loop_inverse(a: np.ndarray) -> np.ndarray:
     return (inv + inv.T) / 2.0
 
 
+def row_loop_failing_pivot(a: np.ndarray) -> tuple[int, float] | None:
+    """Index and value of the first Gauss-Jordan pivot at or below 1e-12
+    times the largest diagonal entry, eliminating one row at a time; None
+    when every pivot passes."""
+    a = a.copy()
+    threshold = 1e-12 * np.max(np.abs(np.diag(a)))
+    for k in range(len(a)):
+        if not a[k, k] > threshold:
+            return k, float(a[k, k])
+        a[k] /= a[k, k]
+        for i in range(len(a)):
+            if i != k:
+                a[i] -= a[i, k] * a[k]
+    return None
+
+
 def factor_covariance(rng: np.random.Generator, n: int) -> np.ndarray:
     """Annualized covariance of n assets driven by three factors plus noise."""
     loadings = rng.uniform(0.3, 1.6, (n, 3)) * [1.0, 0.5, 0.3]
@@ -271,8 +288,8 @@ def factor_covariance(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def structured_spd(kind: str) -> np.ndarray:
-    """SPD matrices with exact zeros, where a sign slip in the elimination
-    shows up as a -0.0 that np.array_equal would not see."""
+    """SPD matrices with exact zeros, which the inverse must keep where the
+    elimination keeps them."""
     rng = np.random.default_rng(4000)
     if kind == "diagonal":
         return np.diag(rng.uniform(0.01, 0.09, 5))
@@ -289,21 +306,50 @@ def structured_spd(kind: str) -> np.ndarray:
     return a
 
 
-def assert_same_bits(x: np.ndarray, y: np.ndarray):
-    assert x.shape == y.shape
-    assert np.array_equal(x.view(np.int64), y.view(np.int64))
+def failing_covariance(k: int) -> np.ndarray:
+    """A 300-asset covariance whose k-th pivot fails: negative at 0 and 299,
+    zero up to rounding at 150, where asset 150 copies asset 149."""
+    a = factor_covariance(np.random.default_rng(5000 + k), 300)
+    if k == 150:
+        a[150], a[:, 150] = a[149], a[:, 149]
+    else:  # subtract twice the Schur complement, which the pivot equals
+        a[k, k] -= 2.0 * (a[k, k] - a[k, :k] @ np.linalg.solve(a[:k, :k], a[:k, k]))
+    return a
+
+
+def assert_agrees(x: np.ndarray, ref: np.ndarray):
+    """Cholesky and Gauss-Jordan round differently: agreement within 1e-13 of
+    the largest entry (about 10 times the gap measured at N=300), exact
+    symmetry and the same exact zeros."""
+    assert x.shape == ref.shape
+    assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.array_equal(x, x.T)
+    assert np.array_equal(x == 0.0, ref == 0.0)
 
 
 class TestInverseAgainstReference:
     @pytest.mark.parametrize("n", [2, 20, 300])
-    def test_bit_equal_to_row_loop(self, n):
+    def test_agrees_with_row_loop(self, n):
         a = factor_covariance(np.random.default_rng(2000 + n), n)
-        assert_same_bits(invert_matrix(a), row_loop_inverse(a))
+        assert_agrees(invert_matrix(a), row_loop_inverse(a))
 
     @pytest.mark.parametrize("kind", ["diagonal", "block_diagonal", "negative_zeros"])
-    def test_bit_equal_on_exact_zeros(self, kind):
+    def test_agrees_on_exact_zeros(self, kind):
         a = structured_spd(kind)
-        assert_same_bits(invert_matrix(a), row_loop_inverse(a))
+        assert_agrees(invert_matrix(a), row_loop_inverse(a))
+
+    @pytest.mark.parametrize("k", [0, 150, 299])
+    def test_pivot_index_matches_row_loop(self, k):
+        a = failing_covariance(k)
+        index, pivot = row_loop_failing_pivot(a)
+        assert index == k
+        with pytest.raises(NotPositiveDefiniteError, match=rf"^pivot \S+ at index {k} ") as exc:
+            invert_matrix(a)
+        assert exc.value.pivot_index == k
+        named = float(str(exc.value).split()[1])
+        threshold = 1e-12 * np.max(np.abs(np.diag(a)))
+        assert named <= threshold
+        assert named == pytest.approx(pivot, rel=1e-3, abs=threshold)
 
     @pytest.mark.parametrize("n", [2, 4, 50, 200, 500])
     def test_accuracy_scales_with_n(self, n):
