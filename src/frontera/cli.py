@@ -342,6 +342,8 @@ def _parse_span(raw: str) -> tuple[float, float]:
         lo, hi = (float(x) for x in raw.split(":"))
     except ValueError:
         raise InputError(f"invalid span {raw!r} (expected LO:HI)") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InputError(f"invalid span {raw!r}: LO and HI must be finite")
     if not lo < hi:
         raise InputError(f"invalid span {raw!r}: LO must be < HI")
     return lo, hi

@@ -13,12 +13,13 @@ import io
 import math
 from dataclasses import dataclass
 from datetime import date as Date
-from functools import reduce
 
 import numpy as np
 
 _EPOCH_ORDINAL = Date(1970, 1, 1).toordinal()  # day 0 of datetime64[D]
-_LF, _COMMA, _DASH, _ZERO = b"\n,-0"
+_BOM = "\ufeff".encode()
+_LF, _COMMA, _DASH, _DOT, _ZERO = b"\n,-.0"
+_MAX_DIGITS = 15  # every integer below 10**15 < 2**53 is exact as a float
 _DATE_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]  # positions in YYYY-MM-DD
 _DATE_DASHES = [4, 7]
 
@@ -80,9 +81,16 @@ def parse_price_csv(text: str | bytes, asset_id: str) -> PriceSeries:
     Rejects text that is not UTF-8, malformed rows (with their line
     number), non-finite and non-positive prices, duplicate dates and empty
     files. LF and CRLF are both accepted. A file in the canonical shape
-    (see ``_parse_canonical``) is parsed in bulk; any other file, valid or
-    not, goes through the row loop, which also finds the first bad line.
+    (see ``_parse_canonical``) is parsed in bulk from its bytes; any other
+    file, valid or not, is decoded and goes through the row loop, which
+    also finds the first bad line.
     """
+    data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
+    while data.startswith(_BOM):
+        data = data[len(_BOM) :]
+    canonical = _parse_canonical(data)
+    if canonical is not None:
+        return PriceSeries(asset_id, *canonical)
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -92,9 +100,6 @@ def parse_price_csv(text: str | bytes, asset_id: str) -> PriceSeries:
                 f"{asset_id}: not UTF-8 text at line {line}: {exc.reason}"
             ) from None
     text = text.lstrip("\ufeff")
-    canonical = _parse_canonical(text)
-    if canonical is not None:
-        return PriceSeries(asset_id, *canonical)
     reader = csv.reader(io.StringIO(text))
     try:
         rows = [(i + 1, row) for i, row in enumerate(reader) if row]
@@ -135,32 +140,34 @@ def parse_price_csv(text: str | bytes, asset_id: str) -> PriceSeries:
     return PriceSeries(asset_id, dates[order], np.array(closes)[order])
 
 
-def _parse_canonical(text: str) -> tuple[np.ndarray, np.ndarray] | None:
+def _parse_canonical(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     """Sorted dates and closes of a canonical file, or None for any other shape.
 
-    Canonical: the header line ``date,close``, then ASCII rows
-    ``YYYY-MM-DD,<close>`` each ending in LF, with no CR, quote, space,
-    tab or blank line; every date valid and not in year 0, every close
-    finite and positive, no date twice. These are exactly the files the
-    row loop accepts with this shape, and the result equals the loop's:
-    numpy parses a ``YYYY-MM-DD`` date like ``date.fromisoformat`` from
-    year 1 on, and a close string like ``float``.
+    ``data`` is the file's bytes after any UTF-8 byte-order mark. Canonical:
+    the header line ``date,close``, then ASCII rows ``YYYY-MM-DD,<close>``
+    each ending in LF, with no CR, quote, space, tab or blank line; every
+    date valid and not in year 0, every close finite and positive, no date
+    twice. These are exactly the files the row loop accepts with this
+    shape, and the result equals the loop's: numpy parses a ``YYYY-MM-DD``
+    date like ``date.fromisoformat`` from year 1 on, and a close comes out
+    as the double ``float`` gives (see ``_fixed_point_closes``).
     """
-    header, _, body = text.partition("\n")
+    header, _, body = data.partition(b"\n")
     if (
-        header != "date,close"
-        or not body.endswith("\n")
+        header != b"date,close"
+        or not body.endswith(b"\n")
         or not body.isascii()
-        or any(c in body for c in '\r" \t')
+        or any(c in body for c in (b"\r", b'"', b" ", b"\t"))
     ):
         return None
-    b = np.frombuffer(body.encode("ascii"), np.uint8)
-    starts = np.concatenate(([0], np.flatnonzero(b == _LF)[:-1] + 1))
+    b = np.frombuffer(body, np.uint8)
+    ends = np.flatnonzero(b == _LF)
+    starts = np.concatenate(([0], ends[:-1] + 1))
     # one comma per row, 10 characters in; the date check below keeps a row's
     # LF out of those 10 characters, so each row is exactly a date and a close
     if not np.array_equal(np.flatnonzero(b == _COMMA), starts + 10):
         return None
-    chars = b[starts[:, None] + np.arange(10)]  # (rows, 10) date characters
+    chars = np.take(b, starts[:, None] + np.arange(10))  # (rows, 10) date characters
     digits = chars[:, _DATE_DIGITS] - _ZERO  # uint8: a non-digit wraps to >= 10
     if not (
         (chars[:, _DATE_DASHES] == _DASH).all()
@@ -168,28 +175,71 @@ def _parse_canonical(text: str) -> tuple[np.ndarray, np.ndarray] | None:
         and digits[:, :4].any(axis=1).all()  # year 0000 is not a date
     ):
         return None
+    closes = _fixed_point_closes(b, ends, ends - starts - 11)
     try:
         dates = chars.view("S10").ravel().astype("datetime64[D]")
-        closes = np.array(body.replace("\n", ",").split(",")[1::2], dtype=float)
+        if closes is None:
+            text = body.decode("ascii")
+            closes = np.array(text.replace("\n", ",").split(",")[1::2], dtype=float)
     except ValueError:
         return None
     if not (np.isfinite(closes).all() and (closes > 0).all()):
         return None
-    order = np.argsort(dates)
-    dates = dates[order]
-    if (dates[1:] == dates[:-1]).any():
+    if not (dates[1:] > dates[:-1]).all():  # sort only files out of date order
+        order = np.argsort(dates)
+        dates, closes = dates[order], closes[order]
+        if (dates[1:] == dates[:-1]).any():
+            return None
+    return dates, closes
+
+
+def _fixed_point_closes(b: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
+    """Each row's close ``b[end - length : end]`` as a float, or None.
+
+    Applies when every close reads ``digits[.digits]`` with the k decimals
+    of the first close and at most 15 digits; otherwise None. The digits
+    form an integer m < 10**15 < 2**53, exact as a float, and m / 10**k is
+    then correctly rounded (Clinger, PLDI 1990): bit for bit the double
+    ``float`` parses.
+    """
+    first = b[ends[0] - lengths[0] : ends[0]].tobytes()
+    point = first.find(b".")
+    has_point = point >= 0
+    k = len(first) - 1 - point if has_point else 0
+    w = int(lengths.max())
+    if w - has_point > _MAX_DIGITS or lengths.min() < k + 1 + has_point:
         return None
-    return dates, closes[order]
+    # (w, rows): byte j of each close, right-aligned at its LF; a short first
+    # close reaches before the body, so the index is clipped (masked below)
+    block = np.take(b, np.arange(-w, 0)[:, None] + ends, mode="clip")
+    if has_point:
+        if not (block[w - k - 1] == _DOT).all():
+            return None
+        block = np.delete(block, w - k - 1, axis=0)
+    block -= _ZERO  # a non-digit wraps to >= 10
+    width = len(block)
+    block[np.arange(width, 0, -1)[:, None] > lengths - has_point] = 0  # bytes before each close
+    if not (block < 10).all():
+        return None
+    return (10.0 ** np.arange(width - 1, -1, -1) @ block) / 10.0**k
 
 
 def align_panel(assets: list[PriceSeries], market: PriceSeries) -> PricePanel:
-    """Inner-join all series on dates; every retained date appears in every series."""
+    """Inner-join all series on dates; every retained date appears in every series.
+
+    Counts, per day of the span that every series covers, the series
+    dated that day: the days counted by all of them are the common dates.
+    The span is at most the 3.65 million days of years 1 to 9999.
+    """
     if not assets:
         raise MarketDataError("at least one asset series is required")
     series = [*assets, market]
-    common = reduce(
-        lambda a, b: np.intersect1d(a, b, assume_unique=True), (s.dates for s in series)
-    )
+    days = [s.dates.view(np.int64) for s in series]
+    lo = max(d[0] for d in days)
+    hi = min(d[-1] for d in days)
+    shared = [d[np.searchsorted(d, lo) : np.searchsorted(d, hi, "right")] for d in days]
+    counts = np.bincount(np.concatenate(shared) - lo, minlength=max(hi - lo + 1, 0))
+    common = (np.flatnonzero(counts == len(series)) + lo).view("datetime64[D]")
     if len(common) == 0:
         raise MarketDataError("empty intersection of trading dates")
     if len(common) < 2:

@@ -26,6 +26,7 @@ from . import stats as st
 from .market_data import PricePanel, WindowSpec, simple_returns, slice_window
 
 DEFAULT_CURVE_POINTS = 200
+MAX_CURVE_POINTS = 1_000_000
 
 
 class ReportError(ValueError):
@@ -174,8 +175,8 @@ def emit_frontier_curve(
     """
     if report.solution is None:
         raise ReportError(f"window {report.window.name} is non-viable; no curve")
-    if n_points < 2:
-        raise ReportError("need at least 2 curve points")
+    if not 2 <= n_points <= MAX_CURVE_POINTS:
+        raise ReportError(f"need 2 to {MAX_CURVE_POINTS} curve points, got {n_points}")
     if return_span is None:
         mu = report.solution.port_return
         hi = 1.5 * float(np.max(report.expected_returns))
@@ -183,19 +184,23 @@ def emit_frontier_curve(
     lo, hi = return_span
     if not lo < hi:
         raise ReportError(f"invalid return span [{lo}, {hi}]")
-    targets = np.linspace(lo, hi, n_points)
-    risks = fr.frontier_risk(report.constants, targets)
-    cml_points = np.empty((0, 2))
-    if report.tangency is not None:
-        v = np.linspace(0.0, risks.max(), n_points)
-        cml_points = np.column_stack([v, report.tangency.rf + v * report.tangency.slope])
+    with np.errstate(all="ignore"):  # an overflow ends as a non-finite value, refused below
+        targets = np.linspace(lo, hi, n_points)
+        risks = fr.frontier_risk(report.constants, targets)
+        cml_points = np.empty((0, 2))
+        if report.tangency is not None:
+            v = np.linspace(0.0, risks.max(), n_points)
+            cml_points = np.column_stack([v, report.tangency.rf + v * report.tangency.slope])
+    points = np.column_stack([targets, risks])
+    if not (np.isfinite(points).all() and np.isfinite(cml_points).all()):
+        raise ReportError(f"return span [{lo}, {hi}] gives non-finite curve values")
     vols = np.sqrt(np.diag(report.cov.matrix))
     asset_markers = tuple(
         (label, float(vols[i]), float(report.expected_returns[i]))
         for i, label in enumerate(report.labels)
     )
     return FrontierCurve(
-        points=np.column_stack([targets, risks]),
+        points=points,
         cml_points=cml_points,
         asset_markers=asset_markers,
         gmv_marker=(report.solution.risk, report.solution.port_return),

@@ -387,6 +387,25 @@ class TestFrontier:
         assert main(["frontier", "--config", str(cfg), "--window", "w1", "--span", "0.2:0.1"]) == 1
         assert main(["frontier", "--config", str(cfg), "--window", "w1", "--span", "abc"]) == 1
 
+    @pytest.mark.parametrize(
+        "arg",
+        [
+            "--span=-inf:inf",
+            "--span=0:1e200",
+            "--span=-1e300:1e300",
+            "--span=nan:1",
+            "--points=1000000000000",
+            "--points=1000001",
+            "--points=1",
+        ],
+    )
+    def test_non_finite_span_or_points_out_of_range_exit_1(self, tmp_path, capsys, arg):
+        cfg = make_config(tmp_path)
+        before = files_under(tmp_path)
+        assert main(["frontier", "--config", str(cfg), "--window", "w1", arg]) == 1
+        assert_one_error_line(capsys)
+        assert files_under(tmp_path) == before
+
     def test_unknown_window_exit_1(self, tmp_path):
         cfg = make_config(tmp_path)
         assert main(["frontier", "--config", str(cfg), "--window", "zzz"]) == 1

@@ -1,11 +1,14 @@
 """Byte-identity gate: every file the CLI writes for the bundled fixtures
 must match its SHA-256 digest in ``golden_sha256.json``.
 
-The outputs covered are ``replay`` for each fixture and ``summarize`` over
-all of them, in csv and markdown. A change that alters any written byte
-fails here and names the file. After a deliberate output change, show
-the diff of the changed files and regenerate the digests with
-``PYTHONPATH=src python tests/test_golden.py``.
+The outputs covered are ``replay`` for each fixture, ``summarize`` over
+all of them and ``analyze`` of the price files in ``fixtures/analyze``, in
+csv and markdown. Those price files have ``%.6f`` closes that cross a
+power of ten, dates missing from some series, one file out of date order
+and one with CRLF line ends; of their three windows one is non-viable.
+A change that alters any written byte fails here and names the file.
+After a deliberate output change, show the diff of the changed files
+and regenerate the digests with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import hashlib
@@ -22,6 +25,7 @@ from conftest import FIXTURES
 GOLDEN = Path(__file__).with_name("golden_sha256.json")
 FORMATS = ("csv", "markdown")
 NAMES = sorted(p.stem.removeprefix("replay_") for p in FIXTURES.glob("replay_*.json"))
+ANALYZE_CONFIG = FIXTURES / "analyze" / "config.json"
 
 
 def run_command(argv: list[str], out: Path) -> dict[str, str]:
@@ -42,6 +46,7 @@ def commands() -> dict[str, list[str]]:
         for name, path in zip(NAMES, inputs):
             runs[f"replay/{name}/{fmt}"] = ["replay", "--input", path, "--format", fmt]
         runs[f"summarize/{fmt}"] = ["summarize", "--inputs", *inputs, "--format", fmt]
+        runs[f"analyze/{fmt}"] = ["analyze", "--config", str(ANALYZE_CONFIG), "--format", fmt]
     return runs
 
 

@@ -1,4 +1,5 @@
 from datetime import date
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from frontera import (
     simple_returns,
     slice_window,
 )
+from frontera import market_data
 from frontera.market_data import _parse_canonical
 
 from conftest import assert_fields_equal, series_from_prices
@@ -124,14 +126,36 @@ class TestBulkPathMatchesRowLoop:
             "date,close\n",
             "date,close",
             "",
+            # closes the fixed-point path must take or hand on unchanged
+            "date,close\n2015-01-02,100.25\n2015-01-05,101.5\n",
+            "date,close\n2015-01-02,101.5\n2015-01-05,100\n",
+            "date,close\n2015-01-02,100\n2015-01-05,101.5\n",
+            "date,close\n2015-01-02,.5\n2015-01-05,.7\n",
+            "date,close\n2015-01-02,5.\n2015-01-05,6.\n",
+            "date,close\n2015-01-02,007.50\n2015-01-05,008.25\n",
+            "date,close\n2015-01-02,.\n",
+            "date,close\n2015-01-02,1.2.3\n",
+            "date,close\n2015-01-02,0.000\n",
+            "date,close\n2015-01-02,123456789012345\n",
+            "date,close\n2015-01-02,1234567890123456\n",
+            "date,close\n2015-01-02,12345678901234567\n",
+            "date,close\n2015-01-02,1234567.89012345\n",
+            "date,close\n2015-01-02,1234567.890123456\n",
+            "date,close\n2015-01-02,9007199254740991\n2015-01-05,9007199254740993\n",
+            "date,close\n2015-01-02,90071992547409.91\n2015-01-05,90071992547409.93\n",
+            "date,close\n2015-01-02,9007199254.740991\n2015-01-05,9007199254.740993\n",
+            "date,close\n2015-01-02,1e5\n",
+            "date,close\n2015-01-02,+1.5\n",
+            "date,close\n2015-01-02,5\n2015-01-05,1234567890123456\n",
+            "date,close\n2015-01-02,5\n2015-01-05,123456789012345\n",
         ],
     )
     def test_odd_and_bad_files(self, text):
         assert_paths_agree(text)
 
     def test_canonical_file_takes_bulk_path(self):
-        assert _parse_canonical("date,close\n" + ROWS) is not None
-        assert _parse_canonical("date,close\r\n" + ROWS.replace("\n", "\r\n")) is None
+        assert _parse_canonical(("date,close\n" + ROWS).encode()) is not None
+        assert _parse_canonical(("date,close\r\n" + ROWS.replace("\n", "\r\n")).encode()) is None
 
     def test_date_grid(self):
         # every month 00-13 and day 00-32 of years at the edges of both parsers
@@ -149,8 +173,34 @@ class TestBulkPathMatchesRowLoop:
         closes = [c if float(c) > 0 else "1" for c in closes]  # %.6f of tiny values is 0
         days = np.datetime64("1970-01-01") + np.arange(n)
         text = "date,close\n" + "".join(f"{d},{c}\n" for d, c in zip(days.astype(str), closes))
-        assert _parse_canonical(text) is not None
+        assert _parse_canonical(text.encode()) is not None
         s = parse_price_csv(text, "A")
+        assert s.closes.tobytes() == np.array([float(c) for c in closes]).tobytes()
+        assert np.array_equal(s.dates, days)
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_fixed_decimal_closes_bit_equal_to_float(self, k, monkeypatch):
+        # up to 15 digits with k decimals; the first close is one digit long
+        # when k = 0, so the right-aligned gather starts before the body
+        rng = np.random.default_rng(k)
+        n = 20_000
+        width = rng.integers(k + 1, 16, n)
+        m = rng.integers(1, 10 ** width, dtype=np.int64)
+        m[0], width[0], m[-1], width[-1] = 7, k + 1, 10**15 - 1, 15
+        ints = [str(v).zfill(w) for v, w in zip(m.tolist(), width.tolist())]
+        closes = [s[: len(s) - k] + "." + s[len(s) - k :] if k else s for s in ints]
+        days = np.datetime64("1970-01-01") + np.arange(n)
+        text = "date,close\n" + "".join(f"{d},{c}\n" for d, c in zip(days.astype(str), closes))
+        fixed_point = []
+        real = market_data._fixed_point_closes
+
+        def record(*args):
+            fixed_point.append(real(*args))
+            return fixed_point[-1]
+
+        monkeypatch.setattr(market_data, "_fixed_point_closes", record)
+        s = parse_price_csv(text.encode(), "A")
+        assert len(fixed_point) == 1 and fixed_point[0] is not None
         assert s.closes.tobytes() == np.array([float(c) for c in closes]).tobytes()
         assert np.array_equal(s.dates, days)
 
@@ -171,14 +221,58 @@ class TestBulkPathMatchesRowLoop:
         text = "date,close\n" + "".join(lines)
         assert_paths_agree(text)
         if not isinstance(outcome(text), str):
-            assert _parse_canonical(text) is not None
+            assert _parse_canonical(text.encode()) is not None
 
     def test_not_utf8(self):
         with pytest.raises(MarketDataError, match="A: not UTF-8 text at line 3"):
             parse_price_csv(b"date,close\n2015-01-02,100\n2015-01-05,1\xff\n", "A")
 
 
+def intersect_reference(series):
+    """The inner join as a chain of pairwise intersections: dates and closes."""
+    dates = (s.dates for s in series)
+    common = reduce(lambda a, b: np.intersect1d(a, b, assume_unique=True), dates)
+    return common, np.stack([s.closes[np.searchsorted(s.dates, common)] for s in series])
+
+
+def series_on(asset_id, days):
+    dates = np.array(days, dtype="datetime64[D]")
+    return PriceSeries(asset_id, dates, np.arange(1.0, len(dates) + 1))
+
+
 class TestAlignPanel:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_intersect_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        series = []
+        for i in range(int(rng.integers(2, 9))):
+            days = np.datetime64("2020-01-01") + int(rng.integers(-60, 60)) + np.arange(400)
+            keep = rng.random(400) < rng.uniform(0.8, 1.0)
+            series.append(PriceSeries(f"S{i}", days[keep], rng.uniform(1, 100, keep.sum())))
+        common, closes = intersect_reference(series)
+        assert len(common) >= 2
+        panel = align_panel(series[:-1], series[-1])
+        assert panel.common_dates.dtype == np.dtype("datetime64[D]")
+        assert np.array_equal(panel.common_dates, common)
+        assert np.array_equal(panel.closes, closes)
+
+    def test_interleaved_calendars(self):
+        a = series_on("A", ["2020-01-01", "2020-01-03", "2020-01-05"])
+        m = series_on("M", ["2020-01-02", "2020-01-04"])
+        assert len(intersect_reference([a, m])[0]) == 0
+        with pytest.raises(MarketDataError, match="^empty intersection of trading dates$"):
+            align_panel([a], m)
+
+    def test_dates_in_years_1_and_9999(self):
+        a = series_on("A", ["0001-01-01", "0001-01-02", "5000-06-01", "9999-12-31"])
+        b = series_on("B", ["0001-01-02", "0001-01-03", "5000-06-01", "9999-12-31"])
+        m = series_on("M", ["0001-01-02", "5000-06-01", "9999-12-30", "9999-12-31"])
+        common, closes = intersect_reference([a, b, m])
+        assert common.astype(str).tolist() == ["0001-01-02", "5000-06-01", "9999-12-31"]
+        panel = align_panel([a, b], m)
+        assert np.array_equal(panel.common_dates, common)
+        assert np.array_equal(panel.closes, closes)
+
     def test_intersection(self):
         a = series_from_prices("A", [1, 2, 3], date(2020, 1, 1))
         m = series_from_prices("M", [5, 6, 7], date(2020, 1, 2))
@@ -197,13 +291,16 @@ class TestAlignPanel:
     def test_disjoint_calendars(self):
         a = series_from_prices("A", [1, 2], date(2020, 1, 1))
         m = series_from_prices("M", [1, 2], date(2021, 1, 1))
-        with pytest.raises(MarketDataError, match="empty intersection"):
+        assert len(intersect_reference([a, m])[0]) == 0
+        with pytest.raises(MarketDataError, match="^empty intersection of trading dates$"):
             align_panel([a], m)
 
     def test_single_common_date(self):
         a = series_from_prices("A", [1, 2], date(2020, 1, 1))
         m = series_from_prices("M", [1, 2], date(2020, 1, 2))
-        with pytest.raises(MarketDataError, match="at least 2"):
+        assert len(intersect_reference([a, m])[0]) == 1
+        message = r"^only 1 common trading date\(s\); need at least 2$"
+        with pytest.raises(MarketDataError, match=message):
             align_panel([a], m)
 
     def test_no_assets(self):
