@@ -227,19 +227,20 @@ def _fixed_point_closes(b: np.ndarray, ends: np.ndarray, lengths: np.ndarray) ->
 def align_panel(assets: list[PriceSeries], market: PriceSeries) -> PricePanel:
     """Inner-join all series on dates; every retained date appears in every series.
 
-    Counts, per day of the span that every series covers, the series
-    dated that day: the days counted by all of them are the common dates.
-    The span is at most the 3.65 million days of years 1 to 9999.
+    Sorts the dates of all series together: a date in every series then
+    appears once per series in a row. Memory grows with the number of
+    rows, not with the span of their dates. The day numbers of years 1 to
+    9999 fit int32, which halves the sort.
     """
     if not assets:
         raise MarketDataError("at least one asset series is required")
     series = [*assets, market]
-    days = [s.dates.view(np.int64) for s in series]
-    lo = max(d[0] for d in days)
-    hi = min(d[-1] for d in days)
-    shared = [d[np.searchsorted(d, lo) : np.searchsorted(d, hi, "right")] for d in days]
-    counts = np.bincount(np.concatenate(shared) - lo, minlength=max(hi - lo + 1, 0))
-    common = (np.flatnonzero(counts == len(series)) + lo).view("datetime64[D]")
+    days = np.concatenate(
+        [s.dates.view(np.int64) for s in series], dtype=np.int32, casting="unsafe"
+    )
+    days.sort()
+    n = len(series) - 1
+    common = days[n:][days[n:] == days[: len(days) - n]].astype("datetime64[D]")
     if len(common) == 0:
         raise MarketDataError("empty intersection of trading dates")
     if len(common) < 2:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from datetime import date as Date
 from decimal import ROUND_HALF_UP, Decimal, localcontext
+from itertools import accumulate
 
 import numpy as np
 
@@ -287,101 +288,208 @@ def summarize(reports: list[WindowReport]) -> Summary:
 
 
 # --- rendering ---
+#
+# A table is laid out as bytes before it becomes text. Its cells are held
+# in uint8 blocks of shape (height, cells): column j holds cell j's bytes,
+# bottom-aligned and filled above with _PAD, a byte that UTF-8 never
+# contains, so dropping every _PAD byte of a laid-out table in one pass
+# leaves each cell whole. Blocks run cells along their long axis, so each
+# numpy step covers every cell at once rather than the few bytes of one.
+
+_PAD, _SPACE = np.uint8(0xFF), np.uint8(ord(" "))
+_FILL = bytes([_PAD])
+_MINUS, _POINT, _PERCENT, _NEWLINE, _ZERO = b"-.%\n0"
+_POW10 = 10 ** np.arange(10, dtype=np.int32)[:, None]  # a printed m < 5e8 < 10**9
+# 1 for a byte that starts a character: neither fill nor a UTF-8 continuation byte
+_STARTS = ((np.arange(256) & 0xC0) != 0x80).astype(np.uint8)
+_STARTS[_PAD] = 0
 
 
 def format_pcts(values, places: int = 2):
     """Percent strings of the numbers in ``values``, nested like ``values``.
 
-    Each cell is the shortest ``repr`` of ``x * 100`` rounded half up (away
-    from zero on a tie) to ``places`` decimals. Cells are printed from their
-    binary values by one ``%`` call over the whole array,
-    ``"%.{places}f%%"`` per cell, which rounds as ``f"{y:.{places}f}"`` does
-    (both are ``PyOS_double_to_string``). The shortest repr is within half
-    an ulp of that value, so away from a .5 tie the two round alike; only
-    cells within 1e-9 relative of a tie, and non-finite cells, take the
-    ``Decimal`` path. NaN prints as ``NaN%``; a cell whose percent is
-    infinite raises ReportError.
+    Each cell is the shortest ``repr`` of ``y = x * 100`` rounded half up
+    (away from zero on a tie) to ``places`` decimals. The shortest repr is
+    within half an ulp of y, so away from a .5 tie both round alike, and
+    such a cell is printed from the decimal digits of the integer
+    m = rint(|y| * 10**places). Its sign is y's sign bit, so a negative that
+    rounds to zero prints ``-0.00%``, as ``f"{y:.2f}%"`` does. Only cells
+    within 1e-9 relative of a tie, which includes every cell with
+    |y| * 10**places >= 5e8, and non-finite cells take the ``Decimal``
+    path. NaN prints as ``NaN%``; a cell whose percent is infinite raises
+    ReportError.
     """
-    shape = np.shape(values)
+    block = _pct_cells(values, places)
+    lines = _text(np.concatenate([block, np.full((1, block.shape[1]), _NEWLINE, np.uint8)]).T)
+    return np.array(lines.split("\n")[:-1], dtype=object).reshape(np.shape(values)).tolist()
+
+
+def _pct_cells(values, places: int) -> np.ndarray:
+    """The block of ``format_pcts(values, places)``, cells in row order."""
     x = np.asarray(values, dtype=float).ravel()
     with np.errstate(over="ignore", invalid="ignore"):
         y = x * 100
-        scaled = y * 10.0**places
-        clear = np.isfinite(scaled) & (
-            np.abs(scaled - np.floor(scaled) - 0.5) > 1e-9 * np.abs(scaled)
-        )
-    infinite = np.flatnonzero(np.isinf(y))
-    if len(infinite):
-        big = float(x[infinite[0]])
-        raise ReportError(f"cell value {big!r} is too large to print as a percent")
-    cells = (f"%.{places}f%%\n" * len(y) % tuple(y.tolist())).split("\n")
-    cells.pop()  # the empty string after the last newline
-    q = Decimal(1).scaleb(-places)
-    with localcontext() as ctx:
-        ctx.prec = 310 + places  # every digit of a finite double at `places`
-        for i in np.flatnonzero(~clear).tolist():
-            cells[i] = f"{Decimal(repr(float(y[i]))).quantize(q, rounding=ROUND_HALF_UP)}%"
-    return np.array(cells, dtype=object).reshape(shape).tolist()
+        a = np.abs(y * 10.0**places)
+        clear = np.abs(a - np.floor(a) - 0.5) > 1e-9 * a  # False for inf and NaN
+    m = np.rint(a, where=clear, out=np.zeros(len(a))).astype(np.int32)  # < 5e8
+    whole = len(str(int(m.max(initial=0)) // 10**places))  # integer digits of the widest cell
+    point = int(places > 0)
+    # one row per character: sign, whole digits, point, decimals, %
+    block = np.empty((whole + point + places + 2, len(x)), np.uint8)
+    block[0] = _PAD
+    block[0, np.signbit(y) & clear] = _MINUS
+    block[-1] = _PERCENT
+    rest = m
+    for k in range(places + whole):  # the k-th digit from the right
+        rest, block[-2 - k - (point and k >= places)] = np.divmod(rest, 10)
+    block[1:-1] += _ZERO
+    if point:
+        block[-2 - places] = _POINT
+    # zeros in front of the first whole digit; a digit ORed with _PAD is _PAD
+    block[1:whole] |= (m < _POW10[places + whole - 1 : places : -1]) * _PAD
+    unclear = (~clear).nonzero()[0]
+    if len(unclear):
+        infinite = unclear[np.isinf(y[unclear])]
+        if len(infinite):
+            big = float(x[infinite[0]])
+            raise ReportError(f"cell value {big!r} is too large to print as a percent")
+        q = Decimal(1).scaleb(-places)
+        with localcontext() as ctx:
+            ctx.prec = 310 + places  # every digit of a finite double at `places`
+            texts = [
+                f"{Decimal(repr(v)).quantize(q, rounding=ROUND_HALF_UP)}%"
+                for v in y[unclear].tolist()
+            ]
+        block = _splice(block, unclear, texts)
+    return block
 
 
-def _pct_rows(rows: np.ndarray, known: np.ndarray, missing: str) -> list[list[str]]:
-    """``format_pcts`` of a (k, W) array; columns where the (W,) mask ``known``
-    is False print as ``missing``."""
-    cells = format_pcts(np.where(known, rows, 0.0))
-    return [[c if ok else missing for c, ok in zip(row, known.tolist())] for row in cells]
+def _masked_pcts(values: np.ndarray, known: np.ndarray, text) -> np.ndarray:
+    """``_pct_cells`` of ``values`` at 2 places; a cell where ``known`` is
+    False prints as its cell of ``text`` instead (both broadcast to ``values``)."""
+    known = np.broadcast_to(known, values.shape)
+    block = _pct_cells(np.where(known, values, 0.0), 2)
+    texts = np.broadcast_to(text, known.shape)[~known].tolist()
+    return _splice(block, (~known).ravel().nonzero()[0], texts)
 
 
-def _table(header: list[str], rows: list[list[str]], fmt: str) -> str:
+def _text_cells(texts: list[str], height: int = 0) -> np.ndarray:
+    """The block of cells that print as the strings ``texts``, at least
+    ``height`` bytes high."""
+    # surrogatepass: a label's lone surrogate comes back unchanged in _text
+    data = [t.encode("utf-8", "surrogatepass") for t in texts]
+    height = max([height] + [len(b) for b in data])
+    padded = b"".join(b.rjust(height, _FILL) for b in data)
+    return np.frombuffer(padded, np.uint8).reshape(len(data), height).T
+
+
+def _splice(block: np.ndarray, cells: np.ndarray, texts: list[str]) -> np.ndarray:
+    """``block`` with cell ``cells[i]`` set to ``texts[i]``, heightened if a
+    text is longer than the block."""
+    spliced = _text_cells(texts, len(block))
+    if len(spliced) > len(block):
+        block = np.concatenate([np.full((len(spliced) - len(block), block.shape[1]), _PAD), block])
+    block[:, cells] = spliced
+    return block
+
+
+def _split(block: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
+    """Consecutive runs of ``sizes`` cells of one block."""
+    return [block[:, end - n : end] for n, end in zip(sizes, accumulate(sizes))]
+
+
+def _text(layout: np.ndarray) -> str:
+    """The text of laid-out bytes, in row-major order, without the _PAD fill."""
+    return layout.tobytes().translate(None, _FILL).decode("utf-8", "surrogatepass")
+
+
+def _table(header: list[str], labels: list[np.ndarray], body: np.ndarray, fmt: str) -> str:
+    """A csv or markdown table: the header row, then each row's label cells
+    and body cells. ``labels`` holds the blocks of the leading text columns
+    and ``body`` the block of the rest, cells in row order."""
+    blocks = [*labels, body]
+    rows = blocks[0].shape[1]
+    counts = [1] * len(labels) + [len(header) - len(labels)]  # columns per block
     if fmt == "csv":
-        return "\n".join(",".join(cells) for cells in [header] + rows)
-    widths = [max(len(r[i]) for r in [header] + rows) for i in range(len(header))]
-    def line(cells):
-        return "| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |"
-    sep = "|" + "|".join("-" * (w + 2) for w in widths) + "|"
-    return "\n".join([line(header), sep] + [line(r) for r in rows])
+        lines, start, sep, end = [",".join(header)], b"", b",", b"\n"
+        pads = [np.empty((0, b.shape[1]), np.uint8) for b in blocks]
+    else:
+        chars = [_STARTS[b].sum(axis=0, dtype=np.intp) for b in blocks]  # per cell
+        chars = np.concatenate([c.reshape(rows, n) for c, n in zip(chars, counts)], axis=1)
+        widths = np.maximum([len(h) for h in header], chars.max(axis=0, initial=0))
+        lines = [
+            "| " + " | ".join(h.ljust(w) for h, w in zip(header, widths.tolist())) + " |",
+            "|" + "|".join("-" * (w + 2) for w in widths.tolist()) + "|",
+        ]
+        start, sep, end = b"| ", b" | ", b" |\n"
+        need = widths - chars  # spaces after each cell
+        spaces = np.arange(need.max(initial=0))[:, None]
+        edges = list(accumulate([0] + counts))
+        pads = [
+            np.where(spaces < need[:, lo:hi].ravel(), _SPACE, _PAD)
+            for lo, hi in zip(edges, edges[1:])
+        ]
+    if not rows:
+        return "\n".join(lines)
+    parts = [np.frombuffer(start * rows, np.uint8).reshape(rows, -1)]
+    for block, pad in zip(blocks, pads):
+        seps = np.frombuffer(sep * block.shape[1], np.uint8).reshape(-1, len(sep)).T
+        parts.append(np.concatenate([block, pad, seps]).T.reshape(rows, -1))
+    layout = np.concatenate(parts, axis=1)
+    layout[:, -len(end) :] = np.frombuffer(end, np.uint8)
+    return "\n".join(lines) + "\n" + _text(layout)[:-1]
 
 
 def render_tables(report: WindowReport, format: str = "csv") -> str:
     """Deterministic indicator/covariance/portfolio tables for one window."""
     if format not in ("csv", "markdown"):
         raise ReportError(f"unknown format {format!r}")
-    out = []
     cols = list(report.labels)
+    indicators = [
+        ("Return", "ann_return"),
+        ("Volatility", "ann_vol"),
+        ("Beta", "beta"),
+        ("CAPM", "capm"),
+        ("Sharpe", "sharpe"),
+        ("Treynor", "treynor"),
+    ]
+    stats = []
     if report.stats is not None:
-        stat_cols = cols + ([report.market_stats.asset_id] if report.market_stats else [])
-        all_stats = list(report.stats) + ([report.market_stats] if report.market_stats else [])
-        indicators = [
-            ("Return", "ann_return"),
-            ("Volatility", "ann_vol"),
-            ("Beta", "beta"),
-            ("CAPM", "capm"),
-            ("Sharpe", "sharpe"),
-            ("Treynor", "treynor"),
-        ]
-        cells = format_pcts([[getattr(s, attr) for s in all_stats] for _, attr in indicators])
-        rows = [[name] + row for (name, _), row in zip(indicators, cells)]
-        out.append(_table(["Indicator"] + stat_cols, rows, format))
-    for name, matrix, places in [
-        ("Covariance", report.cov.matrix, 2),
-        ("Inverse", report.cov.inverse, 0),
-    ]:
-        rows = [[lab] + row for lab, row in zip(cols, format_pcts(matrix, places))]
-        out.append(_table([name] + cols, rows, format))
+        stats = list(report.stats) + ([report.market_stats] if report.market_stats else [])
     fc = report.constants
-    cells = format_pcts([fc.alpha, fc.b, fc.gamma, fc.delta])
-    rows = [[name, cell] for name, cell in zip(["alpha", "b", "gamma", "delta"], cells)]
-    out.append(_table(["Constant", "Value"], rows, format))
-    if report.solution is None:
-        rows = [["viability", f"non-viable: {report.viability.reason}"]]
-    else:
+    names, values = ["viability"], []
+    if report.solution is not None:
         sol = report.solution
         names = cols + ["return", "variance", "risk", "sharpe"]
         values = sol.weights.tolist() + [sol.port_return, sol.variance, sol.risk, sol.sharpe]
         if report.tangency is not None:
             names += ["tangency return", "tangency risk", "cml slope"]
             values += [report.tangency.r_t, report.tangency.sigma_rt, report.tangency.slope]
-        rows = [[name, cell] for name, cell in zip(names, format_pcts(values))]
-    out.append(_table(["Portfolio", "Value"], rows, format))
+    texts = [name for name, _ in indicators] + cols + ["alpha", "b", "gamma", "delta"] + names
+    indicator_names, labels, constant_names, portfolio_names = _split(
+        _text_cells(texts), [6, len(cols), 4, len(names)]
+    )
+    # One formatting pass serves the first two tables, one the inverse and one
+    # the last two. Cells are formatted in table order, so a cell too large to
+    # print is named from the first table that holds one.
+    indicator_values = [getattr(s, attr) for _, attr in indicators for s in stats]
+    indicator_cells, cov_cells = _split(
+        _pct_cells(np.concatenate([indicator_values, report.cov.matrix.ravel()]), 2),
+        [len(indicator_values), len(cols) ** 2],
+    )
+    out = []
+    if report.stats is not None:
+        stat_cols = cols + ([report.market_stats.asset_id] if report.market_stats else [])
+        out.append(_table(["Indicator"] + stat_cols, [indicator_names], indicator_cells, format))
+    out.append(_table(["Covariance"] + cols, [labels], cov_cells, format))
+    out.append(_table(["Inverse"] + cols, [labels], _pct_cells(report.cov.inverse, 0), format))
+    constant_cells, portfolio_cells = _split(
+        _pct_cells([fc.alpha, fc.b, fc.gamma, fc.delta] + values, 2), [4, len(values)]
+    )
+    if report.solution is None:
+        portfolio_cells = _text_cells([f"non-viable: {report.viability.reason}"])
+    out.append(_table(["Constant", "Value"], [constant_names], constant_cells, format))
+    out.append(_table(["Portfolio", "Value"], [portfolio_names], portfolio_cells, format))
     return "\n\n".join(out) + "\n"
 
 
@@ -390,40 +498,39 @@ def render_summary(summary: Summary, format: str = "csv") -> str:
     if format not in ("csv", "markdown"):
         raise ReportError(f"unknown format {format!r}")
     win = list(summary.windows)
+    labels = list(summary.labels)
+    n = len(labels)
     viable = summary.viable
-    beta_cells = [
+    perf = [summary.returns, summary.betas, summary.variances, summary.risks, summary.sharpes]
+    perf = np.array(perf)
+    known = np.repeat(viable[None], 5, axis=0)
+    known[1] = False  # the Beta row prints two places and no percent sign
+    text = np.full(perf.shape, "non-viable", dtype=object)
+    text[1] = [
         f"{b:.2f}" if ok else "non-viable"
         for b, ok in zip(summary.betas.tolist(), (viable & summary.has_stats).tolist())
     ]
-    ret, var, risk, sharpe = _pct_rows(
-        np.array([summary.returns, summary.variances, summary.risks, summary.sharpes]),
-        viable,
-        "non-viable",
+    perf = _masked_pcts(perf, known, text)
+    names = _text_cells(["Return", "Beta", "Variance", "Risk", "Sharpe"])
+    weights = _masked_pcts(summary.weights, viable, "non-viable")
+    blocks = ["Historical", "CAPM", "Markowitz"]
+    returns = _masked_pcts(
+        np.concatenate([summary.historical, summary.capm, summary.contributions]),
+        np.concatenate(
+            [np.broadcast_to(k, summary.capm.shape) for k in (summary.has_stats, True, viable)]
+        ),
+        np.repeat(["", "non-viable", "non-viable"], n)[:, None],
     )
-    perf = [
-        ["Return"] + ret,
-        ["Beta"] + beta_cells,
-        ["Variance"] + var,
-        ["Risk"] + risk,
-        ["Sharpe"] + sharpe,
-    ]
-    weights = [
-        [lab] + row
-        for lab, row in zip(summary.labels, _pct_rows(summary.weights, viable, "non-viable"))
-    ]
-    returns = []
-    for block, matrix, known, missing in [
-        ("Historical", summary.historical, summary.has_stats, ""),
-        ("CAPM", summary.capm, np.ones_like(viable), "non-viable"),
-        ("Markowitz", summary.contributions, viable, "non-viable"),
-    ]:
-        for lab, row in zip(summary.labels, _pct_rows(matrix, known, missing)):
-            returns.append([block, lab] + row)
     return "\n\n".join(
         [
-            _table(["Indicator"] + win, perf, format),
-            _table(["Asset"] + win, weights, format),
-            _table(["Block", "Asset"] + win, returns, format),
+            _table(["Indicator"] + win, [names], perf, format),
+            _table(["Asset"] + win, [_text_cells(labels)], weights, format),
+            _table(
+                ["Block", "Asset"] + win,
+                [_text_cells(np.repeat(blocks, n).tolist()), _text_cells(labels * 3)],
+                returns,
+                format,
+            ),
         ]
     ) + "\n"
 

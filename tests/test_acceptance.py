@@ -29,7 +29,6 @@ from frontera import (
 )
 from frontera.cli import main
 from frontera.frontier import TangencyUndefinedError
-from frontera.oracle import GridSpec, fd_tangency_check, grid_min_variance
 
 from conftest import (
     FIXTURES,
@@ -39,6 +38,7 @@ from conftest import (
     random_expected_returns,
     random_pd_matrix,
 )
+from oracle import GridSpec, fd_tangency_check, grid_min_variance
 
 
 def ok(n, text):

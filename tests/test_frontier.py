@@ -274,7 +274,7 @@ class TestViability:
 
 class TestGmvOptimalityRandom:
     def test_never_beats_grid(self):
-        from frontera.oracle import GridSpec, grid_min_variance
+        from oracle import GridSpec, grid_min_variance
 
         rng = np.random.default_rng(42)
         for _ in range(20):

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from frontera.oracle import (
+from frontera import CovarianceModel, frontier_constants, frontier_risk, invert_matrix
+
+from conftest import load_fixture
+from oracle import (
     GridSpec,
     OracleError,
     fd_tangency_check,
     grid_min_variance,
     grid_min_variance_at_return,
 )
-
-from conftest import load_fixture
-from frontera import CovarianceModel, frontier_constants, frontier_risk, invert_matrix
 
 
 def fixture_fc(name):

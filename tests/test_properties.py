@@ -17,9 +17,9 @@ from frontera import (
     tangency,
     weights_for_target,
 )
-from frontera.oracle import GridSpec, fd_tangency_check, grid_min_variance
 
 from conftest import random_expected_returns, random_pd_matrix
+from oracle import GridSpec, fd_tangency_check, grid_min_variance
 
 
 def random_model(rng, n):

@@ -1,7 +1,7 @@
 import dataclasses
 import xml.etree.ElementTree as ET
 from datetime import date
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -70,7 +70,7 @@ class TestAnalyzeWindow:
         assert report.curve is None
 
     def test_gmv_matches_grid_oracle(self):
-        from frontera.oracle import GridSpec, grid_min_variance
+        from oracle import GridSpec, grid_min_variance
 
         rng = np.random.default_rng(33)
         n, obs = 4, 500
@@ -438,3 +438,218 @@ class TestBulkFormatterAgainstDecimal:
         for x in (1e307, float("inf"), -float("inf")):
             with pytest.raises(ReportError, match="too large to print as a percent"):
                 format_pcts([0.5, x])
+
+
+# --- the digit kernel against the per-cell renderer it replaced ---
+
+
+def pct_reference(values, places: int = 2):
+    """Percent cells printed one ``%`` conversion per cell, with the
+    ``Decimal`` half-up path for cells near a .5 tie and non-finite cells."""
+    shape = np.shape(values)
+    x = np.asarray(values, dtype=float).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = x * 100
+        scaled = y * 10.0**places
+        clear = np.isfinite(scaled) & (
+            np.abs(scaled - np.floor(scaled) - 0.5) > 1e-9 * np.abs(scaled)
+        )
+    cells = [f"%.{places}f%%" % v for v in y.tolist()]
+    q = Decimal(1).scaleb(-places)
+    with localcontext() as ctx:
+        ctx.prec = 310 + places
+        for i in np.flatnonzero(~clear).tolist():
+            cells[i] = f"{Decimal(repr(float(y[i]))).quantize(q, rounding=ROUND_HALF_UP)}%"
+    return np.array(cells, dtype=object).reshape(shape).tolist()
+
+
+def table_reference(header, rows, fmt):
+    if fmt == "csv":
+        return "\n".join(",".join(cells) for cells in [header] + rows)
+    widths = [max(len(r[i]) for r in [header] + rows) for i in range(len(header))]
+
+    def line(cells):
+        return "| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |"
+
+    sep = "|" + "|".join("-" * (w + 2) for w in widths) + "|"
+    return "\n".join([line(header), sep] + [line(r) for r in rows])
+
+
+def render_tables_reference(report, fmt):
+    """``render_tables`` assembled from per-cell strings, one row at a time."""
+    out = []
+    cols = list(report.labels)
+    if report.stats is not None:
+        stats = list(report.stats) + ([report.market_stats] if report.market_stats else [])
+        names = ["Return", "Volatility", "Beta", "CAPM", "Sharpe", "Treynor"]
+        attrs = ["ann_return", "ann_vol", "beta", "capm", "sharpe", "treynor"]
+        cells = pct_reference([[getattr(s, a) for s in stats] for a in attrs])
+        rows = [[name] + row for name, row in zip(names, cells)]
+        out.append(table_reference(["Indicator"] + [s.asset_id for s in stats], rows, fmt))
+    for name, matrix, places in [
+        ("Covariance", report.cov.matrix, 2),
+        ("Inverse", report.cov.inverse, 0),
+    ]:
+        rows = [[lab] + row for lab, row in zip(cols, pct_reference(matrix, places))]
+        out.append(table_reference([name] + cols, rows, fmt))
+    fc = report.constants
+    cells = pct_reference([fc.alpha, fc.b, fc.gamma, fc.delta])
+    rows = [[name, cell] for name, cell in zip(["alpha", "b", "gamma", "delta"], cells)]
+    out.append(table_reference(["Constant", "Value"], rows, fmt))
+    if report.solution is None:
+        rows = [["viability", f"non-viable: {report.viability.reason}"]]
+    else:
+        sol, tan = report.solution, report.tangency
+        names = cols + ["return", "variance", "risk", "sharpe"]
+        values = sol.weights.tolist() + [sol.port_return, sol.variance, sol.risk, sol.sharpe]
+        if tan is not None:
+            names += ["tangency return", "tangency risk", "cml slope"]
+            values += [tan.r_t, tan.sigma_rt, tan.slope]
+        rows = [[name, cell] for name, cell in zip(names, pct_reference(values))]
+    out.append(table_reference(["Portfolio", "Value"], rows, fmt))
+    return "\n\n".join(out) + "\n"
+
+
+def render_summary_reference(summary, fmt):
+    """``render_summary`` assembled from per-cell strings, one row at a time."""
+
+    def pct_rows(rows, known, missing):
+        cells = pct_reference(np.where(known, rows, 0.0))
+        return [[c if ok else missing for c, ok in zip(row, known.tolist())] for row in cells]
+
+    win, viable = list(summary.windows), summary.viable
+    beta = [
+        f"{b:.2f}" if ok else "non-viable"
+        for b, ok in zip(summary.betas.tolist(), (viable & summary.has_stats).tolist())
+    ]
+    ret, var, risk, sharpe = pct_rows(
+        np.array([summary.returns, summary.variances, summary.risks, summary.sharpes]),
+        viable,
+        "non-viable",
+    )
+    perf = [["Return"] + ret, ["Beta"] + beta, ["Variance"] + var, ["Risk"] + risk]
+    perf.append(["Sharpe"] + sharpe)
+    weights = pct_rows(summary.weights, viable, "non-viable")
+    returns = []
+    for block, matrix, known, missing in [
+        ("Historical", summary.historical, summary.has_stats, ""),
+        ("CAPM", summary.capm, np.ones_like(viable), "non-viable"),
+        ("Markowitz", summary.contributions, viable, "non-viable"),
+    ]:
+        rows = pct_rows(matrix, known, missing)
+        returns += [[block, lab] + row for lab, row in zip(summary.labels, rows)]
+    return "\n\n".join(
+        [
+            table_reference(["Indicator"] + win, perf, fmt),
+            table_reference(
+                ["Asset"] + win, [[lab] + row for lab, row in zip(summary.labels, weights)], fmt
+            ),
+            table_reference(["Block", "Asset"] + win, returns, fmt),
+        ]
+    ) + "\n"
+
+
+def seeded_replay(rng, labels, viable=True, stats=True):
+    """A replay whose cells include exact .5 ties, values just beside a tie
+    and tiny negatives that print as -0.00% and -0%."""
+    n = len(labels)
+    cov = random_pd_matrix(rng, n) / 10
+    special = rng.choice([0.00125, -0.00125, 0.001245, -3e-7, -0.004e-2, 0.0], size=(n, n))
+    mask = np.triu(rng.random((n, n)) < 0.3, 1)
+    cov[mask] = special[mask]
+    cov.T[mask] = special[mask]
+    cov += np.eye(n) * n * 0.01  # diagonally dominant, so positive definite
+    er = rng.uniform(0.01, 0.09, n) * (1 if viable else -1)
+    aux = np.column_stack(
+        [rng.normal(0.05, 0.1, n), rng.uniform(0.1, 0.4, n), rng.normal(1, 0.3, n)]
+    )
+    aux[rng.random((n, 3)) < 0.2] = 0.00125  # ties: 0.125%
+    aux[:, 0][rng.random(n) < 0.2] = -2e-6  # -0.00%
+    return ReplayInput(
+        labels=tuple(labels),
+        cov_matrix=cov,
+        expected_returns=er,
+        rf=0.01,
+        aux=aux if stats else None,
+        market_aux=("ÍNDICE", -1e-7, 0.15) if stats else None,
+        window=WindowSpec(f"w{n}", date(2019, 1, 1), date(2021, 12, 31), 0.01),
+    )
+
+
+LABELS = ["ÉXITO", "A", "a-much-longer-label", "Z9"] + [f"S{i:03d}" for i in range(36)]
+
+
+class TestDigitKernel:
+    @pytest.mark.parametrize("fmt", ["csv", "markdown"])
+    @pytest.mark.parametrize("n", [1, 2, 4, 40])
+    def test_tables_match_per_cell_renderer(self, n, fmt):
+        rng = np.random.default_rng(500 + n)
+        for viable, stats in [(True, True), (False, True), (True, False)]:
+            report = replay_paper(seeded_replay(rng, LABELS[:n], viable, stats))
+            assert render_tables(report, fmt) == render_tables_reference(report, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "markdown"])
+    @pytest.mark.parametrize("n", [1, 4, 40])
+    def test_summary_matches_per_cell_renderer(self, n, fmt):
+        rng = np.random.default_rng(600 + n)
+        reports = [
+            replay_paper(seeded_replay(rng, LABELS[:n], viable, stats))
+            for viable, stats in [(True, True), (False, True), (True, False), (True, True)]
+        ]
+        summary = summarize(reports)
+        assert render_summary(summary, fmt) == render_summary_reference(summary, fmt)
+
+    @pytest.mark.parametrize("places, expected", [(2, "-0.00%"), (0, "-0%")])
+    def test_tiny_negatives_keep_their_sign(self, places, expected):
+        x = [-1e-300, -1e-12, -4e-5, -0.0, -0.0049 / 10**places]
+        assert format_pcts(x, places) == [expected] * len(x)
+        assert format_pcts([1e-12, 0.0], places) == [expected[1:]] * 2
+
+    @pytest.mark.parametrize("places", [0, 2])
+    def test_ties_take_the_decimal_path(self, places):
+        # cells exactly on a .5 tie: % rounds the binary value half to even,
+        # the formatter rounds half up (away from zero)
+        x = np.array([t / 100 for t in (0.125, 0.375, 2.125, 0.625, 12.5, 0.5, 2.5, 1000.5)])
+        x = np.concatenate([x, -x])
+        scaled = x * 100 * 10**places
+        x = x[scaled - np.floor(scaled) == 0.5]
+        assert len(x) >= 6
+        cells = format_pcts(x, places)
+        assert cells == [decimal_pct(v, places) for v in x.tolist()]
+        assert cells != [f"%.{places}f%%" % (v * 100) for v in x.tolist()]
+
+    @pytest.mark.parametrize("places", [0, 2])
+    def test_cells_at_two_to_the_52(self, places):
+        x = np.array([2**52 - 1, 2**52, -(2**52 - 1), -(2**52)], dtype=float) / 10**places / 100
+        assert format_pcts(x, places) == [decimal_pct(v, places) for v in x.tolist()]
+        # beside them, a cell of the digit kernel keeps its own width
+        assert format_pcts(np.append(x, 0.01), places)[-1] == decimal_pct(0.01, places)
+
+    @pytest.mark.parametrize("places", [0, 2])
+    def test_nan_and_huge_cells_in_a_wide_table(self, places):
+        rng = np.random.default_rng(70 + places)
+        matrix = rng.normal(0, 0.05, (300, 300)) * 10.0 ** rng.integers(-3, 3, (300, 300))
+        matrix[5, 7] = np.nan
+        matrix[100, 200] = 1e30
+        matrix[299, 0] = -1e30
+        cells = format_pcts(matrix, places)
+        assert cells == pct_reference(matrix, places)
+        assert cells[5][7] == "NaN%"
+        assert cells[100][200] == "1" + "0" * 32 + "." * (places > 0) + "0" * places + "%"
+        assert cells[299][0] == "-" + cells[100][200]
+
+    def test_empty_and_one_cell(self):
+        assert format_pcts(np.empty((0, 3))) == []
+        assert format_pcts(np.empty((3, 0))) == [[], [], []]
+        assert format_pcts([[0.5]], 0) == [["50%"]]
+        assert format_pcts(np.array([[-0.00125]])) == [["-0.13%"]]
+
+    def test_markdown_pads_by_characters(self):
+        # "ÉXITO" is 5 characters in 6 UTF-8 bytes; a byte count would shorten its padding
+        report = replay_paper(seeded_replay(np.random.default_rng(9), LABELS[:4]))
+        text = render_tables(report, "markdown")
+        for table in text.strip("\n").split("\n\n"):
+            lines = table.split("\n")
+            assert len({len(line) for line in lines}) == 1
+        row = next(line for line in text.split("\n") if line.startswith("| ÉXITO "))
+        assert row.startswith("| ÉXITO               | ")  # padded to "a-much-longer-label"
