@@ -10,8 +10,6 @@ Outputs are written to temp files and renamed on success, so a failing
 command leaves no partial files behind.
 """
 
-from __future__ import annotations
-
 import argparse
 import contextlib
 import json
@@ -19,9 +17,9 @@ import math
 import os
 import reprlib
 import sys
-from dataclasses import dataclass
 from datetime import date as Date
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +33,7 @@ class InputError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
+class AnalysisConfig(NamedTuple):
     assets: tuple[tuple[str, Path], ...]  # (id, csv_path)
     market: tuple[str, Path]
     windows: tuple[WindowSpec, ...]
@@ -69,8 +66,8 @@ class OutputSet:
                     made += reversed(new)  # each directory after its parent
                     path.parent.mkdir(parents=True, exist_ok=True)
                 tmp = path.with_name(path.name + f".tmp{os.getpid()}")
+                temps.append((tmp, path))  # before writing: a failed write leaves a file
                 tmp.write_text(text, encoding="utf-8")
-                temps.append((tmp, path))
             for tmp, path in temps:
                 if path.exists():
                     old = path.with_name(path.name + f".old{os.getpid()}")
@@ -114,6 +111,7 @@ def _convert(value, field: str, path: str, convert):
 def _text(value) -> str:
     if not isinstance(value, str):
         raise TypeError("expected a string")
+    value.encode("utf-8")  # a lone surrogate raises UnicodeEncodeError, a ValueError
     return value
 
 
@@ -126,7 +124,7 @@ def _list(value) -> list:
 def _names(value) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise TypeError("expected a list of strings")
-    return tuple(value)
+    return tuple(map(_text, value))
 
 
 def _days_per_year(value) -> int:

@@ -15,9 +15,7 @@ Short sales are allowed: weights may be negative. All quantities are
 decimal fractions.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +34,7 @@ class TangencyUndefinedError(FrontierError):
     """b - alpha * rf = 0: the CML is parallel to the frontier asymptote."""
 
 
-@dataclass(frozen=True)
-class FrontierConstants:
+class FrontierConstants(NamedTuple):
     h: np.ndarray
     g: np.ndarray
     alpha: float
@@ -46,16 +43,14 @@ class FrontierConstants:
     delta: float
 
 
-@dataclass(frozen=True)
-class TangencySolution:
+class TangencySolution(NamedTuple):
     r_t: float
     sigma_rt: float
     slope: float
     rf: float
 
 
-@dataclass(frozen=True)
-class PortfolioSolution:
+class PortfolioSolution(NamedTuple):
     weights: np.ndarray
     port_return: float
     variance: float
@@ -63,8 +58,7 @@ class PortfolioSolution:
     sharpe: float | None
 
 
-@dataclass(frozen=True)
-class Viability:
+class Viability(NamedTuple):
     viable: bool
     reason: str | None = None
 

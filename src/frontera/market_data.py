@@ -6,13 +6,11 @@ combined by inner join on dates: betas and covariances need synchronized
 observations, so any date missing from one series is dropped from all.
 """
 
-from __future__ import annotations
-
 import csv
 import io
 import math
-from dataclasses import dataclass
 from datetime import date as Date
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +26,7 @@ class MarketDataError(ValueError):
     """Malformed price input or an alignment/slicing that leaves too little data."""
 
 
-@dataclass(frozen=True)
-class PriceSeries:
+class PriceSeries(NamedTuple):
     """One series' closes on strictly increasing ``datetime64[D]`` dates."""
 
     asset_id: str
@@ -37,8 +34,7 @@ class PriceSeries:
     closes: np.ndarray
 
 
-@dataclass(frozen=True)
-class PricePanel:
+class PricePanel(NamedTuple):
     """Date-aligned daily closes: one row per asset, the market index last.
 
     ``closes`` has shape ``(len(labels) + 1, len(common_dates))``.
@@ -50,29 +46,40 @@ class PricePanel:
     closes: np.ndarray
 
 
-@dataclass(frozen=True)
-class WindowSpec:
-    """A named closed date interval with its annual risk-free rate.
-
-    The name becomes an output directory, so it must be a plain name.
-    """
-
+class _Window(NamedTuple):
     name: str
     start: Date
     end: Date
     rf_annual: float
 
-    def __post_init__(self):
+
+class WindowSpec(_Window):
+    """A named closed date interval with its annual risk-free rate.
+
+    The name becomes an output directory, so it must be a plain name that
+    UTF-8 can encode. Every way of building one checks its fields: the
+    constructor, ``_make`` and ``_replace``, which calls ``_make``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, start: Date, end: Date, rf_annual: float):
         if (
-            not isinstance(self.name, str)
-            or self.name in ("", ".", "..")
-            or any(c in self.name for c in "/\\\0")
+            not isinstance(name, str)
+            or name in ("", ".", "..")
+            # separators, NUL and lone surrogates, which UTF-8 cannot encode
+            or any(c in "/\\\0" or "\ud800" <= c <= "\udfff" for c in name)
         ):
-            raise MarketDataError(f"window name {self.name!r} is not a plain directory name")
-        if self.start > self.end:
-            raise MarketDataError(f"window {self.name}: start {self.start} after end {self.end}")
-        if not np.isfinite(self.rf_annual):
-            raise MarketDataError(f"window {self.name}: rf_annual not finite")
+            raise MarketDataError(f"window name {name!r} is not a plain directory name")
+        if start > end:
+            raise MarketDataError(f"window {name}: start {start} after end {end}")
+        if not np.isfinite(rf_annual):
+            raise MarketDataError(f"window {name}: rf_annual not finite")
+        return super().__new__(cls, name, start, end, rf_annual)
+
+    @classmethod
+    def _make(cls, iterable) -> "WindowSpec":
+        return cls(*iterable)
 
 
 def parse_price_csv(text: str | bytes, asset_id: str) -> PriceSeries:

@@ -13,12 +13,10 @@ A window in which every expected return is negative is marked non-viable:
 no weights, tangency or curve are produced for it.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, replace
 from datetime import date as Date
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +32,7 @@ class ReportError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FrontierCurve:
+class FrontierCurve(NamedTuple):
     """Sampled frontier and CML, plus the markers drawn on the figure.
 
     ``points`` is an (n, 2) float array of (target return, frontier risk)
@@ -50,8 +47,7 @@ class FrontierCurve:
     tangency_marker: tuple[float, float] | None  # (sigma_rt, r_t)
 
 
-@dataclass(frozen=True)
-class WindowReport:
+class WindowReport(NamedTuple):
     window: WindowSpec
     labels: tuple[str, ...]
     expected_returns: np.ndarray
@@ -65,8 +61,7 @@ class WindowReport:
     curve: FrontierCurve | None
 
 
-@dataclass(frozen=True)
-class ReplayInput:
+class ReplayInput(NamedTuple):
     labels: tuple[str, ...]
     cov_matrix: np.ndarray
     expected_returns: np.ndarray
@@ -158,7 +153,7 @@ def _build_report(window, labels, er, asset_stats, market_stats, cov) -> WindowR
     )
     if solution is not None:
         try:
-            report = replace(report, curve=emit_frontier_curve(report))
+            report = report._replace(curve=emit_frontier_curve(report))
         except fr.DegenerateFrontierError:
             pass
     return report
@@ -214,8 +209,7 @@ def emit_frontier_curve(
 # --- summary across windows (shapes of the published per-period summaries) ---
 
 
-@dataclass(frozen=True)
-class Summary:
+class Summary(NamedTuple):
     """Cross-window summary of W windows over N assets, held in arrays.
 
     ``returns``, ``betas``, ``variances``, ``risks`` and ``sharpes`` are

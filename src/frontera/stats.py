@@ -6,9 +6,7 @@ uses a configurable trading-day count (default 252): geometric compounding
 for returns, sqrt scaling for volatility, linear scaling for covariances.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +26,7 @@ class NotPositiveDefiniteError(StatsError):
         self.pivot_index = pivot_index
 
 
-@dataclass(frozen=True)
-class AssetStats:
+class AssetStats(NamedTuple):
     asset_id: str
     ann_return: float
     ann_vol: float
@@ -39,8 +36,7 @@ class AssetStats:
     treynor: float
 
 
-@dataclass(frozen=True)
-class CovarianceModel:
+class CovarianceModel(NamedTuple):
     """Annualized covariance matrix with its inverse from ``invert_matrix``:
     every pivot of its Cholesky factor passed the positivity check, which
     certifies the matrix positive definite."""
@@ -93,13 +89,23 @@ def capm_expected_return(beta_: float | np.ndarray, rf: float, market_return: fl
 def asset_sharpe(ann_return: float | np.ndarray, rf: float, ann_vol: float | np.ndarray):
     if np.any(ann_vol <= 0):
         raise StatsError("Sharpe undefined for zero volatility")
-    return (ann_return - rf) / ann_vol
+    return _excess_ratio(ann_return, rf, ann_vol, "Sharpe")
 
 
 def asset_treynor(ann_return: float | np.ndarray, rf: float, beta_: float | np.ndarray):
     if np.any(beta_ == 0):
         raise StatsError("Treynor undefined for zero beta")
-    return (ann_return - rf) / beta_
+    return _excess_ratio(ann_return, rf, beta_, "Treynor")
+
+
+def _excess_ratio(ann_return, rf, denominator, name: str):
+    """(ann_return - rf) / denominator; a result that is not finite, such as
+    the overflow a subnormal denominator gives, raises StatsError."""
+    with np.errstate(over="ignore"):
+        ratio = (ann_return - rf) / denominator
+    if not np.all(np.isfinite(ratio)):
+        raise StatsError(f"{name} ratio is not finite: it overflows the floating-point range")
+    return ratio
 
 
 def sample_covariance(returns: np.ndarray, trading_days: int = TRADING_DAYS) -> np.ndarray:

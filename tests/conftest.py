@@ -1,4 +1,3 @@
-import dataclasses
 from datetime import date
 from pathlib import Path
 
@@ -50,14 +49,13 @@ def random_expected_returns(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def assert_fields_equal(a, b):
-    """Field-by-field equality of two dataclass values; array fields bit for bit."""
+    """Field-by-field equality of two records; array fields bit for bit."""
     assert type(a) is type(b)
-    for f in dataclasses.fields(a):
-        x, y = getattr(a, f.name), getattr(b, f.name)
+    for name, x, y in zip(a._fields, a, b):
         if isinstance(x, np.ndarray):
-            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
         else:
-            assert x == y, f.name
+            assert x == y, name
 
 
 def assert_reports_identical(a, b):

@@ -124,6 +124,7 @@ class TestAnalyze:
         [
             ({"name": "../escape"}, {}),
             ({"name": 5}, {}),
+            ({"name": "w\ud800"}, {}),
             ({"rf_annual": "x"}, {}),
             ({}, {"trading_days": "abc"}),
             ({}, {"trading_days": 1e300}),
@@ -133,9 +134,9 @@ class TestAnalyze:
             ({}, {"trading_days": 367}),
         ],
         ids=[
-            "name-escapes", "name-not-str", "rf-not-number", "trading-days-not-int",
-            "trading-days-huge", "trading-days-fraction", "trading-days-bool",
-            "trading-days-zero", "trading-days-367",
+            "name-escapes", "name-not-str", "name-surrogate", "rf-not-number",
+            "trading-days-not-int", "trading-days-huge", "trading-days-fraction",
+            "trading-days-bool", "trading-days-zero", "trading-days-367",
         ],
     )
     def test_bad_field_exit_1(self, tmp_path, capsys, window_field, config_field):
@@ -161,11 +162,17 @@ class TestAnalyze:
             (lambda doc: doc["windows"].__setitem__(0, 5), "windows[0]"),
             (lambda doc: doc["assets"][1].update(id="AAA"), "unique"),
             (lambda doc: doc["market"].update(id="CCC"), "unique"),
+            # JSON text that UTF-8 cannot encode: a lone surrogate
+            (lambda doc: doc["assets"][1].update(id="B\ud800"), "id"),
+            (lambda doc: doc["market"].update(id="\udcffM"), "id"),
+            (lambda doc: doc["assets"][1].update(csv_path="b\ud800.csv"), "csv_path"),
+            (lambda doc: doc.update(output_dir="o\udfff"), "output_dir"),
         ],
         ids=[
             "windows-not-list", "market-not-object", "assets-not-list", "output-dir-not-str",
             "asset-id-not-str", "csv-path-not-str", "window-not-object", "asset-id-duplicate",
-            "market-id-is-asset-id",
+            "market-id-is-asset-id", "asset-id-surrogate", "market-id-surrogate",
+            "csv-path-surrogate", "output-dir-surrogate",
         ],
     )
     def test_bad_structure_exit_1(self, tmp_path, capsys, edit, field):
@@ -254,8 +261,13 @@ class TestReplay:
             {"rf": "x"},
             {"labels": 5},
             {"labels": ["A", "A"]},
+            {"labels": ["\ud800X", "B"]},
+            {"name": "\ud800X"},
         ],
-        ids=["name-escapes", "rf-not-number", "labels-not-list", "labels-duplicate"],
+        ids=[
+            "name-escapes", "rf-not-number", "labels-not-list", "labels-duplicate",
+            "labels-surrogate", "name-surrogate",
+        ],
     )
     def test_bad_field_exit_1(self, tmp_path, capsys, field):
         doc = {
@@ -287,11 +299,12 @@ class TestReplay:
             (lambda doc: doc.update(market=5), "market"),
             (lambda doc: doc["market"].update(id=5), "id"),
             (lambda doc: doc["market"].update(id="ISA"), "market id"),
+            (lambda doc: doc["market"].update(id="\udcffX"), "id"),
         ],
         ids=[
             "er-string", "er-nan", "cov-ragged", "cov-nan", "cov-inf", "asset-stats-not-list",
             "asset-stat-not-object", "asset-stat-nan", "market-not-object", "market-id-not-str",
-            "market-id-is-label",
+            "market-id-is-label", "market-id-surrogate",
         ],
     )
     def test_bad_fixture_exit_1(self, tmp_path, capsys, edit, field):
@@ -322,6 +335,28 @@ class TestReplay:
         err = capsys.readouterr().err
         assert err.startswith("numeric error: ") and err.count("\n") == 1, err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "edit, ratio",
+        [
+            (lambda doc: doc["asset_stats"][1].update(ann_vol=1e-320), "Sharpe"),
+            (lambda doc: doc["asset_stats"][1].update(beta=1e-320), "Treynor"),
+            (lambda doc: doc["market"].update(ann_vol=1e-320), "Sharpe"),
+        ],
+        ids=["asset-ann-vol", "asset-beta", "market-ann-vol"],
+    )
+    def test_overflowing_ratio_exit_2(self, tmp_path, capsys, edit, ratio):
+        # a subnormal denominator overflows Sharpe or Treynor, without a warning
+        doc = json.loads((FIXTURES / "replay_2015_2023.json").read_text())
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["replay", "--input", str(bad), "--output-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"numeric error: {ratio} ratio is not finite"), err
+        assert err.count("\n") == 1
+        assert files_under(tmp_path) == [bad]
 
     @pytest.mark.parametrize("variance, code", [(1e30, 0), (1e307, 1)])
     def test_huge_variances(self, tmp_path, capsys, variance, code):
@@ -485,6 +520,14 @@ class TestLoaders:
             "a.txt": "new a",
             "b.txt": "new b",
         }
+
+    def test_output_set_failed_write_leaves_no_temp(self, tmp_path):
+        out = OutputSet()
+        out.add(tmp_path / "od" / "a.txt", "new a")
+        out.add(tmp_path / "od" / "b.txt", "\ud800")  # UTF-8 cannot encode it: the write fails
+        with pytest.raises(UnicodeEncodeError):
+            out.commit()
+        assert list(tmp_path.rglob("*")) == []
 
     @pytest.mark.parametrize("order", [("a.txt", "b.txt", "c.txt"), ("c.txt", "b.txt", "a.txt")])
     def test_output_set_failed_rename_restores(self, tmp_path, monkeypatch, order):

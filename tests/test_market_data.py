@@ -362,13 +362,25 @@ class TestSliceWindow:
         )
 
     def test_window_spec_validation(self):
-        with pytest.raises(MarketDataError):
-            WindowSpec("bad", date(2021, 1, 1), date(2020, 1, 1), 0.05)
-        with pytest.raises(MarketDataError):
-            WindowSpec("bad", date(2020, 1, 1), date(2021, 1, 1), float("nan"))
-        for name in ("", ".", "..", "../escape", "a/b", "a\\b", 5, None):
-            with pytest.raises(MarketDataError, match="plain directory name"):
-                WindowSpec(name, date(2020, 1, 1), date(2021, 1, 1), 0.05)
+        # every way of building a WindowSpec checks its fields, copies included
+        good = WindowSpec("good", date(2020, 1, 1), date(2021, 1, 1), 0.05)
+        names = ("", ".", "..", "../escape", "a/b", "a\\b", "a\0b", "a\ud800", "\udcff", 5, None)
+        cases = [
+            ({"start": date(2021, 1, 2)}, "after end"),
+            ({"rf_annual": float("nan")}, "not finite"),
+            *[({"name": name}, "plain directory name") for name in names],
+        ]
+        for bad, match in cases:
+            fields = {**good._asdict(), **bad}
+            for build in (
+                lambda: WindowSpec(**fields),
+                lambda: WindowSpec._make(fields.values()),
+                lambda: good._replace(**bad),
+            ):
+                with pytest.raises(MarketDataError, match=match):
+                    build()
+        copy = good._replace(rf_annual=0.06)
+        assert type(copy) is WindowSpec and copy == ("good", good.start, good.end, 0.06)
 
 
 class TestSimpleReturns:

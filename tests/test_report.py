@@ -1,4 +1,3 @@
-import dataclasses
 import xml.etree.ElementTree as ET
 from datetime import date
 from decimal import ROUND_HALF_UP, Decimal, localcontext
@@ -234,7 +233,7 @@ class TestSummarize:
     @staticmethod
     def mixed_reports():
         # window 1 has no per-asset stats, window 2 (2020) no portfolio, window 3 both
-        no_stats = dataclasses.replace(load_fixture("2015_2023"), aux=None)
+        no_stats = load_fixture("2015_2023")._replace(aux=None)
         return [replay_paper(r) for r in (no_stats, load_fixture("2020"), load_fixture("2023"))]
 
     def test_masks(self):
@@ -304,8 +303,8 @@ class TestEmitFrontierCurve:
         # at rf equal to the GMV return the tangency is at infinity: no CML
         replay = load_fixture("2015_2023")
         fc = replay_paper(replay).constants
-        window = dataclasses.replace(replay.window, rf_annual=fc.b / fc.alpha)
-        report = replay_paper(dataclasses.replace(replay, window=window))
+        window = replay.window._replace(rf_annual=fc.b / fc.alpha)
+        report = replay_paper(replay._replace(window=window))
         assert report.tangency is None and report.curve.tangency_marker is None
         assert report.curve.points.shape == (200, 2)
         assert report.curve.cml_points.shape == (0, 2)
