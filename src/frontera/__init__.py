@@ -18,7 +18,6 @@ from .market_data import (
     slice_window,
 )
 from .stats import (
-    AssetStats,
     CovarianceModel,
     NotPositiveDefiniteError,
     StatsError,

@@ -290,7 +290,7 @@ def _add_report_files(out: OutputSet, base: Path, report: rp.WindowReport, fmt: 
         frontier_text, cml_text = rp.curve_csv(report.curve)
         out.add(base / "frontier_curve.csv", frontier_text)
         out.add(base / "cml_curve.csv", cml_text)
-        out.add(base / "frontier.svg", rp.render_svg(report.curve))
+        out.add(base / "frontier.svg", rp.render_svg(report))
 
 
 def _cmd_analyze(args) -> int:

@@ -68,13 +68,15 @@ def frontier_constants(cov: CovarianceModel, expected_returns: np.ndarray) -> Fr
     er = np.asarray(expected_returns, dtype=float)
     if er.shape != (cov.n,):
         raise FrontierError(f"expected-returns length {er.shape} does not match {cov.n} assets")
-    ones = np.ones(cov.n)
-    h = ones @ cov.inverse
-    g = er @ cov.inverse
-    alpha = float(h.sum())
-    b = float(g.sum())
-    gamma = float(er @ g)
-    delta = alpha * gamma - b * b
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        h = np.ones(cov.n) @ cov.inverse
+        g = er @ cov.inverse
+        alpha = float(h.sum())
+        b = float(g.sum())
+        gamma = float(er @ g)
+        delta = alpha * gamma - b * b
+    if not np.isfinite(np.concatenate([h, g, [alpha, b, gamma, delta]])).all():
+        raise FrontierError("frontier constants overflow the floating-point range")
     if alpha <= 0:
         raise FrontierError(f"alpha = {alpha} is not positive; covariance inverse is not PD")
     return FrontierConstants(h=h, g=g, alpha=alpha, b=b, gamma=gamma, delta=delta)

@@ -276,4 +276,12 @@ def simple_returns(panel: PricePanel) -> np.ndarray:
     c = panel.closes
     if c.shape[1] < 2:
         raise MarketDataError("need at least 2 prices for returns")
-    return c[:, 1:] / c[:, :-1] - 1.0
+    with np.errstate(over="ignore"):  # closes are positive: only overflow, refused below
+        r = c[:, 1:] / c[:, :-1] - 1.0
+    if not np.isfinite(r).all():
+        t, row = np.argwhere(~np.isfinite(r.T))[0]  # the earliest date first
+        raise MarketDataError(
+            f"{(*panel.labels, panel.market_id)[row]}: return on {panel.common_dates[t + 1]} "
+            "overflows the floating-point range (previous close too small)"
+        )
+    return r

@@ -33,7 +33,7 @@ class ReportError(ValueError):
 
 
 class FrontierCurve(NamedTuple):
-    """Sampled frontier and CML, plus the markers drawn on the figure.
+    """Sampled frontier and CML.
 
     ``points`` is an (n, 2) float array of (target return, frontier risk)
     rows and ``cml_points`` an (n, 2) array of (risk, CML value) rows; it
@@ -42,17 +42,16 @@ class FrontierCurve(NamedTuple):
 
     points: np.ndarray
     cml_points: np.ndarray
-    asset_markers: tuple[tuple[str, float, float], ...]  # (label, ann_vol, capm)
-    gmv_marker: tuple[float, float]  # (risk, return)
-    tangency_marker: tuple[float, float] | None  # (sigma_rt, r_t)
 
 
 class WindowReport(NamedTuple):
     window: WindowSpec
     labels: tuple[str, ...]
     expected_returns: np.ndarray
-    stats: tuple[st.AssetStats, ...] | None
-    market_stats: st.AssetStats | None
+    # (6, M) rows Return, Volatility, Beta, CAPM, Sharpe, Treynor over the N
+    # assets, then the market column when market_id is set; None if unknown
+    indicators: np.ndarray | None
+    market_id: str | None
     cov: st.CovarianceModel
     constants: fr.FrontierConstants
     viability: fr.Viability
@@ -83,22 +82,17 @@ def analyze_window(
     ann_vol = st.annualized_volatility(r, trading_days)
     betas = np.append(st.beta(r[:-1], r[-1]), 1.0)  # the market's own beta is 1
     capm = st.capm_expected_return(betas, rf, ann_return[-1])
-    *asset_stats, market_stats = _asset_stats(
-        sliced.labels + (sliced.market_id,), ann_return, ann_vol, betas, capm, rf
-    )
+    indicators = _indicators(ann_return, ann_vol, betas, capm, rf)
     cov = st.covariance_matrix(r[:-1], sliced.labels, trading_days)
-    return _build_report(window, cov.labels, capm[:-1], tuple(asset_stats), market_stats, cov)
+    return _build_report(window, cov.labels, capm[:-1], indicators, sliced.market_id, cov)
 
 
-def _asset_stats(labels, ann_return, ann_vol, betas, capm, rf) -> tuple[st.AssetStats, ...]:
-    """One AssetStats per label from per-asset arrays; Sharpe and Treynor
-    take one array call each."""
+def _indicators(ann_return, ann_vol, betas, capm, rf) -> np.ndarray:
+    """The (6, M) indicator array of M columns, rows in table order; Sharpe
+    and Treynor take one array call each."""
     sharpe = st.asset_sharpe(ann_return, rf, ann_vol)
     treynor = st.asset_treynor(ann_return, rf, betas)
-    return tuple(
-        st.AssetStats(label, *map(float, values))
-        for label, *values in zip(labels, ann_return, ann_vol, betas, capm, sharpe, treynor)
-    )
+    return np.array([ann_return, ann_vol, betas, capm, sharpe, treynor])
 
 
 def replay_paper(replay: ReplayInput) -> WindowReport:
@@ -115,28 +109,24 @@ def replay_paper(replay: ReplayInput) -> WindowReport:
     window = replay.window or WindowSpec("replay", Date(1900, 1, 1), Date(2100, 1, 1), replay.rf)
     rf = window.rf_annual
 
-    asset_stats = None
+    columns = np.empty((0, 4))  # (ann_return, ann_vol, beta, capm) rows
     if replay.aux is not None:
         aux = np.asarray(replay.aux, dtype=float)
         if aux.shape != (len(labels), 3):
             raise ReportError(f"aux stats shape {aux.shape} does not match {len(labels)} labels")
-        asset_stats = _asset_stats(labels, *aux.T, er, rf)
-    market_stats = None
+        columns = np.column_stack([aux, er])
+    market_id = None
     if replay.market_aux is not None:
         market_id, m_ret, m_vol = replay.market_aux
-        market_stats = st.AssetStats(
-            asset_id=market_id,
-            ann_return=m_ret,
-            ann_vol=m_vol,
-            beta=1.0,
-            capm=st.capm_expected_return(1.0, rf, m_ret),
-            sharpe=st.asset_sharpe(m_ret, rf, m_vol),
-            treynor=st.asset_treynor(m_ret, rf, 1.0),
-        )
-    return _build_report(window, labels, er, asset_stats, market_stats, cov)
+        market = (m_ret, m_vol, 1.0, st.capm_expected_return(1.0, rf, m_ret))
+        columns = np.vstack([columns, market])
+    indicators = _indicators(*columns.T, rf)  # checks the market even when it is not shown
+    if replay.aux is None:
+        indicators = market_id = None
+    return _build_report(window, labels, er, indicators, market_id, cov)
 
 
-def _build_report(window, labels, er, asset_stats, market_stats, cov) -> WindowReport:
+def _build_report(window, labels, er, indicators, market_id, cov) -> WindowReport:
     """Shared tail of analyze/replay; keeping one code path keeps the two
     modes numerically identical on identical intermediate inputs."""
     fc = fr.frontier_constants(cov, er)
@@ -149,7 +139,7 @@ def _build_report(window, labels, er, asset_stats, market_stats, cov) -> WindowR
         except (fr.TangencyUndefinedError, fr.DegenerateFrontierError):
             pass
     report = WindowReport(
-        window, labels, er, asset_stats, market_stats, cov, fc, viability, tang, solution, None
+        window, labels, er, indicators, market_id, cov, fc, viability, tang, solution, None
     )
     if solution is not None:
         try:
@@ -190,20 +180,7 @@ def emit_frontier_curve(
     points = np.column_stack([targets, risks])
     if not (np.isfinite(points).all() and np.isfinite(cml_points).all()):
         raise ReportError(f"return span [{lo}, {hi}] gives non-finite curve values")
-    vols = np.sqrt(np.diag(report.cov.matrix))
-    asset_markers = tuple(
-        (label, float(vols[i]), float(report.expected_returns[i]))
-        for i, label in enumerate(report.labels)
-    )
-    return FrontierCurve(
-        points=points,
-        cml_points=cml_points,
-        asset_markers=asset_markers,
-        gmv_marker=(report.solution.risk, report.solution.port_return),
-        tangency_marker=None
-        if report.tangency is None
-        else (report.tangency.sigma_rt, report.tangency.r_t),
-    )
+    return FrontierCurve(points, cml_points)
 
 
 # --- summary across windows (shapes of the published per-period summaries) ---
@@ -250,7 +227,8 @@ def summarize(reports: list[WindowReport]) -> Summary:
         if r.labels != labels:
             raise ReportError("reports have mismatched asset labels")
     sols = [r.solution for r in reports]
-    unknown = np.full(len(labels), np.nan)
+    n = len(labels)
+    unknown = np.full(n, np.nan)
 
     def row(attr: str) -> np.ndarray:
         return np.array([np.nan if s is None else getattr(s, attr) for s in sols])
@@ -261,11 +239,11 @@ def summarize(reports: list[WindowReport]) -> Summary:
         windows=tuple(r.window.name for r in reports),
         labels=labels,
         viable=np.array([s is not None for s in sols]),
-        has_stats=np.array([r.stats is not None for r in reports]),
+        has_stats=np.array([r.indicators is not None for r in reports]),
         returns=row("port_return"),
         betas=np.array(
             [
-                np.nan if s is None or r.stats is None else [a.beta for a in r.stats] @ s.weights
+                np.nan if s is None or r.indicators is None else r.indicators[2, :n] @ s.weights
                 for r, s in zip(reports, sols)
             ]
         ),
@@ -274,7 +252,7 @@ def summarize(reports: list[WindowReport]) -> Summary:
         sharpes=row("sharpe"),
         weights=weights,
         historical=np.column_stack(
-            [unknown if r.stats is None else [a.ann_return for a in r.stats] for r in reports]
+            [unknown if r.indicators is None else r.indicators[0, :n] for r in reports]
         ),
         capm=capm,
         contributions=weights * capm,
@@ -439,17 +417,6 @@ def render_tables(report: WindowReport, format: str = "csv") -> str:
     if format not in ("csv", "markdown"):
         raise ReportError(f"unknown format {format!r}")
     cols = list(report.labels)
-    indicators = [
-        ("Return", "ann_return"),
-        ("Volatility", "ann_vol"),
-        ("Beta", "beta"),
-        ("CAPM", "capm"),
-        ("Sharpe", "sharpe"),
-        ("Treynor", "treynor"),
-    ]
-    stats = []
-    if report.stats is not None:
-        stats = list(report.stats) + ([report.market_stats] if report.market_stats else [])
     fc = report.constants
     names, values = ["viability"], []
     if report.solution is not None:
@@ -459,22 +426,23 @@ def render_tables(report: WindowReport, format: str = "csv") -> str:
         if report.tangency is not None:
             names += ["tangency return", "tangency risk", "cml slope"]
             values += [report.tangency.r_t, report.tangency.sigma_rt, report.tangency.slope]
-    texts = [name for name, _ in indicators] + cols + ["alpha", "b", "gamma", "delta"] + names
+    texts = ["Return", "Volatility", "Beta", "CAPM", "Sharpe", "Treynor"] + cols
+    texts += ["alpha", "b", "gamma", "delta"] + names
     indicator_names, labels, constant_names, portfolio_names = _split(
         _text_cells(texts), [6, len(cols), 4, len(names)]
     )
     # One formatting pass serves the first two tables, one the inverse and one
     # the last two. Cells are formatted in table order, so a cell too large to
     # print is named from the first table that holds one.
-    indicator_values = [getattr(s, attr) for _, attr in indicators for s in stats]
+    ind = np.empty((6, 0)) if report.indicators is None else report.indicators
     indicator_cells, cov_cells = _split(
-        _pct_cells(np.concatenate([indicator_values, report.cov.matrix.ravel()]), 2),
-        [len(indicator_values), len(cols) ** 2],
+        _pct_cells(np.concatenate([ind.ravel(), report.cov.matrix.ravel()]), 2),
+        [ind.size, len(cols) ** 2],
     )
     out = []
-    if report.stats is not None:
-        stat_cols = cols + ([report.market_stats.asset_id] if report.market_stats else [])
-        out.append(_table(["Indicator"] + stat_cols, [indicator_names], indicator_cells, format))
+    if report.indicators is not None:
+        ids = cols + ([] if report.market_id is None else [report.market_id])
+        out.append(_table(["Indicator"] + ids, [indicator_names], indicator_cells, format))
     out.append(_table(["Covariance"] + cols, [labels], cov_cells, format))
     out.append(_table(["Inverse"] + cols, [labels], _pct_cells(report.cov.inverse, 0), format))
     constant_cells, portfolio_cells = _split(
@@ -552,15 +520,15 @@ def _xml_escape(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def render_svg(curve: FrontierCurve) -> str:
+def render_svg(report: WindowReport) -> str:
     """Standalone SVG: frontier polyline, CML polyline, labeled markers, percent axes."""
-    if not len(curve.points):
+    curve, sol, tan = report.curve, report.solution, report.tangency
+    if curve is None or not len(curve.points):
         raise ReportError("empty curve")
     frontier_xy = curve.points[:, ::-1]  # (risk, return) rows
-    markers = [(vol, capm) for _, vol, capm in curve.asset_markers] + [curve.gmv_marker]
-    if curve.tangency_marker is not None:
-        markers.append(curve.tangency_marker)
-    xy = np.concatenate([frontier_xy, curve.cml_points, markers])
+    assets = np.column_stack([np.sqrt(np.diag(report.cov.matrix)), report.expected_returns])
+    markers = [(sol.risk, sol.port_return)] + ([] if tan is None else [(tan.sigma_rt, tan.r_t)])
+    xy = np.concatenate([frontier_xy, curve.cml_points, assets, markers])
     x_lo, x_hi = 0.0, float(xy[:, 0].max()) * 1.05 or 1.0
     y_min, y_max = float(xy[:, 1].min()), float(xy[:, 1].max())
     pad = (y_max - y_min) * 0.08 or 0.01
@@ -603,20 +571,14 @@ def render_svg(curve: FrontierCurve) -> str:
     parts.append(poly(frontier_xy, "#1f77b4"))
     if len(curve.cml_points):
         parts.append(poly(curve.cml_points, "#d62728"))
-    for label, vol, capm in curve.asset_markers:
+    for label, (vol, capm) in zip(report.labels, assets.tolist()):
         parts.append(f'<circle cx="{sx(vol):.2f}" cy="{sy(capm):.2f}" r="4" fill="#2ca02c"/>')
         parts.append(
             f'<text x="{sx(vol) + 6:.2f}" y="{sy(capm) - 6:.2f}" '
             f'font-size="11">{_xml_escape(label)}</text>'
         )
-    gx, gy = curve.gmv_marker
-    parts.append(f'<circle cx="{sx(gx):.2f}" cy="{sy(gy):.2f}" r="5" fill="#1f77b4"/>')
-    parts.append(f'<text x="{sx(gx) + 6:.2f}" y="{sy(gy) + 14:.2f}" font-size="11">GMV</text>')
-    if curve.tangency_marker is not None:
-        tx, ty = curve.tangency_marker
-        parts.append(f'<circle cx="{sx(tx):.2f}" cy="{sy(ty):.2f}" r="5" fill="#d62728"/>')
-        parts.append(
-            f'<text x="{sx(tx) + 6:.2f}" y="{sy(ty) + 14:.2f}" font-size="11">Tangency</text>'
-        )
+    for (x, y), name, color in zip(markers, ["GMV", "Tangency"], ["#1f77b4", "#d62728"]):
+        parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="5" fill="{color}"/>')
+        parts.append(f'<text x="{sx(x) + 6:.2f}" y="{sy(y) + 14:.2f}" font-size="11">{name}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -26,16 +26,6 @@ class NotPositiveDefiniteError(StatsError):
         self.pivot_index = pivot_index
 
 
-class AssetStats(NamedTuple):
-    asset_id: str
-    ann_return: float
-    ann_vol: float
-    beta: float
-    capm: float
-    sharpe: float
-    treynor: float
-
-
 class CovarianceModel(NamedTuple):
     """Annualized covariance matrix with its inverse from ``invert_matrix``:
     every pivot of its Cholesky factor passed the positivity check, which

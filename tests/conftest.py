@@ -63,8 +63,11 @@ def assert_reports_identical(a, b):
     assert a.window == b.window
     assert a.labels == b.labels
     assert np.array_equal(a.expected_returns, b.expected_returns)
-    assert a.stats == b.stats
-    assert a.market_stats == b.market_stats
+    assert (a.indicators is None) == (b.indicators is None)
+    if a.indicators is not None:
+        assert a.indicators.dtype == b.indicators.dtype
+        assert np.array_equal(a.indicators, b.indicators)
+    assert a.market_id == b.market_id
     assert_fields_equal(a.cov, b.cov)
     assert_fields_equal(a.constants, b.constants)
     assert a.viability == b.viability

@@ -173,12 +173,8 @@ def test_criterion_9_pipeline_equivalence():
         cov_matrix=first.cov.matrix,
         expected_returns=first.expected_returns,
         rf=window.rf_annual,
-        aux=np.array([(s.ann_return, s.ann_vol, s.beta) for s in first.stats]),
-        market_aux=(
-            first.market_stats.asset_id,
-            first.market_stats.ann_return,
-            first.market_stats.ann_vol,
-        ),
+        aux=first.indicators[:3, :-1].T,
+        market_aux=(first.market_id, *first.indicators[:2, -1].tolist()),
         window=window,
     )
     second = replay_paper(replay)

@@ -186,6 +186,23 @@ class TestAnalyze:
         assert err.startswith("error: ") and err.count("\n") == 1 and field in err, err
         assert files_under(tmp_path) == before
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_return_exit_1(self, tmp_path, capsys):
+        # the close after a subnormal one gives an infinite simple return
+        cfg = make_config(tmp_path)
+        lines = (tmp_path / "b.csv").read_text().splitlines()
+        assert lines[60].startswith("2019-03-01,")
+        lines[60] = "2019-03-01,1e-310"
+        (tmp_path / "b.csv").write_text("\n".join(lines) + "\n")
+        before = files_under(tmp_path)
+        assert main(["analyze", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: BBB: return on 2019-03-02 overflows the floating-point range "
+            "(previous close too small)\n"
+        )
+        assert files_under(tmp_path) == before
+
     def test_non_utf8_price_file_exit_1(self, tmp_path, capsys):
         cfg = make_config(tmp_path)
         csv = tmp_path / "b.csv"
@@ -356,6 +373,50 @@ class TestReplay:
         err = capsys.readouterr().err
         assert err.startswith(f"numeric error: {ratio} ratio is not finite"), err
         assert err.count("\n") == 1
+        assert files_under(tmp_path) == [bad]
+
+    def test_market_without_asset_stats_is_not_shown(self, tmp_path, capsys):
+        # the market column is printed only beside the assets' indicators
+        doc = json.loads((FIXTURES / "replay_2023.json").read_text())
+        del doc["asset_stats"]
+        src = tmp_path / "m.json"
+        src.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["replay", "--input", str(src), "--output-dir", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        tables = (out / "2023" / "tables.csv").read_text()
+        assert tables.startswith("Covariance,") and "ICOLCAP" not in tables
+
+    @pytest.mark.filterwarnings("error")
+    def test_market_without_asset_stats_is_checked(self, tmp_path, capsys):
+        doc = json.loads((FIXTURES / "replay_2023.json").read_text())
+        del doc["asset_stats"]
+        doc["market"]["ann_vol"] = 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["replay", "--input", str(bad), "--output-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "numeric error: Sharpe undefined for zero volatility\n"
+        assert files_under(tmp_path) == [bad]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            # gamma = E(R)' A^-1 E(R) overflows
+            lambda doc: doc["expected_returns"].__setitem__(2, 1e160),
+            # alpha * gamma and b * b overflow, so delta is inf - inf
+            lambda doc: doc.update(cov_matrix=(1e-300 * np.eye(4)).tolist()),
+        ],
+        ids=["huge-returns", "tiny-covariance"],
+    )
+    def test_overflowing_constants_exit_2(self, tmp_path, capsys, edit):
+        doc = json.loads((FIXTURES / "replay_2023.json").read_text())
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["replay", "--input", str(bad), "--output-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == "numeric error: frontier constants overflow the floating-point range\n"
         assert files_under(tmp_path) == [bad]
 
     @pytest.mark.parametrize("variance, code", [(1e30, 0), (1e307, 1)])

@@ -19,7 +19,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 NEEDED = {"frontera", "argparse", "gettext", "json", "_json", "csv", "_csv", "decimal", "_decimal"}
 
 RECORDS = [
-    "AnalysisConfig", "PriceSeries", "PricePanel", "WindowSpec", "AssetStats",
+    "AnalysisConfig", "PriceSeries", "PricePanel", "WindowSpec",
     "CovarianceModel", "FrontierConstants", "TangencySolution", "PortfolioSolution",
     "Viability", "FrontierCurve", "WindowReport", "ReplayInput", "Summary",
 ]
@@ -54,7 +54,7 @@ def records() -> dict:
     )
     found = [
         config, series_from_prices("A", [1.0, 2.0]), panel_from_returns({"A": [0.1]}, [0.2]),
-        report.window, report.stats[0], report.cov, report.constants, report.tangency,
+        report.window, report.cov, report.constants, report.tangency,
         report.solution, report.viability, report.curve, report, replay, summarize([report]),
     ]
     return {type(r).__name__: r for r in found}

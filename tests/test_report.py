@@ -84,9 +84,22 @@ class TestAnalyzeWindow:
 
     def test_stats_include_market_row(self):
         report = analyze_window(symmetric_panel(), WINDOW)
-        assert report.market_stats.asset_id == "MKT"
-        assert report.market_stats.beta == 1.0
-        assert report.market_stats.capm == pytest.approx(report.market_stats.ann_return)
+        assert report.market_id == "MKT"
+        assert report.indicators[2, -1] == 1.0
+        assert report.indicators[3, -1] == pytest.approx(report.indicators[0, -1])
+
+    def test_indicator_layout(self):
+        # rows Return, Volatility, Beta, CAPM, Sharpe, Treynor; the N assets, then the market
+        report = analyze_window(symmetric_panel(), WINDOW)
+        ind, rf = report.indicators, WINDOW.rf_annual
+        assert ind.shape == (6, 3) and ind.dtype == float
+        assert ind[3, -1] == ind[0, -1] and ind[2, -1] == 1.0
+        assert ind[3, :-1].tolist() == report.expected_returns.tolist()
+        assert ind[4].tolist() == ((ind[0] - rf) / ind[1]).tolist()
+        assert ind[5].tolist() == ((ind[0] - rf) / ind[2]).tolist()
+        table = table_cells(render_tables(report).split("\n\n")[0], "csv")
+        assert table[0] == ["Indicator", "A", "B", "MKT"]
+        assert [c for row in table[1:] for c in row[1:]] == format_pcts(ind.ravel())
 
 
 class TestReplayPaper:
@@ -160,11 +173,11 @@ class TestReplayPaper:
 
     def test_aux_stats_echo(self):
         report = replay_paper(load_fixture("2015_2023"))
-        pfb = report.stats[0]
-        assert pfb.asset_id == "PFBANCOLOMBIA"
-        assert pfb.sharpe == pytest.approx(-0.2050, abs=5e-4)
-        assert pfb.treynor == pytest.approx(-0.1382, abs=5e-4)
-        assert report.market_stats.treynor == pytest.approx(-0.0875, abs=1e-4)
+        assert report.labels[0] == "PFBANCOLOMBIA"
+        assert report.indicators[4, 0] == pytest.approx(-0.2050, abs=5e-4)
+        assert report.indicators[5, 0] == pytest.approx(-0.1382, abs=5e-4)
+        assert report.market_id == "ICOLCAP"
+        assert report.indicators[5, -1] == pytest.approx(-0.0875, abs=1e-4)
 
 
 class TestPipelineEquivalence:
@@ -176,12 +189,8 @@ class TestPipelineEquivalence:
             cov_matrix=first.cov.matrix,
             expected_returns=first.expected_returns,
             rf=WINDOW.rf_annual,
-            aux=np.array([(s.ann_return, s.ann_vol, s.beta) for s in first.stats]),
-            market_aux=(
-                first.market_stats.asset_id,
-                first.market_stats.ann_return,
-                first.market_stats.ann_vol,
-            ),
+            aux=first.indicators[:3, :-1].T,
+            market_aux=(first.market_id, *first.indicators[:2, -1].tolist()),
             window=WINDOW,
         )
         second = replay_paper(replay)
@@ -203,9 +212,8 @@ class TestSummarize:
         assert summary.returns[0] == pytest.approx(0.038, abs=0.001)
         # cells are copied from the reports, not recomputed
         for i, r in enumerate(reports):
-            betas = np.array([s.beta for s in r.stats])
-            assert summary.betas[i] == betas @ r.solution.weights
-            assert summary.historical[:, i].tolist() == [s.ann_return for s in r.stats]
+            assert summary.betas[i] == r.indicators[2, :4] @ r.solution.weights
+            assert summary.historical[:, i].tolist() == r.indicators[0, :4].tolist()
             assert summary.capm[:, i].tolist() == r.expected_returns.tolist()
             assert summary.returns[i] == r.solution.port_return
             assert summary.variances[i] == r.solution.variance
@@ -250,7 +258,7 @@ class TestSummarize:
         perf, weights, blocks = [table_cells(t, fmt) for t in tables]
         assert perf[0] == ["Indicator", "2015-2023", "2020", "2023"]
         rows = {row[0]: row[1:] for row in perf[1:]}
-        beta_2023 = np.array([s.beta for s in reports[2].stats]) @ reports[2].solution.weights
+        beta_2023 = reports[2].indicators[2, :4] @ reports[2].solution.weights
         assert rows["Beta"] == ["non-viable", "non-viable", f"{beta_2023:.2f}"]
         for name in ("Return", "Variance", "Risk", "Sharpe"):
             assert rows[name][1] == "non-viable"
@@ -288,11 +296,10 @@ class TestEmitFrontierCurve:
 
     def test_paper_markers(self):
         report = replay_paper(load_fixture("2015_2023"))
-        curve = emit_frontier_curve(report, 200, (0.0, 0.08))
-        assert curve.gmv_marker[0] == pytest.approx(0.253, abs=0.003)
-        assert curve.gmv_marker[1] == pytest.approx(0.038, abs=0.001)
-        assert curve.tangency_marker[0] == pytest.approx(0.282, abs=0.005)
-        assert curve.tangency_marker[1] == pytest.approx(0.0311, abs=0.001)
+        assert report.solution.risk == pytest.approx(0.253, abs=0.003)
+        assert report.solution.port_return == pytest.approx(0.038, abs=0.001)
+        assert report.tangency.sigma_rt == pytest.approx(0.282, abs=0.005)
+        assert report.tangency.r_t == pytest.approx(0.0311, abs=0.001)
 
     def test_two_points(self):
         report = replay_paper(load_fixture("2023"))
@@ -305,12 +312,14 @@ class TestEmitFrontierCurve:
         fc = replay_paper(replay).constants
         window = replay.window._replace(rf_annual=fc.b / fc.alpha)
         report = replay_paper(replay._replace(window=window))
-        assert report.tangency is None and report.curve.tangency_marker is None
+        assert report.tangency is None
         assert report.curve.points.shape == (200, 2)
         assert report.curve.cml_points.shape == (0, 2)
         assert curve_csv(report.curve)[1] == "risk,cml_value\n"
-        root = ET.fromstring(render_svg(report.curve))
+        root = ET.fromstring(render_svg(report))
         assert len(root.findall("{http://www.w3.org/2000/svg}polyline")) == 1
+        texts = [t.text for t in root.findall("{http://www.w3.org/2000/svg}text")]
+        assert "GMV" in texts and "Tangency" not in texts
 
     def test_non_viable_rejected(self):
         report = replay_paper(load_fixture("2020"))
@@ -373,7 +382,7 @@ class TestRendering:
 
     def test_svg_structure(self):
         report = replay_paper(load_fixture("2015_2023"))
-        svg = render_svg(report.curve)
+        svg = render_svg(report)
         root = ET.fromstring(svg)
         ns = "{http://www.w3.org/2000/svg}"
         polylines = root.findall(f"{ns}polyline")
@@ -381,10 +390,16 @@ class TestRendering:
         texts = [t.text for t in root.findall(f"{ns}text")]
         assert "GMV" in texts and "Tangency" in texts
         assert any(t == "PFBANCOLOMBIA" for t in texts)
+        # one marker per asset, then GMV and tangency
+        assert len(root.findall(f"{ns}circle")) == len(report.labels) + 2
+
+    def test_svg_needs_a_curve(self):
+        with pytest.raises(ReportError, match="empty curve"):
+            render_svg(replay_paper(load_fixture("2020")))
 
     def test_svg_deterministic(self):
         report = replay_paper(load_fixture("2023"))
-        assert render_svg(report.curve) == render_svg(report.curve)
+        assert render_svg(report) == render_svg(report)
 
 
 class TestWeightsAgainstPaperTables:
@@ -478,13 +493,12 @@ def render_tables_reference(report, fmt):
     """``render_tables`` assembled from per-cell strings, one row at a time."""
     out = []
     cols = list(report.labels)
-    if report.stats is not None:
-        stats = list(report.stats) + ([report.market_stats] if report.market_stats else [])
+    if report.indicators is not None:
+        ids = cols + ([] if report.market_id is None else [report.market_id])
         names = ["Return", "Volatility", "Beta", "CAPM", "Sharpe", "Treynor"]
-        attrs = ["ann_return", "ann_vol", "beta", "capm", "sharpe", "treynor"]
-        cells = pct_reference([[getattr(s, a) for s in stats] for a in attrs])
+        cells = pct_reference(report.indicators)
         rows = [[name] + row for name, row in zip(names, cells)]
-        out.append(table_reference(["Indicator"] + [s.asset_id for s in stats], rows, fmt))
+        out.append(table_reference(["Indicator"] + ids, rows, fmt))
     for name, matrix, places in [
         ("Covariance", report.cov.matrix, 2),
         ("Inverse", report.cov.inverse, 0),
