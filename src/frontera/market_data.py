@@ -272,6 +272,8 @@ def simple_returns(panel: PricePanel) -> np.ndarray:
     """Daily simple returns P_t / P_{t-1} - 1 of every row.
 
     Column t is dated ``common_dates[t + 1]``, the later day of its pair.
+    A return that overflows or rounds to -100% (one close tiny against its
+    neighbour) raises MarketDataError naming the series and that date.
     """
     c = panel.closes
     if c.shape[1] < 2:
@@ -279,9 +281,12 @@ def simple_returns(panel: PricePanel) -> np.ndarray:
     with np.errstate(over="ignore"):  # closes are positive: only overflow, refused below
         r = c[:, 1:] / c[:, :-1] - 1.0
     if not np.isfinite(r).all():
-        t, row = np.argwhere(~np.isfinite(r.T))[0]  # the earliest date first
-        raise MarketDataError(
-            f"{(*panel.labels, panel.market_id)[row]}: return on {panel.common_dates[t + 1]} "
-            "overflows the floating-point range (previous close too small)"
-        )
-    return r
+        bad, why = ~np.isfinite(r), "overflows the floating-point range (previous close too small)"
+    elif not r.min() > -1.0:  # a ratio below eps/2 rounds r to -1 exactly
+        bad, why = r <= -1.0, "rounds to -100% (close too small)"
+    else:
+        return r
+    t, row = np.argwhere(bad.T)[0]  # the earliest date first
+    raise MarketDataError(
+        f"{(*panel.labels, panel.market_id)[row]}: return on {panel.common_dates[t + 1]} {why}"
+    )

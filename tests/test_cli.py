@@ -50,6 +50,15 @@ def make_config(tmp_path, n_days=400, seed=17, extra=None):
     return cfg
 
 
+# written out by dump() as "[" * 100000 + "]" * 100000, deeper than json.loads recurses
+DEEP = "<deeply nested list>"
+
+
+def dump(doc) -> str:
+    """``json.dumps(doc)`` with every DEEP string written out as the nested list."""
+    return json.dumps(doc).replace(json.dumps(DEEP), "[" * 100_000 + "]" * 100_000)
+
+
 def files_under(root):
     return sorted(p for p in root.rglob("*") if p.is_file())
 
@@ -82,8 +91,10 @@ class TestAnalyze:
         assert main(["analyze", "--config", str(cfg), "--window", "nope"]) == 1
         assert "no window named" in capsys.readouterr().err
 
-    def test_missing_config_exit_1(self, tmp_path):
-        assert main(["analyze", "--config", str(tmp_path / "absent.json")]) == 1
+    def test_missing_config_exit_1(self, tmp_path, capsys):
+        absent = tmp_path / "absent.json"
+        assert main(["analyze", "--config", str(absent)]) == 1
+        assert capsys.readouterr().err == f"error: {absent}: file not found\n"
 
     def test_missing_units_exit_1(self, tmp_path, capsys):
         cfg = make_config(tmp_path)
@@ -167,19 +178,20 @@ class TestAnalyze:
             (lambda doc: doc["market"].update(id="\udcffM"), "id"),
             (lambda doc: doc["assets"][1].update(csv_path="b\ud800.csv"), "csv_path"),
             (lambda doc: doc.update(output_dir="o\udfff"), "output_dir"),
+            (lambda doc: doc.update(windows=DEEP), "invalid JSON: nested too deeply"),
         ],
         ids=[
             "windows-not-list", "market-not-object", "assets-not-list", "output-dir-not-str",
             "asset-id-not-str", "csv-path-not-str", "window-not-object", "asset-id-duplicate",
             "market-id-is-asset-id", "asset-id-surrogate", "market-id-surrogate",
-            "csv-path-surrogate", "output-dir-surrogate",
+            "csv-path-surrogate", "output-dir-surrogate", "nested-too-deeply",
         ],
     )
     def test_bad_structure_exit_1(self, tmp_path, capsys, edit, field):
         cfg = make_config(tmp_path)
         doc = json.loads(cfg.read_text())
         edit(doc)
-        cfg.write_text(json.dumps(doc))
+        cfg.write_text(dump(doc))
         before = files_under(tmp_path)
         assert main(["analyze", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
@@ -187,20 +199,26 @@ class TestAnalyze:
         assert files_under(tmp_path) == before
 
     @pytest.mark.filterwarnings("error")
-    def test_overflowing_return_exit_1(self, tmp_path, capsys):
-        # the close after a subnormal one gives an infinite simple return
+    @pytest.mark.parametrize(
+        "line, day, message",
+        [
+            # the close after a subnormal one gives an infinite simple return
+            (60, "2019-03-01", "return on 2019-03-02 overflows the floating-point range "
+                               "(previous close too small)"),
+            # a subnormal close on w2's last date, with none after it, gives a return of -1
+            (401, "2020-02-05", "return on 2020-02-05 rounds to -100% (close too small)"),
+        ],
+        ids=["overflow", "last-close"],
+    )
+    def test_overflowing_return_exit_1(self, tmp_path, capsys, line, day, message):
         cfg = make_config(tmp_path)
         lines = (tmp_path / "b.csv").read_text().splitlines()
-        assert lines[60].startswith("2019-03-01,")
-        lines[60] = "2019-03-01,1e-310"
+        assert lines[line].startswith(day + ",")
+        lines[line] = f"{day},1e-310"
         (tmp_path / "b.csv").write_text("\n".join(lines) + "\n")
         before = files_under(tmp_path)
         assert main(["analyze", "--config", str(cfg)]) == 1
-        err = capsys.readouterr().err
-        assert err == (
-            "error: BBB: return on 2019-03-02 overflows the floating-point range "
-            "(previous close too small)\n"
-        )
+        assert capsys.readouterr().err == f"error: BBB: {message}\n"
         assert files_under(tmp_path) == before
 
     def test_non_utf8_price_file_exit_1(self, tmp_path, capsys):
@@ -317,18 +335,19 @@ class TestReplay:
             (lambda doc: doc["market"].update(id=5), "id"),
             (lambda doc: doc["market"].update(id="ISA"), "market id"),
             (lambda doc: doc["market"].update(id="\udcffX"), "id"),
+            (lambda doc: doc.update(cov_matrix=DEEP), "invalid JSON: nested too deeply"),
         ],
         ids=[
             "er-string", "er-nan", "cov-ragged", "cov-nan", "cov-inf", "asset-stats-not-list",
             "asset-stat-not-object", "asset-stat-nan", "market-not-object", "market-id-not-str",
-            "market-id-is-label", "market-id-surrogate",
+            "market-id-is-label", "market-id-surrogate", "nested-too-deeply",
         ],
     )
     def test_bad_fixture_exit_1(self, tmp_path, capsys, edit, field):
         doc = json.loads((FIXTURES / "replay_2015_2023.json").read_text())
         edit(doc)
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
+        bad.write_text(dump(doc))
         assert main(["replay", "--input", str(bad), "--output-dir", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and field in err, err
@@ -451,6 +470,12 @@ class TestReplay:
         bad.write_text("{not json")
         assert main(["replay", "--input", str(bad)]) == 1
 
+    def test_missing_input_exit_1(self, tmp_path, capsys):
+        absent = tmp_path / "absent.json"
+        assert main(["replay", "--input", str(absent), "--output-dir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {absent}: file not found\n"
+        assert files_under(tmp_path) == []
+
     def test_shape_mismatch_exit_1(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(
@@ -530,6 +555,13 @@ class TestSummarize:
             ]
         ) == 0
         assert (tmp_path / "summary.md").read_text().startswith("|")
+
+    def test_missing_input_exit_1(self, tmp_path, capsys):
+        absent = tmp_path / "absent.json"
+        inputs = [str(FIXTURES / "replay_2023.json"), str(absent)]
+        assert main(["summarize", "--inputs", *inputs, "--output-dir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {absent}: file not found\n"
+        assert files_under(tmp_path) == []
 
 
 class TestLoaders:

@@ -28,14 +28,28 @@ NAMES = sorted(p.stem.removeprefix("replay_") for p in FIXTURES.glob("replay_*.j
 ANALYZE_CONFIG = FIXTURES / "analyze" / "config.json"
 
 
-def run_command(argv: list[str], out: Path) -> dict[str, str]:
-    """SHA-256 of every file ``main(argv)`` writes under ``out``, by relative path."""
-    assert main(argv + ["--output-dir", str(out)]) == 0
+def files_sha256(out: Path) -> dict[str, str]:
+    """SHA-256 of every file under ``out``, by relative path."""
     return {
         p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(out.rglob("*"))
         if p.is_file()
     }
+
+
+def golden_for(key: str) -> dict[str, str]:
+    """The golden digests of run ``key``, by relative path."""
+    return {
+        k[len(key) + 1 :]: v
+        for k, v in json.loads(GOLDEN.read_text()).items()
+        if k.startswith(key + "/")
+    }
+
+
+def run_command(argv: list[str], out: Path) -> dict[str, str]:
+    """SHA-256 of every file ``main(argv)`` writes under ``out``, by relative path."""
+    assert main(argv + ["--output-dir", str(out)]) == 0
+    return files_sha256(out)
 
 
 def commands() -> dict[str, list[str]]:
@@ -67,11 +81,7 @@ def test_golden_files_cover_every_fixture():
 
 @pytest.mark.parametrize("key", list(commands()))
 def test_outputs_match_golden(key, tmp_path):
-    golden = {
-        k[len(key) + 1 :]: v
-        for k, v in json.loads(GOLDEN.read_text()).items()
-        if k.startswith(key + "/")
-    }
+    golden = golden_for(key)
     written = run_command(commands()[key], tmp_path)
     assert sorted(written) == sorted(golden), f"{key}: files written differ from the golden set"
     changed = [rel for rel in golden if written[rel] != golden[rel]]
