@@ -6,20 +6,17 @@ combined by inner join on dates: betas and covariances need synchronized
 observations, so any date missing from one series is dropped from all.
 """
 
-import csv
-import io
-import math
 from datetime import date as Date
 from typing import NamedTuple
 
 import numpy as np
 
-_EPOCH_ORDINAL = Date(1970, 1, 1).toordinal()  # day 0 of datetime64[D]
 _BOM = "\ufeff".encode()
-_LF, _COMMA, _DASH, _DOT, _ZERO = b"\n,-.0"
+_LF, _COMMA, _DASH, _DOT, _ZERO, _SPACE, _TAB = b"\n,-.0 \t"
 _MAX_DIGITS = 15  # every integer below 10**15 < 2**53 is exact as a float
 _DATE_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]  # positions in YYYY-MM-DD
-_DATE_DASHES = [4, 7]
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0])  # by month 0-13
+_MARCH_DAYS = (153 * ((np.arange(14) + 9) % 12) + 2) // 5  # days from March 1 to month 1-12
 
 
 class MarketDataError(ValueError):
@@ -85,119 +82,121 @@ class WindowSpec(_Window):
 def parse_price_csv(text: str | bytes, asset_id: str) -> PriceSeries:
     """Parse a ``date,close`` CSV into a date-ascending PriceSeries.
 
-    Rejects text that is not UTF-8, malformed rows (with their line
-    number), non-finite and non-positive prices, duplicate dates and empty
-    files. LF and CRLF are both accepted. A file in the canonical shape
-    (see ``_parse_canonical``) is parsed in bulk from its bytes; any other
-    file, valid or not, is decoded and goes through the row loop, which
-    also finds the first bad line.
+    A file in another layout than ``_parse_canonical``'s is normalized first.
+    Rejects text that is not UTF-8, empty files and, by its line, the first
+    bad row: malformed, priced non-finite or non-positive, or dated twice.
     """
     data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
     while data.startswith(_BOM):
         data = data[len(_BOM) :]
-    canonical = _parse_canonical(data)
-    if canonical is not None:
-        return PriceSeries(asset_id, *canonical)
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = text.count(b"\n", 0, exc.start) + 1
-            raise MarketDataError(
-                f"{asset_id}: not UTF-8 text at line {line}: {exc.reason}"
-            ) from None
-    text = text.lstrip("\ufeff")
-    reader = csv.reader(io.StringIO(text))
     try:
-        rows = [(i + 1, row) for i, row in enumerate(reader) if row]
-    except csv.Error as exc:  # e.g. a CR inside a row
-        raise MarketDataError(
-            f"{asset_id}: malformed row at line {reader.line_num}: {exc}"
-        ) from None
-    if not rows:
-        raise MarketDataError(f"{asset_id}: empty file")
-    header_line, header = rows[0]
-    if [c.strip().lower() for c in header] != ["date", "close"]:
-        raise MarketDataError(f"{asset_id}: expected header 'date,close' at line {header_line}")
-    days: list[int] = []  # proleptic Gregorian ordinals
-    closes: list[float] = []
-    seen: set[Date] = set()
-    for line_no, row in rows[1:]:
-        if len(row) != 2:
-            raise MarketDataError(f"{asset_id}: malformed row at line {line_no}")
-        try:
-            d = Date.fromisoformat(row[0].strip())
-            close = float(row[1])
-        except ValueError as exc:
-            raise MarketDataError(f"{asset_id}: malformed row at line {line_no}: {exc}") from None
-        if not math.isfinite(close):
-            raise MarketDataError(f"{asset_id}: non-finite price at line {line_no}")
-        if not close > 0:
-            raise MarketDataError(f"{asset_id}: non-positive price at line {line_no}")
-        if d in seen:
-            raise MarketDataError(f"{asset_id}: duplicate date {d} at line {line_no}")
-        seen.add(d)
-        days.append(d.toordinal())
-        closes.append(close)
-    if not days:
-        raise MarketDataError(f"{asset_id}: no data rows")
-    # from ordinals: numpy converts a list of date objects one at a time, ~25x slower
-    dates = (np.array(days) - _EPOCH_ORDINAL).astype("datetime64[D]")
-    order = np.argsort(dates)
-    return PriceSeries(asset_id, dates[order], np.array(closes)[order])
+        return PriceSeries(asset_id, *(_parse_canonical(data) or _parse_rows(*_normalize(data))))
+    except MarketDataError as exc:
+        raise MarketDataError(f"{asset_id}: {exc}") from None
 
 
 def _parse_canonical(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
-    """Sorted dates and closes of a canonical file, or None for any other shape.
+    """Sorted dates and closes of a canonical file, or None for another layout.
 
-    ``data`` is the file's bytes after any UTF-8 byte-order mark. Canonical:
-    the header line ``date,close``, then ASCII rows ``YYYY-MM-DD,<close>``
-    each ending in LF, with no CR, quote, space, tab or blank line; every
-    date valid and not in year 0, every close finite and positive, no date
-    twice. These are exactly the files the row loop accepts with this
-    shape, and the result equals the loop's: numpy parses a ``YYYY-MM-DD``
-    date like ``date.fromisoformat`` from year 1 on, and a close comes out
-    as the double ``float`` gives (see ``_fixed_point_closes``).
+    Canonical: after any byte-order mark, the header line ``date,close``,
+    then ASCII rows ending in LF, with no CR, space, tab or blank line.
     """
     header, _, body = data.partition(b"\n")
-    if (
-        header != b"date,close"
-        or not body.endswith(b"\n")
-        or not body.isascii()
-        or any(c in body for c in (b"\r", b'"', b" ", b"\t"))
-    ):
+    if header != b"date,close" or not body.endswith(b"\n") or not body.isascii():
+        return None
+    if any(c in body for c in b"\r \t"):
         return None
     b = np.frombuffer(body, np.uint8)
     ends = np.flatnonzero(b == _LF)
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    # one comma per row, 10 characters in; the date check below keeps a row's
-    # LF out of those 10 characters, so each row is exactly a date and a close
-    if not np.array_equal(np.flatnonzero(b == _COMMA), starts + 10):
-        return None
-    chars = np.take(b, starts[:, None] + np.arange(10))  # (rows, 10) date characters
-    digits = chars[:, _DATE_DIGITS] - _ZERO  # uint8: a non-digit wraps to >= 10
-    if not (
-        (chars[:, _DATE_DASHES] == _DASH).all()
-        and (digits < 10).all()
-        and digits[:, :4].any(axis=1).all()  # year 0000 is not a date
-    ):
-        return None
-    closes = _fixed_point_closes(b, ends, ends - starts - 11)
+    return None if (np.diff(ends, prepend=-1) == 1).any() else _parse_rows(b, ends)
+
+
+def _normalize(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_parse_rows``'s input from a UTF-8 file with a ``date,close`` header in
+    any case: LF ends, no blank lines (a line of spaces is not blank) and no
+    spaces or tabs around a field; ``lines`` numbers the rows left."""
     try:
-        dates = chars.view("S10").ravel().astype("datetime64[D]")
-        if closes is None:
-            text = body.decode("ascii")
-            closes = np.array(text.replace("\n", ",").split(",")[1::2], dtype=float)
-    except ValueError:
-        return None
-    if not (np.isfinite(closes).all() and (closes > 0).all()):
-        return None
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise MarketDataError(f"not UTF-8 text at line {line}: {exc.reason}") from None
+    b = np.frombuffer((data + b"\n").replace(b"\r\n", b"\n"), np.uint8)
+    ends = np.flatnonzero(b == _LF)
+    blank = np.diff(ends, prepend=-1) == 1
+    pad = (b == _SPACE) | (b == _TAB)
+    edge = (b == _LF) | (b == _COMMA)
+    # a pad byte goes when only pad bytes part it from a comma or a line's
+    # start or end; before the first line, index -1 reads the final LF
+    at = np.arange(len(b))
+    before = np.maximum.accumulate(np.where(pad, -1, at))
+    after = np.minimum.accumulate(np.where(pad, len(b), at)[::-1])[::-1]
+    drop = pad & (edge[before] | edge[after])
+    drop[ends[blank]] = True
+    b, lines = b[~drop], np.flatnonzero(~blank) + 1
+    ends = np.flatnonzero(b == _LF)
+    if not len(lines):
+        raise MarketDataError("empty file")
+    if b[: ends[0]].tobytes().lower() != b"date,close":
+        raise MarketDataError(f"expected header 'date,close' at line {lines[0]}")
+    if len(lines) == 1:
+        raise MarketDataError("no data rows")
+    return b[ends[0] + 1 :], ends[1:] - ends[0] - 1, lines[1:]
+
+
+def _parse_rows(b: np.ndarray, ends: np.ndarray, lines: np.ndarray | None = None):
+    """Sorted dates and closes of rows ``YYYY-MM-DD,<close>``, LF at ``ends``.
+
+    A date must exist, from year 1 on; a close must be visible ASCII that
+    ``float`` reads as finite and positive; no date may repeat. The first row
+    to break a rule is named by its line (``lines``, else 2 + its index).
+    """
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    # (11, rows): each row's date and comma; a row shorter than that has its LF in them
+    chars = np.take(b, np.arange(11)[:, None] + starts, mode="clip")
+    d = (chars[_DATE_DIGITS] - _ZERO).astype(np.int32)  # a non-digit wraps to >= 10
+    century, yy = d[0] * 10 + d[1], d[2] * 10 + d[3]
+    year, month, day = century * 100 + yy, d[4] * 10 + d[5], d[6] * 10 + d[7]
+    leap = (np.where(yy > 0, yy, century) & 3) == 0
+    ok = (
+        (chars[4] == _DASH) & (chars[7] == _DASH) & (chars[10] == _COMMA)
+        & (d < 10).all(axis=0) & (year > 0) & (day > 0)
+        & (day <= np.take(_MONTH_DAYS, month, mode="clip") + ((month == 2) & leap))
+    )
+    # days from 1970-01-01, with years counted from March so that a leap day
+    # ends one (Hinnant, "chrono-Compatible Low-Level Date Algorithms")
+    y = year - (month < 3)
+    days = 365 * y + (y >> 2) - y // 100 + y // 400 + np.take(_MARCH_DAYS, month, mode="clip")
+    dates = (days + day - 719469).astype("datetime64[D]")
+    closes = _fixed_point_closes(b, ends, ends - starts - 11) if ok.all() else None
+    if closes is None:  # float() reads the closes, in rows with one comma
+        commas = np.flatnonzero(b == _COMMA)
+        if not np.array_equal(commas, starts + 10):  # a row without exactly one comma
+            ok &= np.bincount(np.searchsorted(ends, commas), minlength=len(ok)) == 1
+        # float() strips whitespace, so a close must start and end in visible ASCII
+        edges = np.take(b, np.concatenate([starts + 11, ends - 1]), mode="clip").reshape(2, -1)
+        ok &= (edges > 32).all(axis=0) & (edges < 127).all(axis=0)
+        first_bad = np.append(ok, False).argmin()
+        fields = str(b, "latin-1").replace("\n", ",").split(",")[1 : 2 * first_bad : 2]
+        rest = iter(fields)
+        try:
+            closes = np.fromiter(map(float, rest), float, len(fields))
+        except ValueError:  # the rows end before the close float() refused, the last taken
+            closes = np.array(fields[: len(fields) - len(list(rest)) - 1], dtype=float)
+    dates = dates[: len(closes)]  # the rows read: the first malformed row ends them
+    bad = ~((closes > 0) & (closes < np.inf))  # non-finite or non-positive
+    order = None
     if not (dates[1:] > dates[:-1]).all():  # sort only files out of date order
-        order = np.argsort(dates)
-        dates, closes = dates[order], closes[order]
-        if (dates[1:] == dates[:-1]).any():
-            return None
-    return dates, closes
+        order = np.argsort(dates, kind="stable")
+        bad[order[1:]] |= dates[order[1:]] == dates[order[:-1]]  # the later of equal dates
+    if bad.any():
+        row = int(bad.argmax())
+        check = [not np.isfinite(closes[row]), not closes[row] > 0, True].index(True)
+        why = ("non-finite price", "non-positive price", f"duplicate date {dates[row]}")[check]
+    elif len(closes) < len(ok):
+        row, why = len(closes), "malformed row"
+    else:
+        return (dates, closes) if order is None else (dates[order], closes[order])
+    raise MarketDataError(f"{why} at line {row + 2 if lines is None else lines[row]}")
 
 
 def _fixed_point_closes(b: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
@@ -225,7 +224,7 @@ def _fixed_point_closes(b: np.ndarray, ends: np.ndarray, lengths: np.ndarray) ->
         block = np.delete(block, w - k - 1, axis=0)
     block -= _ZERO  # a non-digit wraps to >= 10
     width = len(block)
-    block[np.arange(width, 0, -1)[:, None] > lengths - has_point] = 0  # bytes before each close
+    block *= np.arange(width, 0, -1)[:, None] <= lengths - has_point  # zero bytes before each close
     if not (block < 10).all():
         return None
     return (10.0 ** np.arange(width - 1, -1, -1) @ block) / 10.0**k

@@ -5,14 +5,25 @@ minimum portfolio variance from above, and checks the tangency point with
 finite differences. Deliberately shares no computation with the
 closed-form frontier code: the risk formula here is re-derived inline
 from the scalar constants.
+
+``reference_parse_price_csv`` is the ``csv``-module row loop that once read
+price files, kept as the reference for the bytes parser.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import math
 from dataclasses import dataclass
+from datetime import date as Date
 from typing import Iterator
 
 import numpy as np
+
+from frontera.market_data import MarketDataError, PriceSeries
+
+_EPOCH_ORDINAL = Date(1970, 1, 1).toordinal()  # day 0 of datetime64[D]
 
 
 class OracleError(ValueError):
@@ -103,3 +114,60 @@ def fd_tangency_check(fc, rf: float, eps: float = 1e-6) -> float:
     slope = (r_t - rf) / risk(r_t)
     inv_slope = 1.0 / slope
     return abs(d_risk - inv_slope) / abs(inv_slope)
+
+
+def reference_parse_price_csv(text: str | bytes, asset_id: str) -> PriceSeries:
+    """A ``date,close`` CSV read row by row with the ``csv`` module.
+
+    Accepts more than ``parse_price_csv``: any date ``date.fromisoformat``
+    takes (which depends on the Python version), quoted fields and any
+    whitespace around fields. Where both accept a file they give the same
+    arrays; where both refuse one they name the same line.
+    """
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = text.count(b"\n", 0, exc.start) + 1
+            raise MarketDataError(
+                f"{asset_id}: not UTF-8 text at line {line}: {exc.reason}"
+            ) from None
+    text = text.lstrip("\ufeff")
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = [(i + 1, row) for i, row in enumerate(reader) if row]
+    except csv.Error as exc:  # e.g. a CR inside a row
+        raise MarketDataError(
+            f"{asset_id}: malformed row at line {reader.line_num}: {exc}"
+        ) from None
+    if not rows:
+        raise MarketDataError(f"{asset_id}: empty file")
+    header_line, header = rows[0]
+    if [c.strip().lower() for c in header] != ["date", "close"]:
+        raise MarketDataError(f"{asset_id}: expected header 'date,close' at line {header_line}")
+    days: list[int] = []  # proleptic Gregorian ordinals
+    closes: list[float] = []
+    seen: set[Date] = set()
+    for line_no, row in rows[1:]:
+        if len(row) != 2:
+            raise MarketDataError(f"{asset_id}: malformed row at line {line_no}")
+        try:
+            d = Date.fromisoformat(row[0].strip())
+            close = float(row[1])
+        except ValueError as exc:
+            raise MarketDataError(f"{asset_id}: malformed row at line {line_no}: {exc}") from None
+        if not math.isfinite(close):
+            raise MarketDataError(f"{asset_id}: non-finite price at line {line_no}")
+        if not close > 0:
+            raise MarketDataError(f"{asset_id}: non-positive price at line {line_no}")
+        if d in seen:
+            raise MarketDataError(f"{asset_id}: duplicate date {d} at line {line_no}")
+        seen.add(d)
+        days.append(d.toordinal())
+        closes.append(close)
+    if not days:
+        raise MarketDataError(f"{asset_id}: no data rows")
+    # from ordinals: numpy converts a list of date objects one at a time, ~25x slower
+    dates = (np.array(days) - _EPOCH_ORDINAL).astype("datetime64[D]")
+    order = np.argsort(dates)
+    return PriceSeries(asset_id, dates[order], np.array(closes)[order])

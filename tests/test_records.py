@@ -16,7 +16,7 @@ from conftest import load_fixture, panel_from_returns, series_from_prices
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # what importing frontera.cli may add to the modules numpy already loaded
-NEEDED = {"frontera", "argparse", "gettext", "json", "_json", "csv", "_csv", "decimal", "_decimal"}
+NEEDED = {"frontera", "argparse", "gettext", "json", "_json", "decimal", "_decimal"}
 
 RECORDS = [
     "AnalysisConfig", "PriceSeries", "PricePanel", "WindowSpec",
