@@ -82,65 +82,61 @@ class WindowSpec(_Window):
 def parse_price_csv(text: str | bytes, asset_id: str) -> PriceSeries:
     """Parse a ``date,close`` CSV into a date-ascending PriceSeries.
 
-    A file in another layout than ``_parse_canonical``'s is normalized first.
-    Rejects text that is not UTF-8, empty files and, by its line, the first
-    bad row: malformed, priced non-finite or non-positive, or dated twice.
+    ``_normalize`` rewrites the bytes only where the file holds what it
+    removes. Rejects text that is not UTF-8, empty files and, by its line,
+    the first bad row: malformed, priced non-finite or non-positive, or
+    dated twice.
     """
     data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
     while data.startswith(_BOM):
         data = data[len(_BOM) :]
     try:
-        return PriceSeries(asset_id, *(_parse_canonical(data) or _parse_rows(*_normalize(data))))
+        return PriceSeries(asset_id, *_parse_rows(*_normalize(data)))
     except MarketDataError as exc:
         raise MarketDataError(f"{asset_id}: {exc}") from None
 
 
-def _parse_canonical(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
-    """Sorted dates and closes of a canonical file, or None for another layout.
-
-    Canonical: after any byte-order mark, the header line ``date,close``,
-    then ASCII rows ending in LF, with no CR, space, tab or blank line.
-    """
-    header, _, body = data.partition(b"\n")
-    if header != b"date,close" or not body.endswith(b"\n") or not body.isascii():
-        return None
-    if any(c in body for c in b"\r \t"):
-        return None
-    b = np.frombuffer(body, np.uint8)
-    ends = np.flatnonzero(b == _LF)
-    return None if (np.diff(ends, prepend=-1) == 1).any() else _parse_rows(b, ends)
-
-
-def _normalize(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _normalize(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """``_parse_rows``'s input from a UTF-8 file with a ``date,close`` header in
     any case: LF ends, no blank lines (a line of spaces is not blank) and no
-    spaces or tabs around a field; ``lines`` numbers the rows left."""
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise MarketDataError(f"not UTF-8 text at line {line}: {exc.reason}") from None
-    b = np.frombuffer((data + b"\n").replace(b"\r\n", b"\n"), np.uint8)
+    spaces or tabs around a field. Each step runs only on a file that holds
+    what it removes; ``lines`` numbers the rows left, or is None when the
+    blank-line and pad pass did not run and row i is on line i + 2."""
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise MarketDataError(f"not UTF-8 text at line {line}: {exc.reason}") from None
+    if not data.endswith(b"\n"):  # before the CRLF replace, so that a final lone CR goes
+        data += b"\n"
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+    b = np.frombuffer(data, np.uint8)
     ends = np.flatnonzero(b == _LF)
     blank = np.diff(ends, prepend=-1) == 1
-    pad = (b == _SPACE) | (b == _TAB)
-    edge = (b == _LF) | (b == _COMMA)
-    # a pad byte goes when only pad bytes part it from a comma or a line's
-    # start or end; before the first line, index -1 reads the final LF
-    at = np.arange(len(b))
-    before = np.maximum.accumulate(np.where(pad, -1, at))
-    after = np.minimum.accumulate(np.where(pad, len(b), at)[::-1])[::-1]
-    drop = pad & (edge[before] | edge[after])
-    drop[ends[blank]] = True
-    b, lines = b[~drop], np.flatnonzero(~blank) + 1
-    ends = np.flatnonzero(b == _LF)
-    if not len(lines):
-        raise MarketDataError("empty file")
+    lines = None
+    if b" " in data or b"\t" in data or blank.any():
+        pad = (b == _SPACE) | (b == _TAB)
+        edge = (b == _LF) | (b == _COMMA)
+        # runs of pad bytes [start, stop), the final LF closing the last; one goes when
+        # a comma or a line's start or end touches it; index -1 reads the final LF
+        start, stop = np.flatnonzero(np.diff(pad, prepend=False)).reshape(-1, 2).T
+        keep = edge[start - 1] | edge[stop]
+        marks = np.zeros(len(b), np.int8)
+        marks[start[keep]], marks[stop[keep]] = 1, -1
+        drop = np.cumsum(marks, dtype=np.int8).view(bool)
+        drop[ends[blank]] = True
+        b, lines = b[~drop], np.flatnonzero(~blank) + 1
+        ends = np.flatnonzero(b == _LF)
+        if not len(lines):
+            raise MarketDataError("empty file")
     if b[: ends[0]].tobytes().lower() != b"date,close":
-        raise MarketDataError(f"expected header 'date,close' at line {lines[0]}")
-    if len(lines) == 1:
+        line = 1 if lines is None else lines[0]
+        raise MarketDataError(f"expected header 'date,close' at line {line}")
+    if len(ends) == 1:
         raise MarketDataError("no data rows")
-    return b[ends[0] + 1 :], ends[1:] - ends[0] - 1, lines[1:]
+    return b[ends[0] + 1 :], ends[1:] - ends[0] - 1, None if lines is None else lines[1:]
 
 
 def _parse_rows(b: np.ndarray, ends: np.ndarray, lines: np.ndarray | None = None):

@@ -129,7 +129,8 @@ def invert_matrix(matrix: np.ndarray) -> np.ndarray:
     exchanges. Each must exceed 1e-12 times the largest diagonal entry, or the
     k-th leading minor is not positive and the matrix is reported as not
     positive definite. A leading block's factor is the leading block of L, so
-    bisection on the block size finds k. The inverse is Li' Li, Li = L^-1.
+    bisection on the block size finds k. The inverse is Li' Li, Li = L^-1,
+    computed as a symmetric rank-k update, so it is exactly symmetric.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -165,4 +166,4 @@ def invert_matrix(matrix: np.ndarray) -> np.ndarray:
         inv = low_inv.T @ low_inv
     if not np.all(np.isfinite(inv)):
         raise StatsError("inverse overflows the floating-point range")
-    return (inv + inv.T) / 2.0  # rounding can leave tiny asymmetry
+    return inv

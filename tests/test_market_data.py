@@ -18,7 +18,7 @@ from frontera import (
     slice_window,
 )
 from frontera import market_data
-from frontera.market_data import _parse_canonical
+from frontera.market_data import _normalize
 
 from conftest import assert_fields_equal, series_from_prices
 
@@ -74,6 +74,27 @@ class TestParsePriceCsv:
         with pytest.raises(MarketDataError, match="header"):
             parse_price_csv("fecha,cierre\n2015-01-02,100", "A")
 
+    @pytest.mark.parametrize("layout", ["LF", "CRLF", "padded"])
+    def test_memory_proportional_to_file(self, layout):
+        # k = 12: these 2.0-2.1 MiB files peaked at 10.1x (LF), 33.8x (CRLF) and
+        # 35.4x (", " separators) of their size when every file but a canonical
+        # one took three int64 positions per byte, and at 9.1x, 9.6x and 10.0x
+        # with each normalization step run only on a file that needs it
+        n = 100_000
+        days = (np.datetime64("1970-01-01") + np.arange(n)).astype(str)
+        closes = (np.arange(n) % 9000 + 1000) / 100
+        lf = "date,close\n" + "".join(f"{d},{c:.6f}\n" for d, c in zip(days, closes.tolist()))
+        text = {"LF": lf, "CRLF": lf.replace("\n", "\r\n"), "padded": lf.replace(",", ", ")}[layout]
+        data = text.encode()
+        tracemalloc.start()
+        try:
+            s = parse_price_csv(data, "A")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(s.closes) == n
+        assert peak <= 12 * len(data)
+
 
 def outcome(text):
     """What parse_price_csv makes of text: the exact arrays, or the error message."""
@@ -84,8 +105,8 @@ def outcome(text):
     return s.dates.dtype, s.dates.tobytes(), s.closes.tobytes()
 
 
-def assert_paths_agree(text):
-    """The LF text against its CRLF copy, which always takes the row loop."""
+def assert_line_ends_agree(text):
+    """The LF text, its CRLF copy and its bytes give the same arrays or message."""
     assert outcome(text) == outcome(text.replace("\n", "\r\n")) == outcome(text.encode())
 
 
@@ -93,7 +114,8 @@ ROWS = "2015-01-02,100\n2015-01-05,101.5\n"
 
 
 class TestBulkPathMatchesRowLoop:
-    """A canonical file is parsed in bulk; every other shape goes through the loop."""
+    """Odd and bad files read the same with LF and CRLF ends; a canonical file
+    is read as it is, with no normalization step."""
 
     @pytest.mark.parametrize(
         "text",
@@ -152,18 +174,32 @@ class TestBulkPathMatchesRowLoop:
         ],
     )
     def test_odd_and_bad_files(self, text):
-        assert_paths_agree(text)
+        assert_line_ends_agree(text)
 
     def test_canonical_file_takes_bulk_path(self):
-        assert _parse_canonical(("date,close\n" + ROWS).encode()) is not None
-        assert _parse_canonical(("date,close\r\n" + ROWS.replace("\n", "\r\n")).encode()) is None
+        assert _normalize(("date,close\n" + ROWS).encode())[2] is None
+
+    def test_crlf_file_skips_pad_pass(self, monkeypatch):
+        data = b"date,close\r\n2015-01-02,100.25\r\n2015-01-05,101.50\r\n"
+        assert _normalize(data)[2] is None
+        fixed_point = []
+        real = market_data._fixed_point_closes
+
+        def record(*args):
+            fixed_point.append(real(*args))
+            return fixed_point[-1]
+
+        monkeypatch.setattr(market_data, "_fixed_point_closes", record)
+        s = parse_price_csv(data, "A")
+        assert len(fixed_point) == 1 and fixed_point[0] is not None
+        assert s.closes.tolist() == [100.25, 101.5]
 
     def test_date_grid(self):
         # every month 00-13 and day 00-32 of years at the edges of both parsers
         for year in ("0000", "0001", "1900", "2000", "2015", "2016", "9999"):
             for month in range(14):
                 for day in range(33):
-                    assert_paths_agree(f"date,close\n{year}-{month:02d}-{day:02d},1\n")
+                    assert_line_ends_agree(f"date,close\n{year}-{month:02d}-{day:02d},1\n")
 
     def test_closes_bit_equal_to_float(self):
         rng = np.random.default_rng(20150102)
@@ -174,7 +210,7 @@ class TestBulkPathMatchesRowLoop:
         closes = [c if float(c) > 0 else "1" for c in closes]  # %.6f of tiny values is 0
         days = np.datetime64("1970-01-01") + np.arange(n)
         text = "date,close\n" + "".join(f"{d},{c}\n" for d, c in zip(days.astype(str), closes))
-        assert _parse_canonical(text.encode()) is not None
+        assert _normalize(text.encode())[2] is None
         s = parse_price_csv(text, "A")
         assert s.closes.tobytes() == np.array([float(c) for c in closes]).tobytes()
         assert np.array_equal(s.dates, days)
@@ -220,9 +256,9 @@ class TestBulkPathMatchesRowLoop:
     def test_well_formed_rows(self, rows):
         lines = [f"{d.isoformat()},{fmt.format(c)}\n" for d, (c, fmt) in rows.items()]
         text = "date,close\n" + "".join(lines)
-        assert_paths_agree(text)
+        assert_line_ends_agree(text)
         if not isinstance(outcome(text), str):
-            assert _parse_canonical(text.encode()) is not None
+            assert _normalize(text.encode())[2] is None
 
     def test_not_utf8(self):
         with pytest.raises(MarketDataError, match="A: not UTF-8 text at line 3"):
