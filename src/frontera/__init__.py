@@ -44,7 +44,6 @@ from .frontier import (
     gmv_portfolio,
     tangency,
     viability_check,
-    weights_for_target,
 )
 from .report import (
     FrontierCurve,

@@ -103,29 +103,6 @@ def gmv_portfolio(fc: FrontierConstants, rf: float) -> PortfolioSolution:
     )
 
 
-def weights_for_target(
-    fc: FrontierConstants, target: float, rf: float | None = None
-) -> PortfolioSolution:
-    """Frontier portfolio with expected return pinned to ``target``.
-
-    lambda = (gamma - b*target)/delta, theta = (alpha*target - b)/delta,
-    omega = lambda*h + theta*g. The weights sum to one by the identity
-    lambda*alpha + theta*b = 1.
-    """
-    _check_delta(fc)
-    lam = (fc.gamma - fc.b * target) / fc.delta
-    theta = (fc.alpha * target - fc.b) / fc.delta
-    variance = (fc.alpha * target * target - 2.0 * fc.b * target + fc.gamma) / fc.delta
-    risk = float(np.sqrt(variance))
-    return PortfolioSolution(
-        weights=lam * fc.h + theta * fc.g,
-        port_return=target,
-        variance=variance,
-        risk=risk,
-        sharpe=None if rf is None else (target - rf) / risk,
-    )
-
-
 def tangency(fc: FrontierConstants, rf: float) -> TangencySolution:
     """Tangency point of the line from (0, rf) to the frontier, and CML slope."""
     _check_delta(fc)

@@ -12,6 +12,7 @@ import numpy as np
 
 TRADING_DAYS = 252
 SYM_TOL = 1e-10  # largest |A - A'| entry accepted, relative to the largest |A| entry
+INVERSE_LEAF = 32  # largest triangular block that _lower_inverse inverts by a solve
 
 
 class StatsError(ValueError):
@@ -129,8 +130,9 @@ def invert_matrix(matrix: np.ndarray) -> np.ndarray:
     exchanges. Each must exceed 1e-12 times the largest diagonal entry, or the
     k-th leading minor is not positive and the matrix is reported as not
     positive definite. A leading block's factor is the leading block of L, so
-    bisection on the block size finds k. The inverse is Li' Li, Li = L^-1,
-    computed as a symmetric rank-k update, so it is exactly symmetric.
+    bisection on the block size finds k. The inverse is Li' Li, Li = L^-1
+    from ``_lower_inverse``, computed as a symmetric rank-k update, so it is
+    exactly symmetric.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -162,8 +164,31 @@ def invert_matrix(matrix: np.ndarray) -> np.ndarray:
                 f"(leading minor {k + 1} not positive)",
                 pivot_index=k,
             )
-        low_inv = np.linalg.solve(low, np.eye(len(a)))
+        low_inv = _lower_inverse(low)
         inv = low_inv.T @ low_inv
     if not np.all(np.isfinite(inv)):
         raise StatsError("inverse overflows the floating-point range")
     return inv
+
+
+def _lower_inverse(low: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix by 2x2 block recursion.
+
+    With L = [[L11, 0], [L21, L22]] split at h = n // 2, the inverse is
+    X = [[X11, 0], [X21, X22]] with X11 = L11^-1, X22 = L22^-1 and
+    X21 = -X22 L21 X11; the upper block stays exactly zero. The products
+    do not skip the triangles' zero halves, so this costs about 2n^3/3
+    flops (n^3/3 is the least for a triangular inverse), nearly all in
+    matrix products, against about 2.7 n^3 for an LU solve of L X = I.
+    A block of at most INVERSE_LEAF rows goes to that solve, so a factor
+    that small gets the solve's inverse bit for bit.
+    """
+    n = len(low)
+    if n <= INVERSE_LEAF:
+        return np.linalg.solve(low, np.eye(n))
+    h = n // 2
+    x = np.zeros_like(low)
+    x[:h, :h] = x11 = _lower_inverse(low[:h, :h])
+    x[h:, h:] = x22 = _lower_inverse(low[h:, h:])
+    x[h:, :h] = -x22 @ (low[h:, :h] @ x11)
+    return x

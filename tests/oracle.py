@@ -4,7 +4,8 @@ Enumerates long-only weight vectors on a simplex grid to bound the
 minimum portfolio variance from above, and checks the tangency point with
 finite differences. Deliberately shares no computation with the
 closed-form frontier code: the risk formula here is re-derived inline
-from the scalar constants.
+from the scalar constants. ``weights_for_target`` builds the frontier
+portfolio at a target return from those constants in the same way.
 
 ``reference_parse_price_csv`` is the ``csv``-module row loop that once read
 price files, kept as the reference for the bytes parser.
@@ -21,6 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
+from frontera.frontier import DegenerateFrontierError, PortfolioSolution
 from frontera.market_data import MarketDataError, PriceSeries
 
 _EPOCH_ORDINAL = Date(1970, 1, 1).toordinal()  # day 0 of datetime64[D]
@@ -114,6 +116,29 @@ def fd_tangency_check(fc, rf: float, eps: float = 1e-6) -> float:
     slope = (r_t - rf) / risk(r_t)
     inv_slope = 1.0 / slope
     return abs(d_risk - inv_slope) / abs(inv_slope)
+
+
+def weights_for_target(fc, target: float) -> PortfolioSolution:
+    """Frontier portfolio with expected return pinned to ``target``.
+
+    lambda = (gamma - b*target)/delta, theta = (alpha*target - b)/delta,
+    omega = lambda*h + theta*g. The weights sum to one by the identity
+    lambda*alpha + theta*b = 1. A delta the frontier module calls
+    degenerate raises DegenerateFrontierError here too.
+    """
+    a, b, gam, d = fc.alpha, fc.b, fc.gamma, fc.delta
+    if d <= 1e-12 * max(1.0, a * abs(gam)):
+        raise DegenerateFrontierError(f"delta = {d:.3e}: the frontier is degenerate")
+    lam = (gam - b * target) / d
+    theta = (a * target - b) / d
+    variance = (a * target * target - 2.0 * b * target + gam) / d
+    return PortfolioSolution(
+        weights=lam * fc.h + theta * fc.g,
+        port_return=target,
+        variance=variance,
+        risk=float(np.sqrt(variance)),
+        sharpe=None,
+    )
 
 
 def reference_parse_price_csv(text: str | bytes, asset_id: str) -> PriceSeries:

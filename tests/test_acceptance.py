@@ -25,7 +25,6 @@ from frontera import (
     invert_matrix,
     replay_paper,
     tangency,
-    weights_for_target,
 )
 from frontera.cli import main
 from frontera.frontier import TangencyUndefinedError
@@ -38,7 +37,7 @@ from conftest import (
     random_expected_returns,
     random_pd_matrix,
 )
-from oracle import GridSpec, fd_tangency_check, grid_min_variance
+from oracle import GridSpec, fd_tangency_check, grid_min_variance, weights_for_target
 
 
 def ok(n, text):

@@ -13,10 +13,10 @@ from frontera import (
     replay_paper,
     tangency,
     viability_check,
-    weights_for_target,
 )
 
 from conftest import load_fixture, random_expected_returns, random_pd_matrix
+from oracle import weights_for_target
 
 
 def cov_model(matrix, labels=None):

@@ -15,11 +15,10 @@ from frontera import (
     gmv_portfolio,
     invert_matrix,
     tangency,
-    weights_for_target,
 )
 
 from conftest import random_expected_returns, random_pd_matrix
-from oracle import GridSpec, fd_tangency_check, grid_min_variance
+from oracle import GridSpec, fd_tangency_check, grid_min_variance, weights_for_target
 
 
 def random_model(rng, n):

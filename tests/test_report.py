@@ -16,7 +16,6 @@ from frontera import (
     render_tables,
     replay_paper,
     summarize,
-    weights_for_target,
 )
 from frontera.report import ReportError, format_pcts
 from frontera.stats import NotPositiveDefiniteError, StatsError
@@ -27,6 +26,7 @@ from conftest import (
     panel_from_returns,
     random_pd_matrix,
 )
+from oracle import weights_for_target
 
 
 def orthogonal_pair(n=240, scale=0.01):
