@@ -15,6 +15,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import reprlib
 import sys
 from datetime import date as Date
@@ -175,10 +176,11 @@ def _load_json(path: Path) -> dict:
 
 
 def _parse_date(raw, where: str) -> Date:
-    try:
-        return Date.fromisoformat(raw)
-    except (TypeError, ValueError):
-        raise InputError(f"{where}: invalid date {raw!r} (expected YYYY-MM-DD)") from None
+    # from Python 3.11 on, fromisoformat also takes forms such as 20190101
+    if isinstance(raw, str) and re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", raw):
+        with contextlib.suppress(ValueError):
+            return Date.fromisoformat(raw)
+    raise InputError(f"{where}: invalid date {raw!r} (expected YYYY-MM-DD)")
 
 
 def load_config(path: Path) -> AnalysisConfig:
@@ -256,29 +258,15 @@ def load_replay_input(path: Path) -> rp.ReplayInput:
             raise InputError(f"{where}: market id must differ from the labels")
     cov_matrix = _require(doc, "cov_matrix", where, _numbers((n, n)))
     expected_returns = _require(doc, "expected_returns", where, _numbers((n,)))
-    name = doc.get("name", "replay")
     try:
-        window = WindowSpec(name, Date(1900, 1, 1), Date(2100, 1, 1), rf)
+        window = WindowSpec(doc.get("name", "replay"), Date(1900, 1, 1), Date(2100, 1, 1), rf)
     except MarketDataError as exc:
         raise InputError(f"{where}: {exc}") from None
-    return rp.ReplayInput(
-        labels=labels,
-        cov_matrix=cov_matrix,
-        expected_returns=expected_returns,
-        rf=rf,
-        aux=aux,
-        market_aux=market_aux,
-        window=window,
-    )
+    return rp.ReplayInput(labels, cov_matrix, expected_returns, window, aux, market_aux)
 
 
 def _output_dir(default: Path, override: str | None) -> Path:
-    env = os.environ.get("FRONTERA_OUTPUT_DIR")
-    if override:
-        return Path(override)
-    if env:
-        return Path(env)
-    return default
+    return Path(override or os.environ.get("FRONTERA_OUTPUT_DIR") or default)
 
 
 def _ext(fmt: str) -> str:
@@ -295,15 +283,18 @@ def _add_report_files(out: OutputSet, base: Path, report: rp.WindowReport, fmt: 
         out.add(base / "frontier.svg", rp.render_svg(report))
 
 
+def _named_window(cfg: AnalysisConfig, args) -> WindowSpec:
+    for w in cfg.windows:
+        if w.name == args.window:
+            return w
+    raise InputError(f"{args.config}: no window named {args.window!r}")
+
+
 def _cmd_analyze(args) -> int:
     cfg = load_config(Path(args.config))
     out_dir = _output_dir(cfg.output_dir, args.output_dir)
+    windows = cfg.windows if args.window is None else (_named_window(cfg, args),)
     panel = _load_panel(cfg)
-    windows = cfg.windows
-    if args.window is not None:
-        windows = tuple(w for w in cfg.windows if w.name == args.window)
-        if not windows:
-            raise InputError(f"{args.config}: no window named {args.window!r}")
     reports = [rp.analyze_window(panel, w, cfg.trading_days) for w in windows]
     out = OutputSet()
     for report in reports:
@@ -328,8 +319,7 @@ def _load_panel(cfg: AnalysisConfig):
 
 
 def _cmd_replay(args) -> int:
-    replay = load_replay_input(Path(args.input))
-    report = rp.replay_paper(replay)
+    report = rp.replay_paper(load_replay_input(Path(args.input)))
     out_dir = _output_dir(Path(args.input).parent / "out", args.output_dir)
     out = OutputSet()
     _add_report_files(out, out_dir, report, args.format)
@@ -352,11 +342,8 @@ def _parse_span(raw: str) -> tuple[float, float]:
 def _cmd_frontier(args) -> int:
     cfg = load_config(Path(args.config))
     out_dir = _output_dir(cfg.output_dir, args.output_dir)
-    matching = [w for w in cfg.windows if w.name == args.window]
-    if not matching:
-        raise InputError(f"{args.config}: no window named {args.window!r}")
-    panel = _load_panel(cfg)
-    report = rp.analyze_window(panel, matching[0], cfg.trading_days)
+    window = _named_window(cfg, args)
+    report = rp.analyze_window(_load_panel(cfg), window, cfg.trading_days)
     span = _parse_span(args.span) if args.span else None
     try:
         curve = rp.emit_frontier_curve(report, args.points, span)

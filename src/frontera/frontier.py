@@ -19,8 +19,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .stats import CovarianceModel
-
 
 class FrontierError(ValueError):
     pass
@@ -63,14 +61,15 @@ class Viability(NamedTuple):
     reason: str | None = None
 
 
-def frontier_constants(cov: CovarianceModel, expected_returns: np.ndarray) -> FrontierConstants:
-    """Auxiliary vectors h, g and scalars alpha, b, gamma, delta."""
+def frontier_constants(inverse: np.ndarray, expected_returns: np.ndarray) -> FrontierConstants:
+    """Auxiliary vectors h, g and scalars alpha, b, gamma, delta from A^-1 (invert_matrix)."""
+    n = len(inverse)
     er = np.asarray(expected_returns, dtype=float)
-    if er.shape != (cov.n,):
-        raise FrontierError(f"expected-returns length {er.shape} does not match {cov.n} assets")
+    if er.shape != (n,):
+        raise FrontierError(f"expected-returns length {er.shape} does not match {n} assets")
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        h = np.ones(cov.n) @ cov.inverse
-        g = er @ cov.inverse
+        h = np.ones(n) @ inverse
+        g = er @ inverse
         alpha = float(h.sum())
         b = float(g.sum())
         gamma = float(er @ g)

@@ -13,7 +13,6 @@ A window in which every expected return is negative is marked non-viable:
 no weights, tangency or curve are produced for it.
 """
 
-from datetime import date as Date
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from itertools import accumulate
 from typing import NamedTuple
@@ -52,7 +51,8 @@ class WindowReport(NamedTuple):
     # assets, then the market column when market_id is set; None if unknown
     indicators: np.ndarray | None
     market_id: str | None
-    cov: st.CovarianceModel
+    cov: np.ndarray  # annualized covariance matrix A, (N, N)
+    inverse: np.ndarray  # A^-1 from st.invert_matrix, which certifies A positive definite
     constants: fr.FrontierConstants
     viability: fr.Viability
     tangency: fr.TangencySolution | None
@@ -64,11 +64,10 @@ class ReplayInput(NamedTuple):
     labels: tuple[str, ...]
     cov_matrix: np.ndarray
     expected_returns: np.ndarray
-    rf: float
+    window: WindowSpec  # its rf_annual is the risk-free rate
     # (N, 3) published ann_return, ann_vol and beta per label, echoed in the indicator table
     aux: np.ndarray | None = None
     market_aux: tuple[str, float, float] | None = None  # (id, ann_return, ann_vol)
-    window: WindowSpec | None = None
 
 
 def analyze_window(
@@ -83,8 +82,10 @@ def analyze_window(
     betas = np.append(st.beta(r[:-1], r[-1]), 1.0)  # the market's own beta is 1
     capm = st.capm_expected_return(betas, rf, ann_return[-1])
     indicators = _indicators(ann_return, ann_vol, betas, capm, rf)
-    cov = st.covariance_matrix(r[:-1], sliced.labels, trading_days)
-    return _build_report(window, cov.labels, capm[:-1], indicators, sliced.market_id, cov)
+    cov = st.sample_covariance(r[:-1], trading_days)
+    inverse = st.invert_matrix(cov)
+    labels, market_id = sliced.labels, sliced.market_id
+    return _build_report(window, labels, capm[:-1], indicators, market_id, cov, inverse)
 
 
 def _indicators(ann_return, ann_vol, betas, capm, rf) -> np.ndarray:
@@ -105,9 +106,7 @@ def replay_paper(replay: ReplayInput) -> WindowReport:
     if er.shape != (len(labels),):
         raise ReportError(f"expected-returns length does not match {len(labels)} labels")
     inverse = st.invert_matrix(matrix)
-    cov = st.CovarianceModel(labels, matrix, inverse)
-    window = replay.window or WindowSpec("replay", Date(1900, 1, 1), Date(2100, 1, 1), replay.rf)
-    rf = window.rf_annual
+    rf = replay.window.rf_annual
 
     columns = np.empty((0, 4))  # (ann_return, ann_vol, beta, capm) rows
     if replay.aux is not None:
@@ -123,13 +122,13 @@ def replay_paper(replay: ReplayInput) -> WindowReport:
     indicators = _indicators(*columns.T, rf)  # checks the market even when it is not shown
     if replay.aux is None:
         indicators = market_id = None
-    return _build_report(window, labels, er, indicators, market_id, cov)
+    return _build_report(replay.window, labels, er, indicators, market_id, matrix, inverse)
 
 
-def _build_report(window, labels, er, indicators, market_id, cov) -> WindowReport:
+def _build_report(window, labels, er, indicators, market_id, cov, inverse) -> WindowReport:
     """Shared tail of analyze/replay; keeping one code path keeps the two
     modes numerically identical on identical intermediate inputs."""
-    fc = fr.frontier_constants(cov, er)
+    fc = fr.frontier_constants(inverse, er)
     viability = fr.viability_check(er)
     tang = solution = None
     if viability.viable:
@@ -139,7 +138,7 @@ def _build_report(window, labels, er, indicators, market_id, cov) -> WindowRepor
         except (fr.TangencyUndefinedError, fr.DegenerateFrontierError):
             pass
     report = WindowReport(
-        window, labels, er, indicators, market_id, cov, fc, viability, tang, solution, None
+        window, labels, er, indicators, market_id, cov, inverse, fc, viability, tang, solution, None
     )
     if solution is not None:
         try:
@@ -270,15 +269,15 @@ def summarize(reports: list[WindowReport]) -> Summary:
 
 _PAD, _SPACE = np.uint8(0xFF), np.uint8(ord(" "))
 _FILL = bytes([_PAD])
-_MINUS, _POINT, _PERCENT, _NEWLINE, _ZERO = b"-.%\n0"
+_MINUS, _POINT, _PERCENT, _ZERO = b"-.%0"
 _POW10 = 10 ** np.arange(10, dtype=np.int32)[:, None]  # a printed m < 5e8 < 10**9
 # 1 for a byte that starts a character: neither fill nor a UTF-8 continuation byte
 _STARTS = ((np.arange(256) & 0xC0) != 0x80).astype(np.uint8)
 _STARTS[_PAD] = 0
 
 
-def format_pcts(values, places: int = 2):
-    """Percent strings of the numbers in ``values``, nested like ``values``.
+def _pct_cells(values, places: int) -> np.ndarray:
+    """The block of the percent cells of the numbers in ``values``, in row order.
 
     Each cell is the shortest ``repr`` of ``y = x * 100`` rounded half up
     (away from zero on a tie) to ``places`` decimals. The shortest repr is
@@ -291,13 +290,6 @@ def format_pcts(values, places: int = 2):
     path. NaN prints as ``NaN%``; a cell whose percent is infinite raises
     ReportError.
     """
-    block = _pct_cells(values, places)
-    lines = _text(np.concatenate([block, np.full((1, block.shape[1]), _NEWLINE, np.uint8)]).T)
-    return np.array(lines.split("\n")[:-1], dtype=object).reshape(np.shape(values)).tolist()
-
-
-def _pct_cells(values, places: int) -> np.ndarray:
-    """The block of ``format_pcts(values, places)``, cells in row order."""
     x = np.asarray(values, dtype=float).ravel()
     with np.errstate(over="ignore", invalid="ignore"):
         y = x * 100
@@ -436,7 +428,7 @@ def render_tables(report: WindowReport, format: str = "csv") -> str:
     # print is named from the first table that holds one.
     ind = np.empty((6, 0)) if report.indicators is None else report.indicators
     indicator_cells, cov_cells = _split(
-        _pct_cells(np.concatenate([ind.ravel(), report.cov.matrix.ravel()]), 2),
+        _pct_cells(np.concatenate([ind.ravel(), report.cov.ravel()]), 2),
         [ind.size, len(cols) ** 2],
     )
     out = []
@@ -444,7 +436,7 @@ def render_tables(report: WindowReport, format: str = "csv") -> str:
         ids = cols + ([] if report.market_id is None else [report.market_id])
         out.append(_table(["Indicator"] + ids, [indicator_names], indicator_cells, format))
     out.append(_table(["Covariance"] + cols, [labels], cov_cells, format))
-    out.append(_table(["Inverse"] + cols, [labels], _pct_cells(report.cov.inverse, 0), format))
+    out.append(_table(["Inverse"] + cols, [labels], _pct_cells(report.inverse, 0), format))
     constant_cells, portfolio_cells = _split(
         _pct_cells([fc.alpha, fc.b, fc.gamma, fc.delta] + values, 2), [4, len(values)]
     )
@@ -526,7 +518,7 @@ def render_svg(report: WindowReport) -> str:
     if curve is None or not len(curve.points):
         raise ReportError("empty curve")
     frontier_xy = curve.points[:, ::-1]  # (risk, return) rows
-    assets = np.column_stack([np.sqrt(np.diag(report.cov.matrix)), report.expected_returns])
+    assets = np.column_stack([np.sqrt(np.diag(report.cov)), report.expected_returns])
     markers = [(sol.risk, sol.port_return)] + ([] if tan is None else [(tan.sigma_rt, tan.r_t)])
     xy = np.concatenate([frontier_xy, curve.cml_points, assets, markers])
     x_lo, x_hi = 0.0, float(xy[:, 0].max()) * 1.05 or 1.0

@@ -6,8 +6,6 @@ uses a configurable trading-day count (default 252): geometric compounding
 for returns, sqrt scaling for volatility, linear scaling for covariances.
 """
 
-from typing import NamedTuple
-
 import numpy as np
 
 TRADING_DAYS = 252
@@ -25,20 +23,6 @@ class NotPositiveDefiniteError(StatsError):
     def __init__(self, message: str, pivot_index: int | None = None):
         super().__init__(message)
         self.pivot_index = pivot_index
-
-
-class CovarianceModel(NamedTuple):
-    """Annualized covariance matrix with its inverse from ``invert_matrix``:
-    every pivot of its Cholesky factor passed the positivity check, which
-    certifies the matrix positive definite."""
-
-    labels: tuple[str, ...]
-    matrix: np.ndarray
-    inverse: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
 
 
 def annualized_return(returns: np.ndarray, trading_days: int = TRADING_DAYS) -> np.ndarray:
@@ -113,14 +97,6 @@ def sample_covariance(returns: np.ndarray, trading_days: int = TRADING_DAYS) -> 
         raise StatsError("need at least 2 observations")
     rc = returns - returns.mean(axis=1, keepdims=True)
     return (rc @ rc.T) / (n_obs - 1) * trading_days
-
-
-def covariance_matrix(
-    returns: np.ndarray, labels: tuple[str, ...], trading_days: int = TRADING_DAYS
-) -> CovarianceModel:
-    """Sample covariance matrix of the labelled rows plus its inverse; inversion certifies PD."""
-    a = sample_covariance(returns, trading_days)
-    return CovarianceModel(tuple(labels), a, invert_matrix(a))
 
 
 def invert_matrix(matrix: np.ndarray) -> np.ndarray:

@@ -12,22 +12,11 @@ from datetime import date
 import numpy as np
 import pytest
 
-from frontera import (
-    CovarianceModel,
-    ReplayInput,
-    WindowSpec,
-    analyze_window,
-    asset_sharpe,
-    asset_treynor,
-    capm_expected_return,
-    frontier_constants,
-    frontier_risk,
-    invert_matrix,
-    replay_paper,
-    tangency,
-)
 from frontera.cli import main
-from frontera.frontier import TangencyUndefinedError
+from frontera.frontier import TangencyUndefinedError, frontier_constants, frontier_risk
+from frontera.market_data import WindowSpec
+from frontera.report import ReplayInput, analyze_window, replay_paper
+from frontera.stats import asset_sharpe, asset_treynor, capm_expected_return, invert_matrix
 
 from conftest import (
     FIXTURES,
@@ -133,9 +122,8 @@ def test_criterion_8_property_suite():
         matrix = random_pd_matrix(rng, n)
         inverse = invert_matrix(matrix)
         assert np.max(np.abs(matrix @ inverse - np.eye(n))) <= 1e-9
-        cov = CovarianceModel(tuple(f"A{k}" for k in range(n)), matrix, inverse)
         er = random_expected_returns(rng, n)
-        fc = frontier_constants(cov, er)
+        fc = frontier_constants(inverse, er)
         target = float(rng.uniform(-0.02, 0.15))
         sol = weights_for_target(fc, target)
         assert sol.weights.sum() == pytest.approx(1.0, abs=1e-9)
@@ -169,12 +157,11 @@ def test_criterion_9_pipeline_equivalence():
     first = analyze_window(panel, window)
     replay = ReplayInput(
         labels=first.labels,
-        cov_matrix=first.cov.matrix,
+        cov_matrix=first.cov,
         expected_returns=first.expected_returns,
-        rf=window.rf_annual,
+        window=window,
         aux=first.indicators[:3, :-1].T,
         market_aux=(first.market_id, *first.indicators[:2, -1].tolist()),
-        window=window,
     )
     second = replay_paper(replay)
     assert_reports_identical(first, second)

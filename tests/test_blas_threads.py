@@ -16,7 +16,7 @@ VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 # the thread count of the OpenBLAS that numpy loaded, or None where it cannot be asked
 PROBE = """
 import ctypes, json, os
-import frontera
+import frontera.cli  # loads numpy, and with it OpenBLAS, after frontera sets the counts
 
 def blas_threads():
     try:

@@ -137,6 +137,9 @@ class TestAnalyze:
             ({"name": 5}, {}),
             ({"name": "w\ud800"}, {}),
             ({"rf_annual": "x"}, {}),
+            # forms that date.fromisoformat accepts from Python 3.11 on
+            ({"start": "20190101"}, {}),
+            ({"end": "2019-W52-2"}, {}),
             ({}, {"trading_days": "abc"}),
             ({}, {"trading_days": 1e300}),
             ({}, {"trading_days": 2.7}),
@@ -146,7 +149,7 @@ class TestAnalyze:
         ],
         ids=[
             "name-escapes", "name-not-str", "name-surrogate", "rf-not-number",
-            "trading-days-not-int", "trading-days-huge", "trading-days-fraction",
+            "start-compact", "end-week-date", "trading-days-not-int", "trading-days-huge", "trading-days-fraction",
             "trading-days-bool", "trading-days-zero", "trading-days-367",
         ],
     )
@@ -590,7 +593,7 @@ class TestLoaders:
     def test_load_replay_fixture(self):
         replay = load_replay_input(FIXTURES / "replay_2015_2023.json")
         assert replay.labels == ("PFBANCOLOMBIA", "ECOPETROL", "ISA", "BANCOLOMBIA")
-        assert replay.rf == pytest.approx(0.0687)
+        assert replay.window.rf_annual == pytest.approx(0.0687)
         assert replay.aux.shape == (4, 3) and replay.aux.dtype == float
         assert replay.market_aux[0] == "ICOLCAP"
 

@@ -1,41 +1,36 @@
+import re
+
 import numpy as np
 import pytest
 
-from frontera import (
-    CovarianceModel,
+from frontera.frontier import (
     DegenerateFrontierError,
     FrontierError,
     TangencyUndefinedError,
     frontier_constants,
     frontier_risk,
     gmv_portfolio,
-    invert_matrix,
-    replay_paper,
     tangency,
     viability_check,
 )
+from frontera.report import replay_paper
+from frontera.stats import invert_matrix
 
 from conftest import load_fixture, random_expected_returns, random_pd_matrix
 from oracle import weights_for_target
 
 
-def cov_model(matrix, labels=None):
-    matrix = np.asarray(matrix, dtype=float)
-    labels = labels or tuple(f"A{i}" for i in range(matrix.shape[0]))
-    return CovarianceModel(tuple(labels), matrix, invert_matrix(matrix))
-
-
 def fixture_constants(name):
     replay = load_fixture(name)
-    cov = cov_model(replay.cov_matrix, replay.labels)
-    return frontier_constants(cov, np.asarray(replay.expected_returns)), cov, replay.rf
+    fc = frontier_constants(invert_matrix(replay.cov_matrix), replay.expected_returns)
+    return fc, replay.cov_matrix, replay.window.rf_annual
 
 
 class TestFrontierConstants:
     def test_identical_assets(self):
         sigma2, e = 0.04, 0.06
-        cov = cov_model(sigma2 * np.eye(2))
-        fc = frontier_constants(cov, np.array([e, e]))
+        inverse = invert_matrix(sigma2 * np.eye(2))
+        fc = frontier_constants(inverse, np.array([e, e]))
         assert np.allclose(fc.h, [1 / sigma2, 1 / sigma2])
         assert fc.alpha == pytest.approx(2 / sigma2)
         assert fc.b == pytest.approx(2 * e / sigma2)
@@ -63,16 +58,18 @@ class TestFrontierConstants:
         assert fc.b == float(fc.g.sum())
 
     def test_dimension_mismatch(self):
-        cov = cov_model(np.eye(3))
-        with pytest.raises(FrontierError, match="match"):
-            frontier_constants(cov, np.array([0.01, 0.02]))
+        inverse = invert_matrix(np.eye(3))
+        for er in ([0.01, 0.02], [0.01] * 4, [[0.01], [0.02], [0.03]]):
+            message = f"expected-returns length {np.shape(er)} does not match 3 assets"
+            with pytest.raises(FrontierError, match=f"^{re.escape(message)}$"):
+                frontier_constants(inverse, er)
 
 
 class TestGmvPortfolio:
     def test_symmetric_two_assets(self):
         sigma2 = 0.09
-        cov = cov_model(sigma2 * np.eye(2))
-        fc = frontier_constants(cov, np.array([0.05, 0.05]))
+        inverse = invert_matrix(sigma2 * np.eye(2))
+        fc = frontier_constants(inverse, np.array([0.05, 0.05]))
         sol = gmv_portfolio(fc, 0.02)
         assert np.allclose(sol.weights, [0.5, 0.5])
         assert sol.variance == pytest.approx(sigma2 / 2)
@@ -83,16 +80,16 @@ class TestGmvPortfolio:
         assert abs(sol.weights.sum() - 1.0) < 1e-9
 
     def test_matches_quadratic_form(self):
-        fc, cov, rf = fixture_constants("2016_2020")
+        fc, matrix, rf = fixture_constants("2016_2020")
         sol = gmv_portfolio(fc, rf)
-        variance = sol.weights @ cov.matrix @ sol.weights
+        variance = sol.weights @ matrix @ sol.weights
         assert variance == pytest.approx(sol.variance, rel=1e-9)
         assert np.sqrt(variance) == pytest.approx(sol.risk, rel=1e-9)
 
 
 class TestWeightsForTarget:
     def test_gmv_consistency(self):
-        fc, cov, rf = fixture_constants("2015_2023")
+        fc, _, rf = fixture_constants("2015_2023")
         target = fc.b / fc.alpha
         sol = weights_for_target(fc, target)
         assert abs((fc.alpha * target - fc.b) / fc.delta) < 1e-9  # theta
@@ -117,17 +114,17 @@ class TestWeightsForTarget:
 
     def test_binding_and_normalized(self):
         replay = load_fixture("2020_2023")
-        cov = cov_model(replay.cov_matrix, replay.labels)
+        inverse = invert_matrix(replay.cov_matrix)
         er = np.asarray(replay.expected_returns)
-        fc = frontier_constants(cov, er)
+        fc = frontier_constants(inverse, er)
         for target in (0.01, 0.03, 0.08):
             sol = weights_for_target(fc, target)
             assert abs(sol.weights.sum() - 1.0) < 1e-9
             assert abs(float(sol.weights @ er) - target) < 1e-9
 
     def test_degenerate_frontier(self):
-        cov = cov_model(0.04 * np.eye(3))
-        fc = frontier_constants(cov, np.full(3, 0.05))
+        inverse = invert_matrix(0.04 * np.eye(3))
+        fc = frontier_constants(inverse, np.full(3, 0.05))
         assert abs(fc.delta) < 1e-12
         with pytest.raises(DegenerateFrontierError):
             weights_for_target(fc, 0.06)
@@ -197,16 +194,16 @@ class TestTangency:
 
     def test_shift_property(self):
         replay = load_fixture("2015_2023")
-        cov = cov_model(replay.cov_matrix, replay.labels)
+        inverse = invert_matrix(replay.cov_matrix)
         er = np.asarray(replay.expected_returns)
         c = 0.0123
-        fc0 = frontier_constants(cov, er)
-        fc1 = frontier_constants(cov, er + c)
-        g0 = gmv_portfolio(fc0, replay.rf)
-        g1 = gmv_portfolio(fc1, replay.rf + c)
+        fc0 = frontier_constants(inverse, er)
+        fc1 = frontier_constants(inverse, er + c)
+        g0 = gmv_portfolio(fc0, replay.window.rf_annual)
+        g1 = gmv_portfolio(fc1, replay.window.rf_annual + c)
         assert np.array_equal(g0.weights, g1.weights)
-        t0 = tangency(fc0, replay.rf)
-        t1 = tangency(fc1, replay.rf + c)
+        t0 = tangency(fc0, replay.window.rf_annual)
+        t1 = tangency(fc1, replay.window.rf_annual + c)
         assert t1.r_t == pytest.approx(t0.r_t + c, abs=1e-9)
 
 
@@ -233,8 +230,8 @@ class TestFrontierRiskAndCml:
             assert isinstance(frontier_risk(fc, 0.05), float)
 
     def test_degenerate(self):
-        cov = cov_model(0.04 * np.eye(2))
-        fc = frontier_constants(cov, np.full(2, 0.05))
+        inverse = invert_matrix(0.04 * np.eye(2))
+        fc = frontier_constants(inverse, np.full(2, 0.05))
         with pytest.raises(DegenerateFrontierError):
             frontier_risk(fc, 0.06)
 
@@ -280,7 +277,7 @@ class TestGmvOptimalityRandom:
         for _ in range(20):
             n = int(rng.integers(2, 5))
             a = random_pd_matrix(rng, n)
-            cov = cov_model(a)
-            fc = frontier_constants(cov, random_expected_returns(rng, n))
+            inverse = invert_matrix(a)
+            fc = frontier_constants(inverse, random_expected_returns(rng, n))
             _, grid_var = grid_min_variance(a, GridSpec(step=0.05))
             assert grid_var >= 1.0 / fc.alpha - 1e-3

@@ -7,18 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frontera import (
+from frontera import market_data
+from frontera.market_data import (
     MarketDataError,
     PricePanel,
     PriceSeries,
     WindowSpec,
+    _normalize,
     align_panel,
     parse_price_csv,
     simple_returns,
     slice_window,
 )
-from frontera import market_data
-from frontera.market_data import _normalize
 
 from conftest import assert_fields_equal, series_from_prices
 

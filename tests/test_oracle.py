@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from frontera import CovarianceModel, frontier_constants, frontier_risk, invert_matrix
+from frontera.frontier import frontier_constants, frontier_risk
+from frontera.stats import invert_matrix
 
 from conftest import load_fixture
 from oracle import (
@@ -16,8 +17,8 @@ from oracle import (
 def fixture_fc(name):
     replay = load_fixture(name)
     matrix = np.asarray(replay.cov_matrix)
-    cov = CovarianceModel(tuple(replay.labels), matrix, invert_matrix(matrix))
-    return frontier_constants(cov, np.asarray(replay.expected_returns)), matrix, replay
+    fc = frontier_constants(invert_matrix(matrix), np.asarray(replay.expected_returns))
+    return fc, matrix, replay
 
 
 class TestGridSpec:
@@ -78,8 +79,7 @@ class TestGridMinVarianceAtReturn:
         m = rng.normal(size=(3, 3)) * 0.1
         a = m @ m.T + 0.05 * np.eye(3)
         er = np.array([0.02, 0.05, 0.08])
-        cov = CovarianceModel(("A", "B", "C"), a, invert_matrix(a))
-        fc = frontier_constants(cov, er)
+        fc = frontier_constants(invert_matrix(a), er)
         target = fc.b / fc.alpha + 0.01
         grid = GridSpec(step=0.01)
         _, v = grid_min_variance_at_return(a, er, target, grid)
@@ -91,19 +91,19 @@ class TestGridMinVarianceAtReturn:
 class TestFdTangencyCheck:
     def test_2015_2023(self):
         fc, _, replay = fixture_fc("2015_2023")
-        assert fd_tangency_check(fc, replay.rf) < 1e-4
+        assert fd_tangency_check(fc, replay.window.rf_annual) < 1e-4
 
     def test_2023(self):
         fc, _, replay = fixture_fc("2023")
-        assert fd_tangency_check(fc, replay.rf) < 1e-4
+        assert fd_tangency_check(fc, replay.window.rf_annual) < 1e-4
 
     def test_eps_convergence(self):
         fc, _, replay = fixture_fc("2015_2023")
-        coarse = fd_tangency_check(fc, replay.rf, eps=1e-4)
-        fine = fd_tangency_check(fc, replay.rf, eps=1e-6)
+        coarse = fd_tangency_check(fc, replay.window.rf_annual, eps=1e-4)
+        fine = fd_tangency_check(fc, replay.window.rf_annual, eps=1e-6)
         assert fine <= coarse + 1e-8
 
     def test_eps_bounds(self):
         fc, _, replay = fixture_fc("2015_2023")
         with pytest.raises(OracleError):
-            fd_tangency_check(fc, replay.rf, eps=1e-3)
+            fd_tangency_check(fc, replay.window.rf_annual, eps=1e-3)

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import test_market_data
-from frontera import MarketDataError, market_data, parse_price_csv
+from frontera import market_data
+from frontera.market_data import MarketDataError, parse_price_csv
 from oracle import reference_parse_price_csv
 
 

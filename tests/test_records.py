@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from frontera import replay_paper, summarize
+from frontera.report import replay_paper, summarize
 from frontera.cli import AnalysisConfig
 
 from conftest import load_fixture, panel_from_returns, series_from_prices
@@ -20,7 +20,7 @@ NEEDED = {"frontera", "argparse", "gettext", "json", "_json", "decimal", "_decim
 
 RECORDS = [
     "AnalysisConfig", "PriceSeries", "PricePanel", "WindowSpec",
-    "CovarianceModel", "FrontierConstants", "TangencySolution", "PortfolioSolution",
+    "FrontierConstants", "TangencySolution", "PortfolioSolution",
     "Viability", "FrontierCurve", "WindowReport", "ReplayInput", "Summary",
 ]
 
@@ -54,7 +54,7 @@ def records() -> dict:
     )
     found = [
         config, series_from_prices("A", [1.0, 2.0]), panel_from_returns({"A": [0.1]}, [0.2]),
-        report.window, report.cov, report.constants, report.tangency,
+        report.window, report.constants, report.tangency,
         report.solution, report.viability, report.curve, report, replay, summarize([report]),
     ]
     return {type(r).__name__: r for r in found}

@@ -5,9 +5,12 @@ from decimal import ROUND_HALF_UP, Decimal, localcontext
 import numpy as np
 import pytest
 
-from frontera import (
+from frontera.market_data import WindowSpec
+from frontera.report import (
     ReplayInput,
-    WindowSpec,
+    ReportError,
+    _pct_cells,
+    _text,
     analyze_window,
     curve_csv,
     emit_frontier_curve,
@@ -17,7 +20,6 @@ from frontera import (
     replay_paper,
     summarize,
 )
-from frontera.report import ReportError, format_pcts
 from frontera.stats import NotPositiveDefiniteError, StatsError
 
 from conftest import (
@@ -50,8 +52,8 @@ class TestAnalyzeWindow:
         report = analyze_window(symmetric_panel(), WINDOW)
         assert report.viability.viable
         assert np.allclose(report.solution.weights, [0.5, 0.5], atol=1e-9)
-        assert report.cov.matrix[0, 0] == pytest.approx(report.cov.matrix[1, 1], rel=1e-9)
-        assert abs(report.cov.matrix[0, 1]) < 1e-12
+        assert report.cov[0, 0] == pytest.approx(report.cov[1, 1], rel=1e-9)
+        assert abs(report.cov[0, 1]) < 1e-12
 
     def test_all_negative_capm_is_non_viable(self):
         rng = np.random.default_rng(21)
@@ -79,7 +81,7 @@ class TestAnalyzeWindow:
         panel = panel_from_returns({f"A{i}": rets[:, i] for i in range(n)}, market)
         report = analyze_window(panel, WindowSpec("rand", date(2019, 1, 1), date(2021, 12, 31), 0.01))
         assert report.solution is not None
-        _, grid_var = grid_min_variance(report.cov.matrix, GridSpec(step=0.02))
+        _, grid_var = grid_min_variance(report.cov, GridSpec(step=0.02))
         assert grid_var >= report.solution.variance - 1e-3
 
     def test_stats_include_market_row(self):
@@ -99,7 +101,7 @@ class TestAnalyzeWindow:
         assert ind[5].tolist() == ((ind[0] - rf) / ind[2]).tolist()
         table = table_cells(render_tables(report).split("\n\n")[0], "csv")
         assert table[0] == ["Indicator", "A", "B", "MKT"]
-        assert [c for row in table[1:] for c in row[1:]] == format_pcts(ind.ravel())
+        assert [c for row in table[1:] for c in row[1:]] == pct_cells(ind)
 
 
 class TestReplayPaper:
@@ -124,7 +126,7 @@ class TestReplayPaper:
                     labels=("A", "B"),
                     cov_matrix=[[0.01, 0.02], [0.02, 0.01]],
                     expected_returns=[0.03, 0.04],
-                    rf=0.02,
+                    window=WINDOW,
                 )
             )
 
@@ -142,7 +144,7 @@ class TestReplayPaper:
                     labels=("A", "B"),
                     cov_matrix=[[0.04, 0.01], [0.01, 0.09]],
                     expected_returns=[0.03, 0.04],
-                    rf=0.02,
+                    window=WINDOW,
                     aux=np.array([(0.04, 0.2, 0.8), aux]),
                 )
             )
@@ -155,7 +157,7 @@ class TestReplayPaper:
                     labels=("A", "B"),
                     cov_matrix=[[0.04, 0.01], [0.01, 0.09]],
                     expected_returns=[0.03, 0.04],
-                    rf=0.02,
+                    window=WINDOW,
                     aux=np.full(shape, 0.5),
                 )
             )
@@ -167,7 +169,7 @@ class TestReplayPaper:
                     labels=("A", "B", "C"),
                     cov_matrix=[[0.01, 0.0], [0.0, 0.01]],
                     expected_returns=[0.03, 0.04],
-                    rf=0.02,
+                    window=WINDOW,
                 )
             )
 
@@ -186,12 +188,11 @@ class TestPipelineEquivalence:
         first = analyze_window(panel, WINDOW)
         replay = ReplayInput(
             labels=first.labels,
-            cov_matrix=first.cov.matrix,
+            cov_matrix=first.cov,
             expected_returns=first.expected_returns,
-            rf=WINDOW.rf_annual,
+            window=WINDOW,
             aux=first.indicators[:3, :-1].T,
             market_aux=(first.market_id, *first.indicators[:2, -1].tolist()),
-            window=WINDOW,
         )
         second = replay_paper(replay)
         assert_reports_identical(first, second)
@@ -363,13 +364,13 @@ class TestRendering:
             render_tables(report, "yaml")
 
     def test_format_pct_half_up(self):
-        assert format_pcts([0.12345, 0.12125, 0.005]) == ["12.35%", "12.13%", "0.50%"]
+        assert pct_cells([0.12345, 0.12125, 0.005]) == ["12.35%", "12.13%", "0.50%"]
 
-    def test_format_pcts_shapes(self):
-        assert format_pcts(0.5) == "50.00%"
-        assert format_pcts([0.5, -0.25], 0) == ["50%", "-25%"]
-        assert format_pcts(np.array([[0.1], [0.2]])) == [["10.00%"], ["20.00%"]]
-        assert format_pcts([]) == []
+    def test_pct_cells_shapes(self):
+        assert pct_cells(0.5) == ["50.00%"]
+        assert pct_cells([0.5, -0.25], 0) == ["50%", "-25%"]
+        assert pct_cells(np.array([[0.1], [0.2]])) == ["10.00%", "20.00%"]
+        assert pct_cells([]) == []
 
     def test_curve_csv(self):
         report = replay_paper(load_fixture("2015_2023"))
@@ -419,6 +420,13 @@ class TestWeightsAgainstPaperTables:
         assert np.allclose(sol.weights, expected, atol=0.04)
 
 
+def pct_cells(values, places: int = 2) -> list[str]:
+    """The percent cells ``report._pct_cells`` prints for ``values``, in row order."""
+    block = _pct_cells(values, places)
+    lines = np.concatenate([block, np.full((1, block.shape[1]), ord("\n"), np.uint8)])
+    return _text(lines.T).split("\n")[:-1]
+
+
 def decimal_pct(x: float, places: int) -> str:
     """Half-up rounding of the shortest repr of x * 100, one Decimal per cell."""
     q = Decimal(1).scaleb(-places)
@@ -430,7 +438,7 @@ class TestBulkFormatterAgainstDecimal:
     def test_random_magnitudes(self, places):
         rng = np.random.default_rng(40 + places)
         x = 10.0 ** rng.uniform(-8, 4, 20000) * rng.choice([-1.0, 1.0], 20000)
-        assert format_pcts(x, places) == [decimal_pct(v, places) for v in x.tolist()]
+        assert pct_cells(x, places) == [decimal_pct(v, places) for v in x.tolist()]
 
     @pytest.mark.parametrize(
         "x, places",
@@ -440,18 +448,17 @@ class TestBulkFormatterAgainstDecimal:
     def test_ties_and_signed_zero(self, x, places):
         # x * 100 is exactly 0.125 ... 1.125 in the first five, a tie at 2 places;
         # 0.145 has a binary value just below the tie, where f-string rounding goes down
-        assert format_pcts([x], places) == [decimal_pct(x, places)]
-        assert format_pcts(x, places) == decimal_pct(x, places)
+        assert pct_cells([x], places) == pct_cells(x, places) == [decimal_pct(x, places)]
 
     def test_non_finite(self):
-        assert format_pcts([float("nan")]) == [decimal_pct(float("nan"), 2)]
+        assert pct_cells([float("nan")]) == [decimal_pct(float("nan"), 2)]
 
     def test_huge_and_infinite(self):
         # every digit of the shortest repr, past the default 28-digit Decimal precision
-        assert format_pcts([1e30, -1.7e306], 0) == ["1" + "0" * 32 + "%", "-17" + "0" * 307 + "%"]
+        assert pct_cells([1e30, -1.7e306], 0) == ["1" + "0" * 32 + "%", "-17" + "0" * 307 + "%"]
         for x in (1e307, float("inf"), -float("inf")):
             with pytest.raises(ReportError, match="too large to print as a percent"):
-                format_pcts([0.5, x])
+                pct_cells([0.5, x])
 
 
 # --- the digit kernel against the per-cell renderer it replaced ---
@@ -500,8 +507,8 @@ def render_tables_reference(report, fmt):
         rows = [[name] + row for name, row in zip(names, cells)]
         out.append(table_reference(["Indicator"] + ids, rows, fmt))
     for name, matrix, places in [
-        ("Covariance", report.cov.matrix, 2),
-        ("Inverse", report.cov.inverse, 0),
+        ("Covariance", report.cov, 2),
+        ("Inverse", report.inverse, 0),
     ]:
         rows = [[lab] + row for lab, row in zip(cols, pct_reference(matrix, places))]
         out.append(table_reference([name] + cols, rows, fmt))
@@ -582,10 +589,9 @@ def seeded_replay(rng, labels, viable=True, stats=True):
         labels=tuple(labels),
         cov_matrix=cov,
         expected_returns=er,
-        rf=0.01,
+        window=WindowSpec(f"w{n}", date(2019, 1, 1), date(2021, 12, 31), 0.01),
         aux=aux if stats else None,
         market_aux=("ÍNDICE", -1e-7, 0.15) if stats else None,
-        window=WindowSpec(f"w{n}", date(2019, 1, 1), date(2021, 12, 31), 0.01),
     )
 
 
@@ -615,8 +621,8 @@ class TestDigitKernel:
     @pytest.mark.parametrize("places, expected", [(2, "-0.00%"), (0, "-0%")])
     def test_tiny_negatives_keep_their_sign(self, places, expected):
         x = [-1e-300, -1e-12, -4e-5, -0.0, -0.0049 / 10**places]
-        assert format_pcts(x, places) == [expected] * len(x)
-        assert format_pcts([1e-12, 0.0], places) == [expected[1:]] * 2
+        assert pct_cells(x, places) == [expected] * len(x)
+        assert pct_cells([1e-12, 0.0], places) == [expected[1:]] * 2
 
     @pytest.mark.parametrize("places", [0, 2])
     def test_ties_take_the_decimal_path(self, places):
@@ -627,16 +633,16 @@ class TestDigitKernel:
         scaled = x * 100 * 10**places
         x = x[scaled - np.floor(scaled) == 0.5]
         assert len(x) >= 6
-        cells = format_pcts(x, places)
+        cells = pct_cells(x, places)
         assert cells == [decimal_pct(v, places) for v in x.tolist()]
         assert cells != [f"%.{places}f%%" % (v * 100) for v in x.tolist()]
 
     @pytest.mark.parametrize("places", [0, 2])
     def test_cells_at_two_to_the_52(self, places):
         x = np.array([2**52 - 1, 2**52, -(2**52 - 1), -(2**52)], dtype=float) / 10**places / 100
-        assert format_pcts(x, places) == [decimal_pct(v, places) for v in x.tolist()]
+        assert pct_cells(x, places) == [decimal_pct(v, places) for v in x.tolist()]
         # beside them, a cell of the digit kernel keeps its own width
-        assert format_pcts(np.append(x, 0.01), places)[-1] == decimal_pct(0.01, places)
+        assert pct_cells(np.append(x, 0.01), places)[-1] == decimal_pct(0.01, places)
 
     @pytest.mark.parametrize("places", [0, 2])
     def test_nan_and_huge_cells_in_a_wide_table(self, places):
@@ -645,17 +651,16 @@ class TestDigitKernel:
         matrix[5, 7] = np.nan
         matrix[100, 200] = 1e30
         matrix[299, 0] = -1e30
-        cells = format_pcts(matrix, places)
+        cells = np.reshape(pct_cells(matrix, places), matrix.shape).tolist()
         assert cells == pct_reference(matrix, places)
         assert cells[5][7] == "NaN%"
         assert cells[100][200] == "1" + "0" * 32 + "." * (places > 0) + "0" * places + "%"
         assert cells[299][0] == "-" + cells[100][200]
 
     def test_empty_and_one_cell(self):
-        assert format_pcts(np.empty((0, 3))) == []
-        assert format_pcts(np.empty((3, 0))) == [[], [], []]
-        assert format_pcts([[0.5]], 0) == [["50%"]]
-        assert format_pcts(np.array([[-0.00125]])) == [["-0.13%"]]
+        assert pct_cells(np.empty((0, 3))) == pct_cells(np.empty((3, 0))) == []
+        assert pct_cells([[0.5]], 0) == ["50%"]
+        assert pct_cells(np.array([[-0.00125]])) == ["-0.13%"]
 
     def test_markdown_pads_by_characters(self):
         # "ÉXITO" is 5 characters in 6 UTF-8 bytes; a byte count would shorten its padding

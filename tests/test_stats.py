@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from frontera import (
-    CovarianceModel,
+from frontera.frontier import frontier_constants, gmv_portfolio
+from frontera.market_data import PricePanel, simple_returns
+from frontera.stats import (
+    INVERSE_LEAF,
     NotPositiveDefiniteError,
-    PricePanel,
     StatsError,
     annualized_return,
     annualized_volatility,
@@ -12,14 +13,9 @@ from frontera import (
     asset_treynor,
     beta,
     capm_expected_return,
-    covariance_matrix,
-    frontier_constants,
-    gmv_portfolio,
     invert_matrix,
     sample_covariance,
-    simple_returns,
 )
-from frontera.stats import INVERSE_LEAF
 
 from conftest import load_fixture
 
@@ -147,7 +143,7 @@ class TestCovarianceMatrix:
         s2 = np.var(r, ddof=1) * 252
         assert np.allclose(matrix, s2, rtol=1e-12)
         with pytest.raises(NotPositiveDefiniteError):
-            covariance_matrix(ret(r, r), ("A", "B"))
+            invert_matrix(matrix)
 
     def test_orthogonal_series(self):
         rng = np.random.default_rng(6)
@@ -155,36 +151,35 @@ class TestCovarianceMatrix:
         y = rng.normal(0, 0.01, 200)
         mc = m - m.mean()
         resid = y - (y @ mc) / (mc @ mc) * mc
-        cov = covariance_matrix(ret(m, resid), ("A", "B"))
-        assert abs(cov.matrix[0, 1]) < 1e-12
+        assert abs(sample_covariance(ret(m, resid))[0, 1]) < 1e-12
 
     def test_exact_symmetry(self):
         rng = np.random.default_rng(7)
-        cov = covariance_matrix(rng.normal(0, 0.01, (3, 100)), tuple("ABC"))
-        assert np.array_equal(cov.matrix, cov.matrix.T)
+        cov = sample_covariance(rng.normal(0, 0.01, (3, 100)))
+        assert np.array_equal(cov, cov.T)
 
     def test_diagonal_matches_volatility(self):
         rng = np.random.default_rng(8)
         r = rng.normal(0, 0.02, (4, 250))
-        cov = covariance_matrix(r, tuple("ABCD"))
+        cov = sample_covariance(r)
         vol = annualized_volatility(r)
         for i in range(4):
-            assert cov.matrix[i, i] == pytest.approx(vol[i] ** 2, rel=1e-10)
+            assert cov[i, i] == pytest.approx(vol[i] ** 2, rel=1e-10)
 
     def test_inverse_certificate(self):
         rng = np.random.default_rng(9)
-        cov = covariance_matrix(rng.normal(0, 0.015, (4, 400)), tuple("ABCD"))
-        assert np.max(np.abs(cov.matrix @ cov.inverse - np.eye(4))) < 1e-9
+        cov = sample_covariance(rng.normal(0, 0.015, (4, 400)))
+        assert np.max(np.abs(cov @ invert_matrix(cov) - np.eye(4))) < 1e-9
 
     def test_scale_property(self):
         rng = np.random.default_rng(10)
         a = rng.normal(0, 0.01, 120)
         b = rng.normal(0, 0.01, 120)
-        cov1 = covariance_matrix(ret(a, b), ("A", "B"))
-        cov3 = covariance_matrix(ret(3 * a, b), ("A", "B"))
-        assert cov3.matrix[0, 0] == pytest.approx(9 * cov1.matrix[0, 0], rel=1e-12)
-        assert cov3.matrix[0, 1] == pytest.approx(3 * cov1.matrix[0, 1], rel=1e-12)
-        assert cov3.matrix[1, 1] == pytest.approx(cov1.matrix[1, 1], rel=1e-12)
+        cov1 = sample_covariance(ret(a, b))
+        cov3 = sample_covariance(ret(3 * a, b))
+        assert cov3[0, 0] == pytest.approx(9 * cov1[0, 0], rel=1e-12)
+        assert cov3[0, 1] == pytest.approx(3 * cov1[0, 1], rel=1e-12)
+        assert cov3[1, 1] == pytest.approx(cov1[1, 1], rel=1e-12)
 
 
 class TestInvertMatrix:
@@ -433,8 +428,7 @@ class TestConditioning:
 
     def test_gmv_forward_error(self, n, kappa):
         a, h_ref = self.case(n, kappa)
-        cov = CovarianceModel(tuple(f"A{k}" for k in range(n)), a, invert_matrix(a))
-        fc = frontier_constants(cov, np.random.default_rng(n).uniform(0.0, 0.1, n))
+        fc = frontier_constants(invert_matrix(a), np.random.default_rng(n).uniform(0.0, 0.1, n))
         weights = gmv_portfolio(fc, 0.0).weights
         alpha_ref = h_ref.sum()
         weights_ref = h_ref / alpha_ref
