@@ -671,3 +671,234 @@ class TestLoaders:
             out.commit()
         assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
         assert od.exists() == od_existed
+
+
+# --- every loader message, word for word ---
+#
+# Each case edits a valid document (or replaces its text) and pins the one
+# stderr line and the exit code of ``main``. ``{doc}`` in a message stands
+# for the document's path. Cases marked "two rules" break two rules at once,
+# so they also pin which check runs first.
+
+CONFIG_MESSAGES = [
+    ("not-object", "[1, 2]",
+     (1, 'error: {doc}: expected a JSON object, got [1, 2]')),
+    ("units-missing", lambda d: d.pop("units"),
+     (1, "error: {doc}: missing field 'units'")),
+    ("units-percent", lambda d: d.update(units="percent"),
+     (1, 'error: {doc}: field \'units\' must be "decimal" (rates as fractions)')),
+    ("assets-missing", lambda d: d.pop("assets"),
+     (1, "error: {doc}: missing field 'assets'")),
+    ("assets-not-list", lambda d: d.update(assets={"id": "AAA"}),
+     (1, "error: {doc}: field 'assets' has invalid value {'id': 'AAA'} (expected a list)")),
+    ("assets-empty", lambda d: d.update(assets=[]),
+     (1, 'error: {doc}: at least one asset is required')),
+    ("asset-not-object", lambda d: d["assets"].__setitem__(1, "BBB"),
+     (1, "error: {doc}.assets[1]: expected a JSON object, got 'BBB'")),
+    ("asset-id-missing", lambda d: d["assets"][1].pop("id"),
+     (1, "error: {doc}.assets[1]: missing field 'id'")),
+    ("asset-id-not-str", lambda d: d["assets"][1].update(id=5),
+     (1, "error: {doc}.assets[1]: field 'id' has invalid value 5 (expected a string)")),
+    ("asset-csv-path-missing", lambda d: d["assets"][2].pop("csv_path"),
+     (1, "error: {doc}.assets[2]: missing field 'csv_path'")),
+    ("asset-csv-path-surrogate", lambda d: d["assets"][1].update(csv_path="b\ud800.csv"),
+     (1, "error: {doc}.assets[1]: field 'csv_path' has invalid value 'b\\ud800.csv' ('utf-8' codec can't encode character '\\ud800' in position 1: surrogates not allowed)")),
+    ("market-missing", lambda d: d.pop("market"),
+     (1, "error: {doc}: missing field 'market'")),
+    ("market-not-object", lambda d: d.update(market=["MKT"]),
+     (1, "error: {doc}.market: expected a JSON object, got ['MKT']")),
+    ("market-id-missing", lambda d: d["market"].pop("id"),
+     (1, "error: {doc}.market: missing field 'id'")),
+    ("market-csv-path-not-str", lambda d: d["market"].update(csv_path=None),
+     (1, "error: {doc}.market: field 'csv_path' has invalid value None (expected a string)")),
+    ("ids-duplicate", lambda d: d["market"].update(id="AAA"),
+     (1, 'error: {doc}: asset and market ids must be unique')),
+    ("windows-missing", lambda d: d.pop("windows"),
+     (1, "error: {doc}: missing field 'windows'")),
+    ("windows-not-list", lambda d: d.update(windows="w1"),
+     (1, "error: {doc}: field 'windows' has invalid value 'w1' (expected a list)")),
+    ("window-not-object", lambda d: d["windows"].__setitem__(1, None),
+     (1, 'error: {doc}.windows[1]: expected a JSON object, got None')),
+    ("window-name-missing", lambda d: d["windows"][0].pop("name"),
+     (1, "error: {doc}.windows[0]: missing field 'name'")),
+    ("window-start-missing", lambda d: d["windows"][1].pop("start"),
+     (1, "error: {doc}.windows[1]: missing field 'start'")),
+    ("window-end-missing", lambda d: d["windows"][0].pop("end"),
+     (1, "error: {doc}.windows[0]: missing field 'end'")),
+    ("window-rf-missing", lambda d: d["windows"][0].pop("rf_annual"),
+     (1, "error: {doc}.windows[0]: missing field 'rf_annual'")),
+    ("window-start-slashes", lambda d: d["windows"][0].update(start="01/01/2019"),
+     (1, "error: {doc}.windows[0]: invalid date '01/01/2019' (expected YYYY-MM-DD)")),
+    ("window-start-compact", lambda d: d["windows"][0].update(start="20190101"),
+     (1, "error: {doc}.windows[0]: invalid date '20190101' (expected YYYY-MM-DD)")),
+    ("window-end-week-date", lambda d: d["windows"][0].update(end="2019-W52-2"),
+     (1, "error: {doc}.windows[0]: invalid date '2019-W52-2' (expected YYYY-MM-DD)")),
+    ("window-end-not-str", lambda d: d["windows"][0].update(end=20191231),
+     (1, 'error: {doc}.windows[0]: invalid date 20191231 (expected YYYY-MM-DD)')),
+    ("window-end-invalid-day", lambda d: d["windows"][0].update(end="2019-02-30"),
+     (1, "error: {doc}.windows[0]: invalid date '2019-02-30' (expected YYYY-MM-DD)")),
+    ("window-rf-not-number", lambda d: d["windows"][0].update(rf_annual="x"),
+     (1, "error: {doc}.windows[0]: field 'rf_annual' has invalid value 'x' (could not convert string to float: 'x')")),
+    ("window-rf-nan", lambda d: d["windows"][0].update(rf_annual=float("nan")),
+     (1, "error: {doc}.windows[0]: field 'rf_annual' has invalid value nan (not a finite number)")),
+    ("window-rf-list", lambda d: d["windows"][0].update(rf_annual=[0.03]),
+     (1, "error: {doc}.windows[0]: field 'rf_annual' has invalid value [0.03] (float() argument must be a string or a real number, not 'list')")),
+    ("window-name-escapes", lambda d: d["windows"][0].update(name="../escape"),
+     (1, "error: {doc}.windows[0]: window name '../escape' is not a plain directory name")),
+    ("window-name-not-str", lambda d: d["windows"][0].update(name=5),
+     (1, 'error: {doc}.windows[0]: window name 5 is not a plain directory name')),
+    ("window-name-empty", lambda d: d["windows"][0].update(name=""),
+     (1, "error: {doc}.windows[0]: window name '' is not a plain directory name")),
+    ("window-start-after-end", lambda d: d["windows"][0].update(start="2020-01-01"),
+     (1, 'error: {doc}.windows[0]: window w1: start 2020-01-01 after end 2019-12-31')),
+    ("window-names-duplicate", lambda d: d["windows"][1].update(name="w1"),
+     (1, 'error: {doc}: window names must be unique')),
+    ("trading-days-not-int", lambda d: d.update(trading_days="abc"),
+     (1, "error: {doc}: field 'trading_days' has invalid value 'abc' (expected a JSON integer)")),
+    ("trading-days-fraction", lambda d: d.update(trading_days=2.7),
+     (1, "error: {doc}: field 'trading_days' has invalid value 2.7 (expected a JSON integer)")),
+    ("trading-days-bool", lambda d: d.update(trading_days=True),
+     (1, "error: {doc}: field 'trading_days' has invalid value True (expected a JSON integer)")),
+    ("trading-days-367", lambda d: d.update(trading_days=367),
+     (1, "error: {doc}: field 'trading_days' has invalid value 367 (expected 1 to 366)")),
+    ("output-dir-not-str", lambda d: d.update(output_dir=5),
+     (1, "error: {doc}: field 'output_dir' has invalid value 5 (expected a string)")),
+    ("output-dir-surrogate", lambda d: d.update(output_dir="o\udfff"),
+     (1, "error: {doc}: field 'output_dir' has invalid value 'o\\udfff' ('utf-8' codec can't encode character '\\udfff' in position 1: surrogates not allowed)")),
+    # two rules
+    ("units-and-assets-missing", lambda d: [d.pop("units"), d.pop("assets")],
+     (1, "error: {doc}: missing field 'units'")),
+    ("window-name-and-start-missing", lambda d: [d["windows"][0].pop(k) for k in ("name", "start")],
+     (1, "error: {doc}.windows[0]: missing field 'name'")),
+    ("window-start-and-end-missing", lambda d: [d["windows"][0].pop(k) for k in ("start", "end")],
+     (1, "error: {doc}.windows[0]: missing field 'start'")),
+    ("window-name-bad-and-start-bad", lambda d: d["windows"][0].update(name="../x", start="x"),
+     (1, "error: {doc}.windows[0]: invalid date 'x' (expected YYYY-MM-DD)")),
+    ("window-name-bad-and-rf-bad", lambda d: d["windows"][0].update(name="../x", rf_annual="x"),
+     (1, "error: {doc}.windows[0]: field 'rf_annual' has invalid value 'x' (could not convert string to float: 'x')")),
+    ("window-start-bad-and-rf-missing", lambda d: [d["windows"][0].update(start="x"), d["windows"][0].pop("rf_annual")],
+     (1, "error: {doc}.windows[0]: invalid date 'x' (expected YYYY-MM-DD)")),
+    ("ids-duplicate-and-windows-missing", lambda d: [d["market"].update(id="AAA"), d.pop("windows")],
+     (1, 'error: {doc}: asset and market ids must be unique')),
+    ("names-duplicate-and-trading-days-bad", lambda d: [d["windows"][1].update(name="w1"), d.update(trading_days=0)],
+     (1, 'error: {doc}: window names must be unique')),
+    ("trading-days-bad-and-output-dir-bad", lambda d: d.update(trading_days=0, output_dir=5),
+     (1, "error: {doc}: field 'trading_days' has invalid value 0 (expected 1 to 366)")),
+    ("window-bad-and-assets-empty", lambda d: [d["windows"][0].pop("name"), d.update(assets=[])],
+     (1, 'error: {doc}: at least one asset is required')),
+]
+
+REPLAY_MESSAGES = [
+    ("not-object", '"decimal"',
+     (1, "error: {doc}: expected a JSON object, got 'decimal'")),
+    ("units-missing", lambda d: d.pop("units"),
+     (1, "error: {doc}: missing field 'units'")),
+    ("units-percent", lambda d: d.update(units="percent"),
+     (1, 'error: {doc}: field \'units\' must be "decimal" (rates as fractions)')),
+    ("labels-missing", lambda d: d.pop("labels"),
+     (1, "error: {doc}: missing field 'labels'")),
+    ("labels-not-list", lambda d: d.update(labels="A"),
+     (1, "error: {doc}: field 'labels' has invalid value 'A' (expected a list of strings)")),
+    ("labels-not-str", lambda d: d["labels"].__setitem__(1, 5),
+     (1, "error: {doc}: field 'labels' has invalid value ['PFBANCOLOMBIA', 5, 'ISA', 'BANCOLOMBIA'] (expected a list of strings)")),
+    ("labels-duplicate", lambda d: d["labels"].__setitem__(1, "PFBANCOLOMBIA"),
+     (1, 'error: {doc}: labels must be unique')),
+    ("labels-surrogate", lambda d: d["labels"].__setitem__(0, "\ud800X"),
+     (1, "error: {doc}: field 'labels' has invalid value ['\\ud800X', 'ECOPETROL', 'ISA', 'BANCOLOMBIA'] ('utf-8' codec can't encode character '\\ud800' in position 0: surrogates not allowed)")),
+    ("rf-missing", lambda d: d.pop("rf"),
+     (1, "error: {doc}: missing field 'rf'")),
+    ("rf-not-number", lambda d: d.update(rf="x"),
+     (1, "error: {doc}: field 'rf' has invalid value 'x' (could not convert string to float: 'x')")),
+    ("rf-inf", lambda d: d.update(rf=float("inf")),
+     (1, "error: {doc}: field 'rf' has invalid value inf (not a finite number)")),
+    ("asset-stats-not-list", lambda d: d.update(asset_stats=5),
+     (1, "error: {doc}: field 'asset_stats' has invalid value 5 (expected a list)")),
+    ("asset-stat-not-object", lambda d: d["asset_stats"].__setitem__(0, 5),
+     (1, 'error: {doc}.asset_stats[0]: expected a JSON object, got 5')),
+    ("asset-stat-beta-missing", lambda d: d["asset_stats"][3].pop("beta"),
+     (1, "error: {doc}.asset_stats[3]: missing field 'beta'")),
+    ("asset-stat-beta-nan", lambda d: d["asset_stats"][2].update(beta=float("nan")),
+     (1, "error: {doc}.asset_stats[2]: field 'beta' has invalid value nan (not a finite number)")),
+    ("market-not-object", lambda d: d.update(market=5),
+     (1, 'error: {doc}.market: expected a JSON object, got 5')),
+    ("market-id-missing", lambda d: d["market"].pop("id"),
+     (1, "error: {doc}.market: missing field 'id'")),
+    ("market-id-not-str", lambda d: d["market"].update(id=5),
+     (1, "error: {doc}.market: field 'id' has invalid value 5 (expected a string)")),
+    ("market-ann-vol-missing", lambda d: d["market"].pop("ann_vol"),
+     (1, "error: {doc}.market: missing field 'ann_vol'")),
+    ("market-ann-return-not-number", lambda d: d["market"].update(ann_return="x"),
+     (1, "error: {doc}.market: field 'ann_return' has invalid value 'x' (could not convert string to float: 'x')")),
+    ("market-id-is-label", lambda d: d["market"].update(id="ISA"),
+     (1, 'error: {doc}: market id must differ from the labels')),
+    ("cov-missing", lambda d: d.pop("cov_matrix"),
+     (1, "error: {doc}: missing field 'cov_matrix'")),
+    ("cov-wrong-shape", lambda d: d.update(cov_matrix=[[0.04, 0.01], [0.01, 0.09]]),
+     (1, "error: {doc}: field 'cov_matrix' has invalid value [[0.04, 0.01], [0.01, 0.09]] (expected shape (4, 4), got (2, 2))")),
+    ("cov-nan", lambda d: d["cov_matrix"][1].__setitem__(1, float("nan")),
+     (1, "error: {doc}: field 'cov_matrix' has invalid value [[0.0874, 0.0492, 0.0373, 0.0782], [0.0492, nan, 0.0399, 0.0478], [0.0373, 0.0399, 0.1172, 0.0468], [0.0782, 0.0478, 0.0468, 0.1203]] (not all numbers are finite)")),
+    ("cov-string", lambda d: d["cov_matrix"][0].__setitem__(0, "x"),
+     (1, "error: {doc}: field 'cov_matrix' has invalid value [['x', 0.0492, 0.0373, 0.0782], [0.0492, 0.1494, 0.0399, 0.0478], [0.0373, 0.0399, 0.1172, 0.0468], [0.0782, 0.0478, 0.0468, 0.1203]] (could not convert string to float: 'x')")),
+    ("er-missing", lambda d: d.pop("expected_returns"),
+     (1, "error: {doc}: missing field 'expected_returns'")),
+    ("er-too-short", lambda d: d["expected_returns"].pop(),
+     (1, "error: {doc}: field 'expected_returns' has invalid value [0.0303, 0.0432, 0.0473] (expected shape (4,), got (3,))")),
+    ("er-string", lambda d: d["expected_returns"].__setitem__(1, "x"),
+     (1, "error: {doc}: field 'expected_returns' has invalid value [0.0303, 'x', 0.0473, 0.0392] (could not convert string to float: 'x')")),
+    ("name-escapes", lambda d: d.update(name="../../x"),
+     (1, "error: {doc}: window name '../../x' is not a plain directory name")),
+    ("name-not-str", lambda d: d.update(name=5),
+     (1, 'error: {doc}: window name 5 is not a plain directory name')),
+    ("name-surrogate", lambda d: d.update(name="\ud800X"),
+     (1, "error: {doc}: window name '\\ud800X' is not a plain directory name")),
+    ("not-positive-definite", lambda d: d["cov_matrix"][0].__setitem__(0, -0.1),
+     (2, 'numeric error: pivot -1.000e-01 at index 0 fails the positive-definiteness check (leading minor 1 not positive)')),
+    # two rules
+    ("units-bad-and-labels-missing", lambda d: [d.update(units="percent"), d.pop("labels")],
+     (1, 'error: {doc}: field \'units\' must be "decimal" (rates as fractions)')),
+    ("labels-duplicate-and-rf-missing", lambda d: [d["labels"].__setitem__(1, "ISA"), d.pop("rf")],
+     (1, 'error: {doc}: labels must be unique')),
+    ("rf-bad-and-cov-missing", lambda d: [d.update(rf="x"), d.pop("cov_matrix")],
+     (1, "error: {doc}: field 'rf' has invalid value 'x' (could not convert string to float: 'x')")),
+    ("asset-stat-bad-and-market-bad", lambda d: [d["asset_stats"][0].pop("beta"), d.update(market=5)],
+     (1, "error: {doc}.asset_stats[0]: missing field 'beta'")),
+    ("market-id-is-label-and-cov-bad", lambda d: [d["market"].update(id="ISA"), d["cov_matrix"].pop()],
+     (1, 'error: {doc}: market id must differ from the labels')),
+    ("cov-bad-and-er-bad", lambda d: [d["cov_matrix"].pop(), d["expected_returns"].pop()],
+     (1, "error: {doc}: field 'cov_matrix' has invalid value [[0.0874, 0.0492, 0.0373, 0.0782], [0.0492, 0.1494, 0.0399, 0.0478], [0.0373, 0.0399, 0.1172, 0.0468]] (expected shape (4, 4), got (3, 4))")),
+    ("name-bad-and-er-bad", lambda d: [d.update(name="../x"), d["expected_returns"].pop()],
+     (1, "error: {doc}: field 'expected_returns' has invalid value [0.0303, 0.0432, 0.0473] (expected shape (4,), got (3,))")),
+    ("name-bad-and-not-positive-definite", lambda d: [d.update(name="../x"), d["cov_matrix"][0].__setitem__(0, -0.1)],
+     (1, "error: {doc}: window name '../x' is not a plain directory name")),
+]
+
+
+def write_case(path, doc, edit):
+    if isinstance(edit, str):
+        path.write_text(edit, encoding="utf-8")
+    else:
+        edit(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+def expected_line(message: str, path) -> tuple[int, str]:
+    code, text = message
+    return code, text.replace("{doc}", str(path)) + "\n"
+
+
+@pytest.mark.parametrize("edit, message", [c[1:] for c in CONFIG_MESSAGES],
+                         ids=[c[0] for c in CONFIG_MESSAGES])
+def test_config_message(tmp_path, capsys, edit, message):
+    cfg = make_config(tmp_path)
+    write_case(cfg, json.loads(cfg.read_text()), edit)
+    code = main(["analyze", "--config", str(cfg)])
+    assert (code, capsys.readouterr().err) == expected_line(message, cfg)
+
+
+@pytest.mark.parametrize("edit, message", [c[1:] for c in REPLAY_MESSAGES],
+                         ids=[c[0] for c in REPLAY_MESSAGES])
+def test_replay_message(tmp_path, capsys, edit, message):
+    src = tmp_path / "doc.json"
+    write_case(src, json.loads((FIXTURES / "replay_2015_2023.json").read_text()), edit)
+    code = main(["replay", "--input", str(src), "--output-dir", str(tmp_path / "o")])
+    assert (code, capsys.readouterr().err) == expected_line(message, src)
