@@ -91,16 +91,15 @@ class OutputSet:
             old.unlink()
 
 
-def _require(obj, field: str, path: str, convert=None):
+def _field(obj, field: str, path: str, convert=None, default=None):
+    """``convert(obj[field])``, or ``convert(default)`` for a missing field with a default."""
     if not isinstance(obj, dict):
         raise InputError(f"{path}: expected a JSON object, got {reprlib.repr(obj)}")
-    if field not in obj:
+    if field not in obj and default is None:
         raise InputError(f"{path}: missing field '{field}'")
-    return obj[field] if convert is None else _convert(obj[field], field, path, convert)
-
-
-def _convert(value, field: str, path: str, convert):
-    """``convert(value)``, with a failure reported as an InputError naming the field."""
+    value = obj.get(field, default)
+    if convert is None:
+        return value
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -157,22 +156,21 @@ def _numbers(shape: tuple[int, ...]):
     return convert
 
 
-def _check_units(obj: dict, path: str):
-    if _require(obj, "units", path) != "decimal":
-        raise InputError(f"{path}: field 'units' must be \"decimal\" (rates as fractions)")
-
-
 def _load_json(path: Path) -> dict:
+    """The JSON object in ``path``, which must declare ``"units": "decimal"``."""
     if not path.is_file():
         raise InputError(f"{path}: file not found")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from None
     except RecursionError:
         raise InputError(f"{path}: invalid JSON: nested too deeply") from None
+    if _field(doc, "units", str(path)) != "decimal":
+        raise InputError(f"{path}: field 'units' must be \"decimal\" (rates as fractions)")
+    return doc
 
 
 def _parse_date(raw, where: str) -> Date:
@@ -183,85 +181,73 @@ def _parse_date(raw, where: str) -> Date:
     raise InputError(f"{where}: invalid date {raw!r} (expected YYYY-MM-DD)")
 
 
+def _window(where: str, name, start: Date, end: Date, rf_annual: float) -> WindowSpec:
+    try:
+        return WindowSpec(name, start, end, rf_annual)
+    except MarketDataError as exc:
+        raise InputError(f"{where}: {exc}") from None
+
+
 def load_config(path: Path) -> AnalysisConfig:
     doc = _load_json(path)
     where = str(path)
-    _check_units(doc, where)
-    assets_raw = _require(doc, "assets", where, _list)
+    assets_raw = _field(doc, "assets", where, _list)
     if not assets_raw:
         raise InputError(f"{where}: at least one asset is required")
     base = path.parent
 
     def series(obj, loc: str) -> tuple[str, Path]:
-        return _require(obj, "id", loc, _text), base / _require(obj, "csv_path", loc, _text)
+        return _field(obj, "id", loc, _text), base / _field(obj, "csv_path", loc, _text)
+
+    def window(w, loc: str) -> WindowSpec:
+        name = _field(w, "name", loc)  # first: a window without a name reports that
+        start, end = (_parse_date(_field(w, k, loc), loc) for k in ("start", "end"))
+        return _window(loc, name, start, end, _field(w, "rf_annual", loc, _number))
 
     assets = tuple(series(a, f"{where}.assets[{i}]") for i, a in enumerate(assets_raw))
-    market = series(_require(doc, "market", where), f"{where}.market")
+    market = series(_field(doc, "market", where), f"{where}.market")
     ids = [a for a, _ in assets] + [market[0]]
     if len(set(ids)) != len(ids):
         raise InputError(f"{where}: asset and market ids must be unique")
-    windows = []
-    for i, w in enumerate(_require(doc, "windows", where, _list)):
-        loc = f"{where}.windows[{i}]"
-        try:
-            windows.append(
-                WindowSpec(
-                    name=_require(w, "name", loc),
-                    start=_parse_date(_require(w, "start", loc), loc),
-                    end=_parse_date(_require(w, "end", loc), loc),
-                    rf_annual=_require(w, "rf_annual", loc, _number),
-                )
-            )
-        except MarketDataError as exc:
-            raise InputError(f"{loc}: {exc}") from None
+    windows_raw = _field(doc, "windows", where, _list)
+    windows = tuple(window(w, f"{where}.windows[{i}]") for i, w in enumerate(windows_raw))
     names = [w.name for w in windows]
     if len(set(names)) != len(names):
         raise InputError(f"{where}: window names must be unique")
-    trading_days = _convert(
-        doc.get("trading_days", st.TRADING_DAYS), "trading_days", where, _days_per_year
-    )
-    return AnalysisConfig(
-        assets=assets,
-        market=market,
-        windows=tuple(windows),
-        trading_days=trading_days,
-        output_dir=base / _convert(doc.get("output_dir", "out"), "output_dir", where, _text),
-    )
+    trading_days = _field(doc, "trading_days", where, _days_per_year, st.TRADING_DAYS)
+    output_dir = base / _field(doc, "output_dir", where, _text, "out")
+    return AnalysisConfig(assets, market, windows, trading_days, output_dir)
 
 
 def load_replay_input(path: Path) -> rp.ReplayInput:
     doc = _load_json(path)
     where = str(path)
-    _check_units(doc, where)
-    labels = _require(doc, "labels", where, _names)
+    labels = _field(doc, "labels", where, _names)
     if len(set(labels)) != len(labels):
         raise InputError(f"{where}: labels must be unique")
     n = len(labels)
-    rf = _require(doc, "rf", where, _number)
+    rf = _field(doc, "rf", where, _number)
     aux = None
     if "asset_stats" in doc:
         fields = ("ann_return", "ann_vol", "beta")  # the columns of ReplayInput.aux
-        rows = enumerate(_require(doc, "asset_stats", where, _list))
+        rows = enumerate(_field(doc, "asset_stats", where, _list))
         aux = np.array(
-            [[_require(a, f, f"{where}.asset_stats[{i}]", _number) for f in fields]
+            [[_field(a, f, f"{where}.asset_stats[{i}]", _number) for f in fields]
              for i, a in rows]
         )
     market_aux = None
     if "market" in doc:
         m = doc["market"]
         market_aux = (
-            _require(m, "id", f"{where}.market", _text),
-            _require(m, "ann_return", f"{where}.market", _number),
-            _require(m, "ann_vol", f"{where}.market", _number),
+            _field(m, "id", f"{where}.market", _text),
+            _field(m, "ann_return", f"{where}.market", _number),
+            _field(m, "ann_vol", f"{where}.market", _number),
         )
         if market_aux[0] in labels:
             raise InputError(f"{where}: market id must differ from the labels")
-    cov_matrix = _require(doc, "cov_matrix", where, _numbers((n, n)))
-    expected_returns = _require(doc, "expected_returns", where, _numbers((n,)))
-    try:
-        window = WindowSpec(doc.get("name", "replay"), Date(1900, 1, 1), Date(2100, 1, 1), rf)
-    except MarketDataError as exc:
-        raise InputError(f"{where}: {exc}") from None
+    cov_matrix = _field(doc, "cov_matrix", where, _numbers((n, n)))
+    expected_returns = _field(doc, "expected_returns", where, _numbers((n,)))
+    window = _window(where, doc.get("name", "replay"), Date(1900, 1, 1), Date(2100, 1, 1), rf)
     return rp.ReplayInput(labels, cov_matrix, expected_returns, window, aux, market_aux)
 
 
@@ -290,7 +276,7 @@ def _named_window(cfg: AnalysisConfig, args) -> WindowSpec:
     raise InputError(f"{args.config}: no window named {args.window!r}")
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> OutputSet:
     cfg = load_config(Path(args.config))
     out_dir = _output_dir(cfg.output_dir, args.output_dir)
     windows = cfg.windows if args.window is None else (_named_window(cfg, args),)
@@ -303,8 +289,7 @@ def _cmd_analyze(args) -> int:
         out_dir / f"summary.{_ext(args.format)}",
         rp.render_summary(rp.summarize(reports), args.format),
     )
-    out.commit()
-    return 0
+    return out
 
 
 def _load_panel(cfg: AnalysisConfig):
@@ -318,13 +303,12 @@ def _load_panel(cfg: AnalysisConfig):
     return align_panel(assets, market)
 
 
-def _cmd_replay(args) -> int:
+def _cmd_replay(args) -> OutputSet:
     report = rp.replay_paper(load_replay_input(Path(args.input)))
     out_dir = _output_dir(Path(args.input).parent / "out", args.output_dir)
     out = OutputSet()
     _add_report_files(out, out_dir, report, args.format)
-    out.commit()
-    return 0
+    return out
 
 
 def _parse_span(raw: str) -> tuple[float, float]:
@@ -339,25 +323,20 @@ def _parse_span(raw: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _cmd_frontier(args) -> int:
+def _cmd_frontier(args) -> OutputSet:
     cfg = load_config(Path(args.config))
     out_dir = _output_dir(cfg.output_dir, args.output_dir)
     window = _named_window(cfg, args)
     report = rp.analyze_window(_load_panel(cfg), window, cfg.trading_days)
     span = _parse_span(args.span) if args.span else None
-    try:
-        curve = rp.emit_frontier_curve(report, args.points, span)
-    except rp.ReportError as exc:
-        raise InputError(str(exc)) from None
-    frontier_text, cml_text = rp.curve_csv(curve)
+    frontier_text, cml_text = rp.curve_csv(rp.emit_frontier_curve(report, args.points, span))
     out = OutputSet()
     out.add(out_dir / args.window / "frontier_curve.csv", frontier_text)
     out.add(out_dir / args.window / "cml_curve.csv", cml_text)
-    out.commit()
-    return 0
+    return out
 
 
-def _cmd_summarize(args) -> int:
+def _cmd_summarize(args) -> OutputSet:
     reports = [rp.replay_paper(load_replay_input(Path(p))) for p in args.inputs]
     out_dir = _output_dir(Path(args.inputs[0]).parent / "out", args.output_dir)
     out = OutputSet()
@@ -365,8 +344,7 @@ def _cmd_summarize(args) -> int:
         out_dir / f"summary.{_ext(args.format)}",
         rp.render_summary(rp.summarize(reports), args.format),
     )
-    out.commit()
-    return 0
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,13 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args).commit()
     except (InputError, MarketDataError, rp.ReportError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (st.StatsError, fr.FrontierError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def run():

@@ -45,7 +45,6 @@ class TangencySolution(NamedTuple):
     r_t: float
     sigma_rt: float
     slope: float
-    rf: float
 
 
 class PortfolioSolution(NamedTuple):
@@ -110,7 +109,7 @@ def tangency(fc: FrontierConstants, rf: float) -> TangencySolution:
         raise TangencyUndefinedError("b - alpha*rf = 0: tangency at infinity")
     r_t = (fc.gamma - fc.b * rf) / denom
     sigma_rt = frontier_risk(fc, r_t)
-    return TangencySolution(r_t=r_t, sigma_rt=sigma_rt, slope=(r_t - rf) / sigma_rt, rf=rf)
+    return TangencySolution(r_t=r_t, sigma_rt=sigma_rt, slope=(r_t - rf) / sigma_rt)
 
 
 def frontier_risk(fc: FrontierConstants, target: float | np.ndarray) -> float | np.ndarray:

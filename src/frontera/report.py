@@ -175,7 +175,7 @@ def emit_frontier_curve(
         cml_points = np.empty((0, 2))
         if report.tangency is not None:
             v = np.linspace(0.0, risks.max(), n_points)
-            cml_points = np.column_stack([v, report.tangency.rf + v * report.tangency.slope])
+            cml_points = np.column_stack([v, report.window.rf_annual + v * report.tangency.slope])
     points = np.column_stack([targets, risks])
     if not (np.isfinite(points).all() and np.isfinite(cml_points).all()):
         raise ReportError(f"return span [{lo}, {hi}] gives non-finite curve values")

@@ -185,7 +185,7 @@ class TestTangency:
         fc, _, rf = fixture_constants("2015_2023")
         t = tangency(fc, rf)
         assert frontier_risk(fc, t.r_t) == pytest.approx(t.sigma_rt, rel=1e-9)
-        assert t.slope == (t.r_t - t.rf) / t.sigma_rt
+        assert t.slope == (t.r_t - rf) / t.sigma_rt
 
     def test_undefined_at_gmv_rate(self):
         fc, _, _ = fixture_constants("2015_2023")
@@ -238,11 +238,11 @@ class TestFrontierRiskAndCml:
     def test_curve_cml_intercept_and_line(self):
         # the curve's CML starts at (0, rf) and is rf + risk * slope at every sample
         report = replay_paper(load_fixture("2015_2023"))
-        t = report.tangency
+        t, rf = report.tangency, report.window.rf_annual
         cml = report.curve.cml_points
         assert cml.shape == (200, 2)
-        assert cml[0].tolist() == [0.0, t.rf]
-        assert cml[:, 1].tolist() == [t.rf + v * t.slope for v in cml[:, 0].tolist()]
+        assert cml[0].tolist() == [0.0, rf]
+        assert cml[:, 1].tolist() == [rf + v * t.slope for v in cml[:, 0].tolist()]
         assert cml[-1, 0] == report.curve.points[:, 1].max()
         assert np.all(np.diff(cml[:, 1]) < 0)  # the 2015-2023 slope is negative
 

@@ -17,7 +17,8 @@ def library_example() -> str:
 def test_library_example_runs():
     names: dict = {}
     exec(compile(library_example(), str(README), "exec"), names)
-    gmv, tan = names["gmv"], names["tan"]
+    gmv, tan, rf = names["gmv"], names["tan"], names["rf"]
     assert abs(gmv.weights.sum() - 1.0) < 1e-12
     assert names["risk"] >= gmv.risk
-    assert tan.slope == (tan.r_t - tan.rf) / tan.sigma_rt
+    assert tan.slope == (tan.r_t - rf) / tan.sigma_rt
+    assert abs(names["cml"][1] - tan.r_t) < 1e-15  # the CML meets the frontier at the tangency
