@@ -7,6 +7,7 @@ import pytest
 
 from frontera.market_data import WindowSpec
 from frontera.report import (
+    FrontierCurve,
     ReplayInput,
     ReportError,
     _pct_cells,
@@ -380,6 +381,22 @@ class TestRendering:
         assert len(frontier_text.splitlines()) == 201
         first = frontier_text.splitlines()[5].split(",")
         assert float(first[1]) > 0
+
+    def test_curve_csv_fixed_decimals(self):
+        # each column gets the decimals that give its largest |value| 10 significant
+        # digits; a value near zero is printed to that resolution, not to 10 digits
+        points = np.array([[-0.05, 0.2], [0.0, 0.15], [0.15, 1.2345678912345]])
+        cml = np.array([[0.0, 0.0594], [2.39, -3.003349466123e-05], [9.9999999999, -12.5]])
+        frontier_text, cml_text = curve_csv(FrontierCurve(points, cml))
+        assert frontier_text.splitlines()[1:] == [
+            "-0.0500000000,0.200000000", "0.0000000000,0.150000000", "0.1500000000,1.234567891",
+        ]
+        # 9.9999999999 rounds to 10.00000000 at 10 significant digits: 8 decimals
+        assert cml_text.splitlines()[1:] == [
+            "0.00000000,0.05940000", "2.39000000,-0.00003003", "10.00000000,-12.50000000",
+        ]
+        empty = FrontierCurve(points, np.empty((0, 2)))
+        assert curve_csv(empty)[1] == "risk,cml_value\n"
 
     def test_svg_structure(self):
         report = replay_paper(load_fixture("2015_2023"))
