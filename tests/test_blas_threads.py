@@ -13,10 +13,12 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
-# the thread count of the OpenBLAS that numpy loaded, or None where it cannot be asked
+# the thread count of the OpenBLAS that numpy loaded, or None where it cannot be asked,
+# and the BLAS numpy was built with, or None where numpy cannot say
 PROBE = """
 import ctypes, json, os
 import frontera.cli  # loads numpy, and with it OpenBLAS, after frontera sets the counts
+import numpy
 
 def blas_threads():
     try:
@@ -32,7 +34,14 @@ def blas_threads():
                 return int(fn())
     return None
 
-print(json.dumps({"env": [os.environ.get(v) for v in %r], "threads": blas_threads()}))
+def numpy_blas():
+    try:
+        return numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except Exception:  # numpy before 1.26, or a build that records no BLAS
+        return None
+
+print(json.dumps({"env": [os.environ.get(v) for v in %r], "threads": blas_threads(),
+                  "blas": numpy_blas()}))
 """ % (VARS,)
 
 
@@ -56,7 +65,11 @@ def test_preset_count_is_kept():
 
 
 def test_loaded_openblas_runs_one_thread():
-    threads = probe()["threads"]
-    if threads is None:
-        pytest.skip("no OpenBLAS thread-count query in this process")
-    assert threads == 1
+    found = probe()
+    if found["threads"] is None:
+        # a skip only where numpy is not built with OpenBLAS; otherwise the probe is broken
+        assert "openblas" not in str(found["blas"]).lower(), (
+            f"numpy is built with {found['blas']}, but the probe found no OpenBLAS to ask"
+        )
+        pytest.skip(f"numpy is built with {found['blas']}, not OpenBLAS")
+    assert found["threads"] == 1
