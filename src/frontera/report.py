@@ -495,18 +495,16 @@ def _pairs(fmt: str, xy: np.ndarray, end: str) -> str:
 
 
 def _fixed(xy: np.ndarray) -> str:
-    """``%.Nf,%.Mf``: the decimals that give each column's largest |value| 10 significant digits."""
+    """``%.Nf,%.Mf``, the decimals that give each column's largest |value| 10 significant digits.
+
+    A value near zero, as on the CML at its zero crossing, then shows no BLAS-kernel noise.
+    """
     exponents = [int(f"{m:.9e}".split("e")[1]) for m in np.abs(xy).max(axis=0, initial=0.0)]
     return ",".join(f"%.{max(0, 9 - e)}f" for e in exponents)
 
 
 def curve_csv(curve: FrontierCurve) -> tuple[str, str]:
-    """Frontier and CML curve files, one pair per line, each column in fixed decimals.
-
-    A value near zero, such as the CML's near its zero crossing, is printed
-    to its column's resolution rather than to 10 significant digits, which
-    there would be rounding noise that changes with the BLAS kernel.
-    """
+    """Frontier and CML curve files, one pair per line, each column in ``_fixed`` decimals."""
     return (
         "target_return,frontier_risk\n" + _pairs(_fixed(curve.points), curve.points, "\n"),
         "risk,cml_value\n" + _pairs(_fixed(curve.cml_points), curve.cml_points, "\n"),

@@ -893,6 +893,7 @@ def test_config_message(tmp_path, capsys, edit, message):
     write_case(cfg, json.loads(cfg.read_text()), edit)
     code = main(["analyze", "--config", str(cfg)])
     assert (code, capsys.readouterr().err) == expected_line(message, cfg)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("edit, message", [c[1:] for c in REPLAY_MESSAGES],
@@ -902,3 +903,4 @@ def test_replay_message(tmp_path, capsys, edit, message):
     write_case(src, json.loads((FIXTURES / "replay_2015_2023.json").read_text()), edit)
     code = main(["replay", "--input", str(src), "--output-dir", str(tmp_path / "o")])
     assert (code, capsys.readouterr().err) == expected_line(message, src)
+    assert not (tmp_path / "o").exists()
