@@ -146,7 +146,12 @@ def _numbers(shape: tuple[int, ...]):
     """Converter to a float array of the given shape with only finite entries."""
 
     def convert(value) -> np.ndarray:
-        a = np.array(value, dtype=float)
+        try:
+            a = np.array(value, dtype=float)
+        except ValueError:  # checked only now, so an accepted document pays nothing
+            if _ragged(value):
+                raise ValueError(f"expected shape {shape}, got a ragged list") from None
+            raise
         if a.shape != shape:
             raise ValueError(f"expected shape {shape}, got {a.shape}")
         if not np.all(np.isfinite(a)):
@@ -154,6 +159,17 @@ def _numbers(shape: tuple[int, ...]):
         return a
 
     return convert
+
+
+def _ragged(value) -> bool:
+    """True if the lists nested in ``value`` differ in length, or mix with
+    non-lists, at some depth."""
+    level = [value]
+    while any(isinstance(v, list) for v in level):
+        if not all(isinstance(v, list) for v in level) or len({len(v) for v in level}) > 1:
+            return True
+        level = [x for v in level for x in v]
+    return False
 
 
 def _load_json(path: Path) -> dict:
@@ -287,7 +303,7 @@ def _cmd_analyze(args) -> OutputSet:
         _add_report_files(out, out_dir, report, args.format)
     out.add(
         out_dir / f"summary.{_ext(args.format)}",
-        rp.render_summary(rp.summarize(reports), args.format),
+        rp.render_summary(reports, args.format),
     )
     return out
 
@@ -342,7 +358,7 @@ def _cmd_summarize(args) -> OutputSet:
     out = OutputSet()
     out.add(
         out_dir / f"summary.{_ext(args.format)}",
-        rp.render_summary(rp.summarize(reports), args.format),
+        rp.render_summary(reports, args.format),
     )
     return out
 

@@ -182,82 +182,6 @@ def emit_frontier_curve(
     return FrontierCurve(points, cml_points)
 
 
-# --- summary across windows (shapes of the published per-period summaries) ---
-
-
-class Summary(NamedTuple):
-    """Cross-window summary of W windows over N assets, held in arrays.
-
-    ``returns``, ``betas``, ``variances``, ``risks`` and ``sharpes`` are
-    (W,) rows; ``weights``, ``historical``, ``capm`` and ``contributions``
-    are (N, W). The (W,) bool masks ``viable`` (the window has a portfolio)
-    and ``has_stats`` (per-asset stats are known) mark the known columns:
-    the portfolio rows, weights and contributions need ``viable``, the
-    historical returns ``has_stats`` and the beta both. Unknown cells are NaN.
-    """
-
-    windows: tuple[str, ...]
-    labels: tuple[str, ...]
-    viable: np.ndarray
-    has_stats: np.ndarray
-    returns: np.ndarray
-    betas: np.ndarray  # portfolio beta = sum(w_i * beta_i)
-    variances: np.ndarray
-    risks: np.ndarray
-    sharpes: np.ndarray
-    weights: np.ndarray
-    historical: np.ndarray  # per-asset annualized return
-    capm: np.ndarray
-    contributions: np.ndarray  # w_i * E(R)_i
-
-
-def summarize(reports: list[WindowReport]) -> Summary:
-    """One column per window: portfolio row, weight matrix and return matrix.
-
-    Every cell is copied from its WindowReport; nothing is recomputed here
-    except the portfolio beta, which is the weight-average of asset betas
-    (known only when per-asset betas are available), and the contributions
-    ``weights * capm``.
-    """
-    if not reports:
-        raise ReportError("need at least one report to summarize")
-    labels = reports[0].labels
-    for r in reports[1:]:
-        if r.labels != labels:
-            raise ReportError("reports have mismatched asset labels")
-    sols = [r.solution for r in reports]
-    n = len(labels)
-    unknown = np.full(n, np.nan)
-
-    def row(attr: str) -> np.ndarray:
-        return np.array([np.nan if s is None else getattr(s, attr) for s in sols])
-
-    weights = np.column_stack([unknown if s is None else s.weights for s in sols])
-    capm = np.column_stack([r.expected_returns for r in reports])
-    return Summary(
-        windows=tuple(r.window.name for r in reports),
-        labels=labels,
-        viable=np.array([s is not None for s in sols]),
-        has_stats=np.array([r.indicators is not None for r in reports]),
-        returns=row("port_return"),
-        betas=np.array(
-            [
-                np.nan if s is None or r.indicators is None else r.indicators[2, :n] @ s.weights
-                for r, s in zip(reports, sols)
-            ]
-        ),
-        variances=row("variance"),
-        risks=row("risk"),
-        sharpes=row("sharpe"),
-        weights=weights,
-        historical=np.column_stack(
-            [unknown if r.indicators is None else r.indicators[0, :n] for r in reports]
-        ),
-        capm=capm,
-        contributions=weights * capm,
-    )
-
-
 # --- rendering ---
 #
 # A table is laid out as bytes before it becomes text. Its cells are held
@@ -447,44 +371,59 @@ def render_tables(report: WindowReport, format: str = "csv") -> str:
     return "\n\n".join(out) + "\n"
 
 
-def render_summary(summary: Summary, format: str = "csv") -> str:
-    """Portfolio row, weight matrix and return matrix across windows."""
+def render_summary(reports: list[WindowReport], format: str = "csv") -> str:
+    """Portfolio rows, weight matrix and return matrix, one column per window.
+
+    Every cell is copied from its report except two products: the portfolio
+    beta ``indicators[2, :N] @ weights``, known only when the report has
+    per-asset stats, and the Markowitz returns ``weights * capm``. A cell
+    that needs a portfolio the window does not have prints ``non-viable``,
+    and a historical return without per-asset stats prints empty.
+    """
+    if not reports:
+        raise ReportError("need at least one report to summarize")
+    labels = reports[0].labels
+    if any(r.labels != labels for r in reports[1:]):
+        raise ReportError("reports have mismatched asset labels")
     if format not in ("csv", "markdown"):
         raise ReportError(f"unknown format {format!r}")
-    win = list(summary.windows)
-    labels = list(summary.labels)
     n = len(labels)
-    viable = summary.viable
-    perf = [summary.returns, summary.betas, summary.variances, summary.risks, summary.sharpes]
-    perf = np.array(perf)
+    sols = [r.solution for r in reports]
+    viable = np.array([s is not None for s in sols])
+    has_stats = np.array([r.indicators is not None for r in reports])
+    unknown = np.zeros(n)  # a column the masks below hide
+    # one column per window: Return, Beta (printed from text), Variance, Risk, Sharpe
+    perf = np.array(
+        [[0.0] * 5 if s is None else [s.port_return, 0.0, s.variance, s.risk, s.sharpe]
+         for s in sols]
+    ).T
     known = np.repeat(viable[None], 5, axis=0)
     known[1] = False  # the Beta row prints two places and no percent sign
     text = np.full(perf.shape, "non-viable", dtype=object)
     text[1] = [
-        f"{b:.2f}" if ok else "non-viable"
-        for b, ok in zip(summary.betas.tolist(), (viable & summary.has_stats).tolist())
+        f"{r.indicators[2, :n] @ s.weights:.2f}" if ok else "non-viable"
+        for r, s, ok in zip(reports, sols, (viable & has_stats).tolist())
     ]
     perf = _masked_pcts(perf, known, text)
-    names = _text_cells(["Return", "Beta", "Variance", "Risk", "Sharpe"])
-    weights = _masked_pcts(summary.weights, viable, "non-viable")
-    blocks = ["Historical", "CAPM", "Markowitz"]
+    weights = np.column_stack([unknown if s is None else s.weights for s in sols])
+    weight_cells = _masked_pcts(weights, viable, "non-viable")
+    capm = np.column_stack([r.expected_returns for r in reports])
+    historical = np.column_stack(
+        [unknown if r.indicators is None else r.indicators[0, :n] for r in reports]
+    )
     returns = _masked_pcts(
-        np.concatenate([summary.historical, summary.capm, summary.contributions]),
-        np.concatenate(
-            [np.broadcast_to(k, summary.capm.shape) for k in (summary.has_stats, True, viable)]
-        ),
+        np.concatenate([historical, capm, weights * capm]),
+        np.concatenate([np.broadcast_to(k, capm.shape) for k in (has_stats, True, viable)]),
         np.repeat(["", "non-viable", "non-viable"], n)[:, None],
     )
+    win = [r.window.name for r in reports]
+    names = _text_cells(["Return", "Beta", "Variance", "Risk", "Sharpe"])
+    blocks = _text_cells(np.repeat(["Historical", "CAPM", "Markowitz"], n).tolist())
     return "\n\n".join(
         [
             _table(["Indicator"] + win, [names], perf, format),
-            _table(["Asset"] + win, [_text_cells(labels)], weights, format),
-            _table(
-                ["Block", "Asset"] + win,
-                [_text_cells(np.repeat(blocks, n).tolist()), _text_cells(labels * 3)],
-                returns,
-                format,
-            ),
+            _table(["Asset"] + win, [_text_cells(labels)], weight_cells, format),
+            _table(["Block", "Asset"] + win, [blocks, _text_cells(labels * 3)], returns, format),
         ]
     ) + "\n"
 

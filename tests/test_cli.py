@@ -839,12 +839,16 @@ REPLAY_MESSAGES = [
      (1, "error: {doc}: field 'cov_matrix' has invalid value [[0.0874, 0.0492, 0.0373, 0.0782], [0.0492, nan, 0.0399, 0.0478], [0.0373, 0.0399, 0.1172, 0.0468], [0.0782, 0.0478, 0.0468, 0.1203]] (not all numbers are finite)")),
     ("cov-string", lambda d: d["cov_matrix"][0].__setitem__(0, "x"),
      (1, "error: {doc}: field 'cov_matrix' has invalid value [['x', 0.0492, 0.0373, 0.0782], [0.0492, 0.1494, 0.0399, 0.0478], [0.0373, 0.0399, 0.1172, 0.0468], [0.0782, 0.0478, 0.0468, 0.1203]] (could not convert string to float: 'x')")),
+    ("cov-ragged", lambda d: d["cov_matrix"][1].pop(),
+     (1, "error: {doc}: field 'cov_matrix' has invalid value [[0.0874, 0.0492, 0.0373, 0.0782], [0.0492, 0.1494, 0.0399], [0.0373, 0.0399, 0.1172, 0.0468], [0.0782, 0.0478, 0.0468, 0.1203]] (expected shape (4, 4), got a ragged list)")),
     ("er-missing", lambda d: d.pop("expected_returns"),
      (1, "error: {doc}: missing field 'expected_returns'")),
     ("er-too-short", lambda d: d["expected_returns"].pop(),
      (1, "error: {doc}: field 'expected_returns' has invalid value [0.0303, 0.0432, 0.0473] (expected shape (4,), got (3,))")),
     ("er-string", lambda d: d["expected_returns"].__setitem__(1, "x"),
      (1, "error: {doc}: field 'expected_returns' has invalid value [0.0303, 'x', 0.0473, 0.0392] (could not convert string to float: 'x')")),
+    ("er-nested", lambda d: d["expected_returns"].__setitem__(1, [0.0432]),
+     (1, "error: {doc}: field 'expected_returns' has invalid value [0.0303, [0.0432], 0.0473, 0.0392] (expected shape (4,), got a ragged list)")),
     ("name-escapes", lambda d: d.update(name="../../x"),
      (1, "error: {doc}: window name '../../x' is not a plain directory name")),
     ("name-not-str", lambda d: d.update(name=5),

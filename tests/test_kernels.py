@@ -8,6 +8,9 @@ must not show it. Each kernel runs in its own child process, with
 reads it once, when numpy loads it. The child runs ``main`` in-process for
 every run of ``test_golden``: ``replay`` of each fixture, ``summarize`` and
 ``analyze`` of ``fixtures/analyze``, in csv and markdown.
+
+For the kernels this CPU cannot run, the same outputs must also survive an
+inverse changed by a few units in its last place.
 """
 
 import json
@@ -17,7 +20,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from frontera import stats
+
+from test_golden import GOLDEN, digests
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -64,3 +72,22 @@ def test_outputs_identical_across_kernels():
         assert sorted(got) == sorted(want), f"{kernel} and {first} write different files"
         changed = [rel for rel in want if got[rel] != want[rel]]
         assert not changed, f"{kernel} and {first} differ in {', '.join(changed)}"
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_outputs_survive_a_few_ulp_change_in_the_inverse(seed, tmp_path, monkeypatch):
+    # relative, so that an exact zero keeps its value and its sign: an absolute
+    # change would print a zero of a diagonal covariance's inverse as -0%
+    rng = np.random.default_rng(seed)
+    invert = stats.invert_matrix
+
+    def perturbed(matrix):
+        inverse = invert(matrix)
+        k = np.triu(rng.integers(-4, 5, inverse.shape))
+        return inverse * (1 + (k + np.triu(k, 1).T) * 2.0**-53)  # symmetric, |k| <= 4
+
+    monkeypatch.setattr(stats, "invert_matrix", perturbed)
+    want, got = json.loads(GOLDEN.read_text()), digests(tmp_path)
+    assert sorted(got) == sorted(want)
+    changed = [rel for rel in want if got[rel] != want[rel]]
+    assert not changed, f"a few-ulp change in the inverse changes {', '.join(changed)}"

@@ -19,7 +19,6 @@ from frontera.report import (
     render_summary,
     render_tables,
     replay_paper,
-    summarize,
 )
 from frontera.stats import NotPositiveDefiniteError, StatsError
 
@@ -199,46 +198,76 @@ class TestPipelineEquivalence:
         assert_reports_identical(first, second)
 
 
+def summary_tables(reports, fmt="csv"):
+    """The cells of the three tables of ``render_summary(reports, fmt)``, and
+    the Indicator table's rows by name."""
+    tables = [table_cells(t, fmt) for t in render_summary(reports, fmt).split("\n\n")]
+    return tables, {row[0]: row[1:] for row in tables[0][1:]}
+
+
+def block_rows(table, block):
+    """The (label, cells...) rows of one block of the return table."""
+    return [row[1:] for row in table[1:] if row[0] == block]
+
+
 class TestSummarize:
     def test_five_windows(self):
         names = ["2015_2023", "2015_2019", "2016_2020", "2020_2023", "2023"]
         reports = [replay_paper(load_fixture(n)) for n in names]
-        summary = summarize(reports)
-        assert summary.windows == ("2015-2023", "2015-2019", "2016-2020", "2020-2023", "2023")
-        assert summary.viable.tolist() == summary.has_stats.tolist() == [True] * 5
-        for row in (summary.returns, summary.betas, summary.variances, summary.risks):
-            assert row.shape == (5,) and row.dtype == float
-        for block in (summary.weights, summary.historical, summary.capm, summary.contributions):
-            assert block.shape == (4, 5) and block.dtype == float
-        assert np.array_equal(summary.contributions, summary.weights * summary.capm)
-        assert summary.returns[0] == pytest.approx(0.038, abs=0.001)
+        (perf, weights, returns), rows = summary_tables(reports)
+        assert perf[0] == ["Indicator", "2015-2023", "2015-2019", "2016-2020", "2020-2023", "2023"]
+        assert float(rows["Return"][0].rstrip("%")) == pytest.approx(3.8, abs=0.1)
         # cells are copied from the reports, not recomputed
-        for i, r in enumerate(reports):
-            assert summary.betas[i] == r.indicators[2, :4] @ r.solution.weights
-            assert summary.historical[:, i].tolist() == r.indicators[0, :4].tolist()
-            assert summary.capm[:, i].tolist() == r.expected_returns.tolist()
-            assert summary.returns[i] == r.solution.port_return
-            assert summary.variances[i] == r.solution.variance
-            assert summary.risks[i] == r.solution.risk
-            assert summary.sharpes[i] == r.solution.sharpe
-            for j in range(4):
-                assert summary.weights[j][i] == r.solution.weights[j]
+        sols = [r.solution for r in reports]
+        for name in ("Return", "Variance", "Risk", "Sharpe"):
+            field = {"Return": "port_return"}.get(name, name.lower())
+            assert rows[name] == pct_reference([getattr(s, field) for s in sols])
+        betas = [r.indicators[2, :4] @ r.solution.weights for r in reports]
+        assert rows["Beta"] == [f"{b:.2f}" for b in betas]
+        labels = list(reports[0].labels)
+        w = np.column_stack([s.weights for s in sols])
+        assert weights[1:] == [[lab] + row for lab, row in zip(labels, pct_reference(w))]
+        capm = np.column_stack([r.expected_returns for r in reports])
+        historical = np.column_stack([r.indicators[0, :4] for r in reports])
+        for block, values in [("Historical", historical), ("CAPM", capm), ("Markowitz", w * capm)]:
+            expected = [[lab] + row for lab, row in zip(labels, pct_reference(values))]
+            assert block_rows(returns, block) == expected
 
     def test_singleton(self):
-        summary = summarize([replay_paper(load_fixture("2023"))])
-        assert len(summary.windows) == 1
+        (perf, weights, returns), rows = summary_tables([replay_paper(load_fixture("2023"))])
+        assert perf[0] == ["Indicator", "2023"]
+        assert {len(row) for table in (weights, returns) for row in table[1:]} == {2, 3}
+        assert all(len(cells) == 1 for cells in rows.values())
 
     def test_non_viable_column(self):
-        summary = summarize([replay_paper(load_fixture("2020"))])
-        assert summary.viable.tolist() == [False] and summary.has_stats.tolist() == [True]
-        assert np.isnan(summary.returns[0]) and np.isnan(summary.betas[0])
-        assert np.isnan(summary.weights).all() and np.isnan(summary.contributions).all()
-        text = render_summary(summary)
-        assert "non-viable" in text
+        report = replay_paper(load_fixture("2020"))
+        (_, weights, returns), rows = summary_tables([report])
+        names = ["Return", "Beta", "Variance", "Risk", "Sharpe"]
+        assert rows == {name: ["non-viable"] for name in names}
+        assert [row[1:] for row in weights[1:]] == [["non-viable"]] * 4
+        assert [row[1:] for row in block_rows(returns, "Markowitz")] == [["non-viable"]] * 4
+        capm = [row[1:] for row in block_rows(returns, "CAPM")]
+        assert capm == pct_reference(report.expected_returns[:, None])
+        historical = [row[1:] for row in block_rows(returns, "Historical")]
+        assert historical == pct_reference(report.indicators[0, :4, None])
 
     def test_empty(self):
-        with pytest.raises(ReportError):
-            summarize([])
+        # the reports are checked before the format
+        with pytest.raises(ReportError) as raised:
+            render_summary([], "xml")
+        assert str(raised.value) == "need at least one report to summarize"
+
+    def test_mismatched_labels(self):
+        first = replay_paper(load_fixture("2023"))
+        other = first._replace(labels=("A", "B", "C", "D"))
+        with pytest.raises(ReportError) as raised:
+            render_summary([first, other], "xml")
+        assert str(raised.value) == "reports have mismatched asset labels"
+
+    def test_unknown_format(self):
+        with pytest.raises(ReportError) as raised:
+            render_summary([replay_paper(load_fixture("2023"))], "xml")
+        assert str(raised.value) == "unknown format 'xml'"
 
     @staticmethod
     def mixed_reports():
@@ -247,19 +276,23 @@ class TestSummarize:
         return [replay_paper(r) for r in (no_stats, load_fixture("2020"), load_fixture("2023"))]
 
     def test_masks(self):
-        summary = summarize(self.mixed_reports())
-        assert summary.viable.tolist() == [True, False, True]
-        assert summary.has_stats.tolist() == [False, True, True]
-        assert np.isnan(summary.historical[:, 0]).all() and np.isnan(summary.betas[:2]).all()
+        # a column needs a portfolio for the portfolio rows and weights, per-asset
+        # stats for the historical returns, and both for the beta
+        (_, weights, returns), rows = summary_tables(self.mixed_reports())
+        assert [c == "non-viable" for c in rows["Return"]] == [False, True, False]
+        assert [c == "non-viable" for c in rows["Beta"]] == [True, True, False]
+        assert {tuple(c == "non-viable" for c in row[1:]) for row in weights[1:]} == {
+            (False, True, False)
+        }
+        assert {tuple(c == "" for c in row[1:]) for row in block_rows(returns, "Historical")} == {
+            (True, False, False)
+        }
 
     @pytest.mark.parametrize("fmt", ["csv", "markdown"])
     def test_missing_stats_and_non_viable_cells(self, fmt):
         reports = self.mixed_reports()
-        summary = summarize(reports)
-        tables = render_summary(summary, fmt).split("\n\n")
-        perf, weights, blocks = [table_cells(t, fmt) for t in tables]
+        (perf, weights, blocks), rows = summary_tables(reports, fmt)
         assert perf[0] == ["Indicator", "2015-2023", "2020", "2023"]
-        rows = {row[0]: row[1:] for row in perf[1:]}
         beta_2023 = reports[2].indicators[2, :4] @ reports[2].solution.weights
         assert rows["Beta"] == ["non-viable", "non-viable", f"{beta_2023:.2f}"]
         for name in ("Return", "Variance", "Risk", "Sharpe"):
@@ -547,40 +580,51 @@ def render_tables_reference(report, fmt):
     return "\n\n".join(out) + "\n"
 
 
-def render_summary_reference(summary, fmt):
+def render_summary_reference(reports, fmt):
     """``render_summary`` assembled from per-cell strings, one row at a time."""
 
     def pct_rows(rows, known, missing):
         cells = pct_reference(np.where(known, rows, 0.0))
         return [[c if ok else missing for c, ok in zip(row, known.tolist())] for row in cells]
 
-    win, viable = list(summary.windows), summary.viable
+    labels, n = list(reports[0].labels), len(reports[0].labels)
+    win = [r.window.name for r in reports]
+    sols = [r.solution for r in reports]
+    viable = np.array([s is not None for s in sols])
+    has_stats = np.array([r.indicators is not None for r in reports])
     beta = [
-        f"{b:.2f}" if ok else "non-viable"
-        for b, ok in zip(summary.betas.tolist(), (viable & summary.has_stats).tolist())
+        f"{r.indicators[2, :n] @ s.weights:.2f}" if s is not None and r.indicators is not None
+        else "non-viable"
+        for r, s in zip(reports, sols)
     ]
+    nan = [np.nan] * 4
     ret, var, risk, sharpe = pct_rows(
-        np.array([summary.returns, summary.variances, summary.risks, summary.sharpes]),
+        np.array([nan if s is None else [s.port_return, s.variance, s.risk, s.sharpe]
+                  for s in sols]).T,
         viable,
         "non-viable",
     )
     perf = [["Return"] + ret, ["Beta"] + beta, ["Variance"] + var, ["Risk"] + risk]
     perf.append(["Sharpe"] + sharpe)
-    weights = pct_rows(summary.weights, viable, "non-viable")
+    unknown = np.full(n, np.nan)
+    w = np.column_stack([unknown if s is None else s.weights for s in sols])
+    capm = np.column_stack([r.expected_returns for r in reports])
+    historical = np.column_stack(
+        [unknown if r.indicators is None else r.indicators[0, :n] for r in reports]
+    )
     returns = []
     for block, matrix, known, missing in [
-        ("Historical", summary.historical, summary.has_stats, ""),
-        ("CAPM", summary.capm, np.ones_like(viable), "non-viable"),
-        ("Markowitz", summary.contributions, viable, "non-viable"),
+        ("Historical", historical, has_stats, ""),
+        ("CAPM", capm, np.ones_like(viable), "non-viable"),
+        ("Markowitz", w * capm, viable, "non-viable"),
     ]:
         rows = pct_rows(matrix, known, missing)
-        returns += [[block, lab] + row for lab, row in zip(summary.labels, rows)]
+        returns += [[block, lab] + row for lab, row in zip(labels, rows)]
+    weights = [[lab] + row for lab, row in zip(labels, pct_rows(w, viable, "non-viable"))]
     return "\n\n".join(
         [
             table_reference(["Indicator"] + win, perf, fmt),
-            table_reference(
-                ["Asset"] + win, [[lab] + row for lab, row in zip(summary.labels, weights)], fmt
-            ),
+            table_reference(["Asset"] + win, weights, fmt),
             table_reference(["Block", "Asset"] + win, returns, fmt),
         ]
     ) + "\n"
@@ -632,8 +676,7 @@ class TestDigitKernel:
             replay_paper(seeded_replay(rng, LABELS[:n], viable, stats))
             for viable, stats in [(True, True), (False, True), (True, False), (True, True)]
         ]
-        summary = summarize(reports)
-        assert render_summary(summary, fmt) == render_summary_reference(summary, fmt)
+        assert render_summary(reports, fmt) == render_summary_reference(reports, fmt)
 
     @pytest.mark.parametrize("places, expected", [(2, "-0.00%"), (0, "-0%")])
     def test_tiny_negatives_keep_their_sign(self, places, expected):
