@@ -1,18 +1,19 @@
 """Closed-form mean-variance frontier (Merton).
 
-With annualized covariance matrix A and expected-return vector E(R):
+With annualized covariance A, expected returns E(R) and e = E(R) - mu 1:
 
-    h = 1' A^-1          g = E(R)' A^-1
-    alpha = sum(h)       b = sum(g)
-    gamma = E(R) . g     delta = alpha * gamma - b^2
+    h = 1' A^-1      alpha = sum(h)    mu = b / alpha
+    g = E(R)' A^-1   b = sum(g)        gamma = E(R) . g
+    delta = alpha e' A^-1 e                 (= alpha gamma - b^2)
+    risk(t)^2 = 1/alpha + alpha (t - mu)^2 / delta
+                                            (= (alpha t^2 - 2 b t + gamma) / delta)
 
-The frontier in (risk, return) space is risk(t) = sqrt((alpha t^2 - 2 b t
-+ gamma) / delta); the global minimum-variance portfolio is omega = h /
-alpha with return b / alpha and variance 1 / alpha. The tangency point of
-the line through (0, rf) is r_t = (gamma - b rf) / (b - alpha rf).
-
-Short sales are allowed: weights may be negative. All quantities are
-decimal fractions.
+The bracketed forms lose about log10(alpha gamma / delta) digits to
+cancellation; the centred ones do not, and risk(t)^2 is a sum of positive
+terms. The global minimum-variance portfolio omega = h / alpha has return mu
+and variance 1 / alpha. The line through (0, rf) touches the frontier at
+r_t = (gamma - b rf) / (b - alpha rf). Weights may be negative (short
+sales), and all values are decimal fractions.
 """
 
 from typing import NamedTuple
@@ -72,7 +73,8 @@ def frontier_constants(inverse: np.ndarray, expected_returns: np.ndarray) -> Fro
         alpha = float(h.sum())
         b = float(g.sum())
         gamma = float(er @ g)
-        delta = alpha * gamma - b * b
+        e = er - b / alpha if alpha > 0 else er  # alpha <= 0 is refused below
+        delta = alpha * float(e @ inverse @ e)
     if not np.isfinite(np.concatenate([h, g, [alpha, b, gamma, delta]])).all():
         raise FrontierError("frontier constants overflow the floating-point range")
     if alpha <= 0:
@@ -119,11 +121,8 @@ def frontier_risk(fc: FrontierConstants, target: float | np.ndarray) -> float | 
     of risks is returned, one per target).
     """
     _check_delta(fc)
-    t = np.asarray(target, dtype=float)
-    radicand = (fc.alpha * t * t - 2.0 * fc.b * t + fc.gamma) / fc.delta
-    if np.any(radicand < 0):
-        raise FrontierError(f"negative radicand {np.min(radicand):.3e} in frontier risk")
-    risk = np.sqrt(radicand)
+    d = np.asarray(target, dtype=float) - fc.b / fc.alpha
+    risk = np.sqrt(1.0 / fc.alpha + fc.alpha * d * d / fc.delta)
     return float(risk) if risk.ndim == 0 else risk
 
 

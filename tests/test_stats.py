@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from frontera.frontier import frontier_constants, gmv_portfolio
+from frontera.frontier import frontier_constants, frontier_risk, gmv_portfolio, tangency
 from frontera.market_data import PricePanel, simple_returns
 from frontera.stats import (
     INVERSE_LEAF,
@@ -394,7 +394,7 @@ def refined_solve(a: np.ndarray, b: np.ndarray, steps: int = 4) -> np.ndarray:
     N = 64, its relative error was about 1/1000 of the float64 errors that
     TestConditioning bounds."""
     wide = a.astype(np.longdouble)
-    x = np.linalg.solve(a, b).astype(np.longdouble)
+    x = np.linalg.solve(a, np.asarray(b, dtype=float)).astype(np.longdouble)
     for _ in range(steps):
         x += np.linalg.solve(a, (b - wide @ x).astype(float))
     return x
@@ -422,8 +422,12 @@ class TestConditioning:
     (Higham ch. 10 and section 14.2)."""
 
     @staticmethod
+    def covariance(n: int, kappa: float) -> np.ndarray:
+        return randsvd(np.random.default_rng(6000 + n), n, kappa)
+
+    @staticmethod
     def case(n: int, kappa: float) -> tuple[np.ndarray, np.ndarray]:
-        a = randsvd(np.random.default_rng(6000 + n), n, kappa)
+        a = TestConditioning.covariance(n, kappa)
         return a, refined_solve(a, np.ones(n))
 
     def test_gmv_forward_error(self, n, kappa):
@@ -444,6 +448,170 @@ class TestConditioning:
             return float(np.max(np.abs(np.ones(n) @ inverse - h_ref)) / np.max(np.abs(h_ref)))
 
         assert error(invert_matrix(a)) <= SOLVE_PATH_FACTOR * error(low_inv.T @ low_inv)
+
+
+def frontier_reference(a: np.ndarray, h_ref: np.ndarray, er: np.ndarray):
+    """alpha, mu = b / alpha and delta in np.longdouble from refined solves.
+
+    delta is formed as alpha e' A^-1 e with e = E - mu 1. The expanded
+    alpha gamma - b^2 cancels in long double too: at alpha gamma / delta =
+    1.6e9 it left the reference itself off by 2e-8."""
+    alpha = h_ref.sum()
+    mu = refined_solve(a, er).sum() / alpha
+    e = er - mu
+    return alpha, mu, alpha * (e @ refined_solve(a, e))
+
+
+def centred_errors(a, h_ref, er, kappa, c):
+    """(error, bound) of delta and of the frontier risks at 60 targets.
+
+    Both bounds are c N u kappa, as in TestConditioning, plus a term for
+    the error eps of mu = b / alpha, which is at most c N u times
+    (|E| + |mu|)' |A^-1| 1 / alpha, the rounding of the products and sums
+    that form b and alpha, plus kappa max|w| ||e||_1, the GMV weights' error times the
+    spread e = E - mu 1. mu minimises (E - x 1)' A^-1 (E - x 1) = delta /
+    alpha over x, so eps moves delta by alpha^2 eps^2 only. It moves the
+    risk sqrt(1 / alpha + alpha d^2 / delta), d = t - mu, by alpha |d| eps
+    / (delta risk^2) relative, to first order."""
+    n = len(a)
+    inverse = invert_matrix(a)
+    fc = frontier_constants(inverse, er)
+    alpha, mu, delta = frontier_reference(a, h_ref, er)
+    assert 1 + (alpha * mu) ** 2 / delta >= 1e4  # alpha gamma / delta
+    unit = c * n * np.finfo(float).eps / 2
+    w = h_ref / alpha
+    sums = (np.abs(er) + abs(mu)) @ np.abs(inverse) @ np.ones(n) / alpha
+    eps = unit * (sums + kappa * np.max(np.abs(w)) * np.sum(np.abs(er - mu)))
+    # the default curve span, and nine points around mu; the variance
+    # doubles at d = +-half_width
+    half_width = np.sqrt(delta) / alpha
+    d = np.concatenate([
+        np.linspace(0.0, 1.5 * er.max(), 51) - mu, half_width * np.arange(-4, 5)
+    ])
+    variance = 1 / alpha + alpha * d * d / delta
+    risk_bound = (unit * kappa + alpha * np.abs(d) * eps / (delta * variance)) * np.sqrt(variance)
+    risk_error = np.abs(frontier_risk(fc, (mu + d).astype(float)) - np.sqrt(variance))
+    return (
+        (abs(fc.delta - delta), (unit * kappa + alpha**2 * eps**2 / delta) * delta),
+        (risk_error, risk_bound),
+    )
+
+
+# FORWARD_ERROR_C holds here too: over 21 seeds of each (N, kappa, spread)
+# below and the three kernels, the largest error of delta or of a frontier
+# risk was 0.0031 times its bound at c = 1. With delta formed as alpha gamma
+# - b^2 it was up to 5e5 times.
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="np.longdouble is no wider than float64 here",
+)
+@pytest.mark.parametrize("spread", [1e-4, 1e-6])
+@pytest.mark.parametrize("kappa", [1e2, 1e4])
+@pytest.mark.parametrize("n", [64, 300])
+def test_centred_frontier_forward_error(n, kappa, spread):
+    """delta and the frontier risks for expected returns 0.03 + spread z,
+    z standard normal, where alpha gamma / delta >= 1e4: the expanded
+    alpha gamma - b^2 loses four or more digits there."""
+    a, h_ref = TestConditioning.case(n, kappa)
+    er = 0.03 + spread * np.random.default_rng(n).standard_normal(n)
+    (delta_error, delta_bound), (risk_error, risk_bound) = centred_errors(
+        a, h_ref, er, kappa, FORWARD_ERROR_C
+    )
+    assert delta_error <= delta_bound
+    assert np.all(risk_error <= risk_bound)
+
+
+def rounding_bounds(inverse: np.ndarray, er: np.ndarray, rf: float):
+    """First-order bounds on the rounding errors of mu, r_t, sigma_t and the
+    slope as frontier.py forms them from a given inverse.
+
+    An N-term product x' M y errs by at most about N u |x|' |M| |y|
+    (Higham (3.5)); the bounds follow those errors through every later step
+    and leave out the rounding of single operations, about N times smaller.
+    The inverse's own error is not in them: the runs compared share it."""
+    n, u = len(er), np.finfo(float).eps / 2
+    m, one, size = np.abs(inverse), np.ones(n), np.abs(er)
+    fc = frontier_constants(inverse, er)
+    tan = tangency(fc, rf)
+    mu = fc.b / fc.alpha
+    d_alpha = n * u * (one @ m @ one)
+    d_b = 2 * n * u * (size @ m @ one)
+    d_gamma = 2 * n * u * (size @ m @ size)
+    d_mu = (d_b + abs(mu) * d_alpha) / fc.alpha
+    d_rt = (d_gamma + abs(rf) * d_b + abs(tan.r_t) * (d_b + abs(rf) * d_alpha)) / abs(
+        fc.b - fc.alpha * rf
+    )
+    spread = np.abs(er - mu)
+    d_delta = fc.delta * d_alpha / fc.alpha + fc.alpha * (
+        2 * n * u * (spread @ m @ spread) + 2 * d_mu * (one @ m @ spread)
+    )
+    # sigma_t^2 = 1 / alpha + alpha d^2 / delta with d = r_t - mu
+    far = tan.sigma_rt**2 - 1 / fc.alpha
+    d_variance = d_alpha / fc.alpha**2 + far * (
+        d_alpha / fc.alpha + d_delta / fc.delta + 2 * (d_rt + d_mu) / abs(tan.r_t - mu)
+    )
+    d_sigma = d_variance / (2 * tan.sigma_rt)
+    d_slope = abs(tan.slope) * (d_rt / abs(tan.r_t - rf) + d_sigma / tan.sigma_rt)
+    return np.array([d_mu, d_rt, d_sigma, d_slope])
+
+
+@pytest.mark.parametrize("kappa", [1e2, 1e6, 1e10])
+@pytest.mark.parametrize("n", [64, 300])
+class TestMetamorphic:
+    """Relations between runs on changed inputs, checked without a reference
+    on TestConditioning's covariances. The expected returns lie on a 2^-40
+    grid and the shift C and rf are powers of two, so that E + C and rf + C
+    are exact."""
+
+    C, RF = 2.0**-5, 2.0**-7
+
+    @staticmethod
+    def inputs(n: int, kappa: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        a = TestConditioning.covariance(n, kappa)
+        er = np.ldexp(np.round(np.ldexp(np.random.default_rng(n).uniform(0.0, 0.1, n), 40)), -40)
+        return a, invert_matrix(a), er
+
+    def test_permuting_assets_permutes_gmv_weights(self, n, kappa):
+        """Each run is within test_gmv_forward_error's bound of the exact
+        weights, so the two are within twice that of each other."""
+        a, inverse, er = self.inputs(n, kappa)
+        p = np.random.default_rng(n).permutation(n)
+        weights = gmv_portfolio(frontier_constants(inverse, er), self.RF).weights
+        permuted = frontier_constants(invert_matrix(a[np.ix_(p, p)]), er[p])
+        bound = 2 * FORWARD_ERROR_C * n * (np.finfo(float).eps / 2) * kappa
+        error = np.max(np.abs(gmv_portfolio(permuted, self.RF).weights - weights[p]))
+        assert error <= bound * np.max(np.abs(weights))
+
+    def test_shifting_returns_shifts_gmv_return(self, n, kappa):
+        """The weights h / alpha do not read E, so they are bit-equal; the
+        return moves by C within the rounding of both runs."""
+        _, inverse, er = self.inputs(n, kappa)
+        gmv = gmv_portfolio(frontier_constants(inverse, er), self.RF)
+        shifted = gmv_portfolio(frontier_constants(inverse, er + self.C), self.RF)
+        assert np.array_equal(shifted.weights, gmv.weights)
+        d_mu = sum(rounding_bounds(inverse, x, self.RF)[0] for x in (er, er + self.C))
+        assert abs(shifted.port_return - gmv.port_return - self.C) <= d_mu
+
+    def test_shifting_returns_and_rf_shifts_tangency(self, n, kappa):
+        """r_t moves by C; sigma_t and the slope stay, within the rounding of
+        both runs."""
+        _, inverse, er = self.inputs(n, kappa)
+        tan = tangency(frontier_constants(inverse, er), self.RF)
+        shifted = tangency(frontier_constants(inverse, er + self.C), self.RF + self.C)
+        _, d_rt, d_sigma, d_slope = rounding_bounds(inverse, er, self.RF) + rounding_bounds(
+            inverse, er + self.C, self.RF + self.C
+        )
+        assert abs(shifted.r_t - tan.r_t - self.C) <= d_rt
+        assert abs(shifted.sigma_rt - tan.sigma_rt) <= d_sigma
+        assert abs(shifted.slope - tan.slope) <= d_slope
+
+    @pytest.mark.parametrize("s", [4.0, 0.25])
+    def test_scaling_covariance_scales_alpha(self, n, kappa, s):
+        """A power of 4 scales every rounding of the Cholesky inverse
+        exactly, its square roots included, so the tolerance is zero."""
+        a, inverse, er = self.inputs(n, kappa)
+        scaled = frontier_constants(invert_matrix(s * a), er)
+        assert scaled.alpha == frontier_constants(inverse, er).alpha / s
 
 
 class TestLoopReference:
