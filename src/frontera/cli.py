@@ -278,11 +278,16 @@ def _ext(fmt: str) -> str:
 def _add_report_files(out: OutputSet, base: Path, report: rp.WindowReport, fmt: str):
     base = base / report.window.name
     out.add(base / f"tables.{_ext(fmt)}", rp.render_tables(report, fmt))
-    if report.curve is not None:
-        frontier_text, cml_text = rp.curve_csv(report.curve)
-        out.add(base / "frontier_curve.csv", frontier_text)
-        out.add(base / "cml_curve.csv", cml_text)
-        out.add(base / "frontier.svg", rp.render_svg(report))
+    if report.solution is None:
+        return
+    try:
+        curve = rp.emit_frontier_curve(report)
+    except fr.DegenerateFrontierError:  # equal expected returns: no frontier to draw
+        return
+    frontier_text, cml_text = rp.curve_csv(curve)
+    out.add(base / "frontier_curve.csv", frontier_text)
+    out.add(base / "cml_curve.csv", cml_text)
+    out.add(base / "frontier.svg", rp.render_svg(report, curve))
 
 
 def _named_window(cfg: AnalysisConfig, args) -> WindowSpec:

@@ -3,14 +3,14 @@
 Two entry points build the same report structure:
 
 - ``analyze_window``: raw aligned prices -> returns -> per-asset stats ->
-  covariance -> frontier constants -> viability -> GMV portfolio,
-  tangency and frontier curve.
+  covariance -> frontier constants -> viability -> GMV portfolio and tangency.
 - ``replay_paper``: start from a published covariance matrix and
   expected-return vector instead of raw prices; everything downstream is
   the identical code path.
 
 A window in which every expected return is negative is marked non-viable:
-no weights, tangency or curve are produced for it.
+no weights or tangency are produced for it. ``emit_frontier_curve`` samples a
+viable window's frontier and CML for the files that draw them.
 """
 
 from decimal import ROUND_HALF_UP, Decimal, localcontext
@@ -57,7 +57,6 @@ class WindowReport(NamedTuple):
     viability: fr.Viability
     tangency: fr.TangencySolution | None
     solution: fr.PortfolioSolution | None
-    curve: FrontierCurve | None
 
 
 class ReplayInput(NamedTuple):
@@ -137,15 +136,9 @@ def _build_report(window, labels, er, indicators, market_id, cov, inverse) -> Wi
             tang = fr.tangency(fc, window.rf_annual)
         except (fr.TangencyUndefinedError, fr.DegenerateFrontierError):
             pass
-    report = WindowReport(
-        window, labels, er, indicators, market_id, cov, inverse, fc, viability, tang, solution, None
+    return WindowReport(
+        window, labels, er, indicators, market_id, cov, inverse, fc, viability, tang, solution
     )
-    if solution is not None:
-        try:
-            report = report._replace(curve=emit_frontier_curve(report))
-        except fr.DegenerateFrontierError:
-            pass
-    return report
 
 
 def emit_frontier_curve(
@@ -460,10 +453,10 @@ def _xml_escape(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def render_svg(report: WindowReport) -> str:
-    """Standalone SVG: frontier polyline, CML polyline, labeled markers, percent axes."""
-    curve, sol, tan = report.curve, report.solution, report.tangency
-    if curve is None or not len(curve.points):
+def render_svg(report: WindowReport, curve: FrontierCurve) -> str:
+    """Standalone SVG: ``curve``'s frontier and CML polylines, labeled markers, percent axes."""
+    sol, tan = report.solution, report.tangency
+    if not len(curve.points):
         raise ReportError("empty curve")
     frontier_xy = curve.points[:, ::-1]  # (risk, return) rows
     assets = np.column_stack([np.sqrt(np.diag(report.cov)), report.expected_returns])

@@ -15,7 +15,13 @@ import pytest
 from frontera.cli import main
 from frontera.frontier import TangencyUndefinedError, frontier_constants, frontier_risk
 from frontera.market_data import WindowSpec
-from frontera.report import ReplayInput, analyze_window, replay_paper
+from frontera.report import (
+    ReplayInput,
+    ReportError,
+    analyze_window,
+    emit_frontier_curve,
+    replay_paper,
+)
 from frontera.stats import asset_sharpe, asset_treynor, capm_expected_return, invert_matrix
 
 from conftest import (
@@ -101,7 +107,8 @@ def test_criterion_6_2020_non_viable():
     assert np.all(report.expected_returns < 0)
     assert report.solution is None
     assert report.tangency is None
-    assert report.curve is None
+    with pytest.raises(ReportError, match="non-viable"):
+        emit_frontier_curve(report)
     ok(6, "2020 window flagged non-viable, no weights emitted")
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from frontera import report as rp
 from frontera.cli import InputError, OutputSet, load_config, load_replay_input, main
 
 from conftest import FIXTURES
@@ -264,6 +265,16 @@ class TestReplay:
         text = (tmp_path / "2020" / "tables.csv").read_text()
         assert "non-viable" in text
         assert not (tmp_path / "2020" / "frontier_curve.csv").exists()
+
+    def test_degenerate_frontier_writes_only_tables(self, tmp_path):
+        # a viable window whose expected returns are all equal has a GMV
+        # portfolio but no frontier to draw: no curve files and no figure
+        doc = json.loads((FIXTURES / "replay_2023.json").read_text())
+        doc["expected_returns"] = [0.05] * len(doc["labels"])
+        src = tmp_path / "flat.json"
+        src.write_text(json.dumps(doc))
+        assert main(["replay", "--input", str(src), "--output-dir", str(tmp_path / "o")]) == 0
+        assert files_under(tmp_path / "o") == [tmp_path / "o" / doc["name"] / "tables.csv"]
 
     def test_byte_identical_runs(self, tmp_path):
         src = FIXTURES / "replay_2016_2020.json"
@@ -565,6 +576,28 @@ class TestSummarize:
         assert main(["summarize", "--inputs", *inputs, "--output-dir", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"error: {absent}: file not found\n"
         assert files_under(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "argv, curves",
+    [
+        (["summarize", "--inputs", *map(str, sorted(FIXTURES.glob("replay_*.json")))], 0),
+        (["frontier", "--config", str(FIXTURES / "analyze" / "config.json"), "--window", "all"], 1),
+        (["analyze", "--config", str(FIXTURES / "analyze" / "config.json")], 2),
+    ],
+    ids=["summarize", "frontier", "analyze"],
+)
+def test_curve_drawn_only_for_its_files(tmp_path, monkeypatch, argv, curves):
+    # summarize prints no curve; frontier and analyze draw one per window that has curve files
+    emit, windows = rp.emit_frontier_curve, []
+
+    def counted(report, *args):
+        windows.append(report.window.name)
+        return emit(report, *args)
+
+    monkeypatch.setattr(rp, "emit_frontier_curve", counted)
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 0
+    assert len(windows) == curves, windows
 
 
 class TestLoaders:

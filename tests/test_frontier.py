@@ -13,7 +13,7 @@ from frontera.frontier import (
     tangency,
     viability_check,
 )
-from frontera.report import replay_paper
+from frontera.report import emit_frontier_curve, replay_paper
 from frontera.stats import invert_matrix
 
 from conftest import load_fixture, random_expected_returns, random_pd_matrix
@@ -239,11 +239,12 @@ class TestFrontierRiskAndCml:
         # the curve's CML starts at (0, rf) and is rf + risk * slope at every sample
         report = replay_paper(load_fixture("2015_2023"))
         t, rf = report.tangency, report.window.rf_annual
-        cml = report.curve.cml_points
+        curve = emit_frontier_curve(report)
+        cml = curve.cml_points
         assert cml.shape == (200, 2)
         assert cml[0].tolist() == [0.0, rf]
         assert cml[:, 1].tolist() == [rf + v * t.slope for v in cml[:, 0].tolist()]
-        assert cml[-1, 0] == report.curve.points[:, 1].max()
+        assert cml[-1, 0] == curve.points[:, 1].max()
         assert np.all(np.diff(cml[:, 1]) < 0)  # the 2015-2023 slope is negative
 
     def test_cml_recovers_tangency(self):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from frontera.report import replay_paper
+from frontera.report import emit_frontier_curve, replay_paper
 from frontera.cli import AnalysisConfig
 
 from conftest import load_fixture, panel_from_returns, series_from_prices
@@ -55,7 +55,7 @@ def records() -> dict:
     found = [
         config, series_from_prices("A", [1.0, 2.0]), panel_from_returns({"A": [0.1]}, [0.2]),
         report.window, report.constants, report.tangency,
-        report.solution, report.viability, report.curve, report, replay,
+        report.solution, report.viability, emit_frontier_curve(report), report, replay,
     ]
     return {type(r).__name__: r for r in found}
 

@@ -68,7 +68,8 @@ class TestAnalyzeWindow:
         assert not report.viability.viable
         assert report.solution is None
         assert report.tangency is None
-        assert report.curve is None
+        with pytest.raises(ReportError, match="non-viable"):
+            emit_frontier_curve(report)
 
     def test_gmv_matches_grid_oracle(self):
         from oracle import GridSpec, grid_min_variance
@@ -117,7 +118,9 @@ class TestReplayPaper:
     def test_2020_non_viable(self):
         report = replay_paper(load_fixture("2020"))
         assert not report.viability.viable
-        assert report.solution is None and report.curve is None
+        assert report.solution is None
+        with pytest.raises(ReportError, match="non-viable"):
+            emit_frontier_curve(report)
 
     def test_non_pd_matrix_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
@@ -348,10 +351,11 @@ class TestEmitFrontierCurve:
         window = replay.window._replace(rf_annual=fc.b / fc.alpha)
         report = replay_paper(replay._replace(window=window))
         assert report.tangency is None
-        assert report.curve.points.shape == (200, 2)
-        assert report.curve.cml_points.shape == (0, 2)
-        assert curve_csv(report.curve)[1] == "risk,cml_value\n"
-        root = ET.fromstring(render_svg(report))
+        curve = emit_frontier_curve(report)
+        assert curve.points.shape == (200, 2)
+        assert curve.cml_points.shape == (0, 2)
+        assert curve_csv(curve)[1] == "risk,cml_value\n"
+        root = ET.fromstring(render_svg(report, curve))
         assert len(root.findall("{http://www.w3.org/2000/svg}polyline")) == 1
         texts = [t.text for t in root.findall("{http://www.w3.org/2000/svg}text")]
         assert "GMV" in texts and "Tangency" not in texts
@@ -370,7 +374,8 @@ class TestEmitFrontierCurve:
 
     def test_gmv_left_of_all_points(self):
         report = replay_paper(load_fixture("2015_2023"))
-        assert np.all(report.curve.points[:, 1] >= report.solution.risk - 1e-12)
+        curve = emit_frontier_curve(report)
+        assert np.all(curve.points[:, 1] >= report.solution.risk - 1e-12)
 
 
 class TestRendering:
@@ -408,7 +413,7 @@ class TestRendering:
 
     def test_curve_csv(self):
         report = replay_paper(load_fixture("2015_2023"))
-        frontier_text, cml_text = curve_csv(report.curve)
+        frontier_text, cml_text = curve_csv(emit_frontier_curve(report))
         assert frontier_text.splitlines()[0] == "target_return,frontier_risk"
         assert cml_text.splitlines()[0] == "risk,cml_value"
         assert len(frontier_text.splitlines()) == 201
@@ -433,7 +438,7 @@ class TestRendering:
 
     def test_svg_structure(self):
         report = replay_paper(load_fixture("2015_2023"))
-        svg = render_svg(report)
+        svg = render_svg(report, emit_frontier_curve(report))
         root = ET.fromstring(svg)
         ns = "{http://www.w3.org/2000/svg}"
         polylines = root.findall(f"{ns}polyline")
@@ -445,12 +450,14 @@ class TestRendering:
         assert len(root.findall(f"{ns}circle")) == len(report.labels) + 2
 
     def test_svg_needs_a_curve(self):
+        empty = FrontierCurve(np.empty((0, 2)), np.empty((0, 2)))
         with pytest.raises(ReportError, match="empty curve"):
-            render_svg(replay_paper(load_fixture("2020")))
+            render_svg(replay_paper(load_fixture("2023")), empty)
 
     def test_svg_deterministic(self):
         report = replay_paper(load_fixture("2023"))
-        assert render_svg(report) == render_svg(report)
+        curve = emit_frontier_curve(report)
+        assert render_svg(report, curve) == render_svg(report, curve)
 
 
 class TestWeightsAgainstPaperTables:
