@@ -32,16 +32,24 @@ def annualized_return(returns: np.ndarray, trading_days: int = TRADING_DAYS) -> 
         raise StatsError("no returns")
     if np.any(returns <= -1.0):
         raise StatsError("return <= -100% makes the geometric mean undefined")
-    growth = np.prod(1.0 + returns, axis=1)
-    # scalar pow: np.power's vector loop can differ from libm pow in the last bit
-    return np.array([g ** (trading_days / n) for g in growth.tolist()]) - 1.0
+    with np.errstate(over="ignore"):  # an overflow ends as inf, refused below
+        growth = np.prod(1.0 + returns, axis=1)
+    # scalar pow: np.power's vector loop can differ from libm pow in the last bit;
+    # where np.power would overflow to inf, it raises OverflowError
+    try:
+        annual = [g ** (trading_days / n) for g in growth.tolist()]
+    except OverflowError:
+        annual = [np.inf]
+    return _finite(np.array(annual) - 1.0, "annualized return")
 
 
 def annualized_volatility(returns: np.ndarray, trading_days: int = TRADING_DAYS) -> np.ndarray:
     """Sample standard deviation of each row (divisor n-1) times sqrt(trading_days)."""
     if returns.shape[1] < 2:
         raise StatsError("need at least 2 returns for volatility")
-    return np.std(returns, axis=1, ddof=1) * float(np.sqrt(trading_days))
+    with np.errstate(over="ignore"):  # an overflow ends as inf, refused below
+        vol = np.std(returns, axis=1, ddof=1) * float(np.sqrt(trading_days))
+    return _finite(vol, "annualized volatility")
 
 
 def beta(returns: np.ndarray, market: np.ndarray) -> np.ndarray:
@@ -78,9 +86,14 @@ def _excess_ratio(ann_return, rf, denominator, name: str):
     the overflow a subnormal denominator gives, raises StatsError."""
     with np.errstate(over="ignore"):
         ratio = (ann_return - rf) / denominator
-    if not np.all(np.isfinite(ratio)):
-        raise StatsError(f"{name} ratio is not finite: it overflows the floating-point range")
-    return ratio
+    return _finite(ratio, f"{name} ratio")
+
+
+def _finite(values: np.ndarray, name: str) -> np.ndarray:
+    """``values``, or StatsError naming the statistic if any is not finite."""
+    if not np.all(np.isfinite(values)):
+        raise StatsError(f"{name} is not finite: it overflows the floating-point range")
+    return values
 
 
 def sample_covariance(returns: np.ndarray, trading_days: int = TRADING_DAYS) -> np.ndarray:

@@ -225,6 +225,37 @@ class TestAnalyze:
         assert capsys.readouterr().err == f"error: BBB: {message}\n"
         assert files_under(tmp_path) == before
 
+    @pytest.mark.parametrize(
+        "closes",
+        [
+            ["1e-300", "1.0", "1e300", "1e300"],  # the growth overflows
+            ["1.0", "1e100", "1e100", "1e100"],  # the growth is finite, its annual power is not
+        ],
+        ids=["growth", "power"],
+    )
+    def test_overflowing_annual_return_exit_2(self, tmp_path, capsys, closes):
+        # every daily return of A is finite, but its annualized return is not
+        dates = ["2020-01-02", "2020-01-03", "2020-01-06", "2020-01-07"]
+        columns = {"a": closes, "b": ["100", "101", "99.5", "102"], "m": ["50", "50.5", "50.2", "51"]}
+        for name, column in columns.items():
+            rows = "".join(f"{d},{c}\n" for d, c in zip(dates, column))
+            (tmp_path / f"{name}.csv").write_text("date,close\n" + rows)
+        window = {"name": "jan", "start": "2020-01-01", "end": "2020-01-31", "rf_annual": 0.02}
+        doc = {
+            "units": "decimal",
+            "assets": [{"id": "A", "csv_path": "a.csv"}, {"id": "B", "csv_path": "b.csv"}],
+            "market": {"id": "M", "csv_path": "m.csv"},
+            "windows": [window],
+        }
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        before = files_under(tmp_path)
+        assert main(["analyze", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "numeric error: annualized return is not finite: it overflows the floating-point range\n"
+        )
+        assert files_under(tmp_path) == before
+
     def test_non_utf8_price_file_exit_1(self, tmp_path, capsys):
         cfg = make_config(tmp_path)
         csv = tmp_path / "b.csv"

@@ -46,6 +46,15 @@ class TestAnnualizedReturn:
         with pytest.raises(StatsError):
             annualized_return(ret([]))
 
+    @pytest.mark.parametrize(
+        "returns", [[1e300, 1e300, 0.0], [1e100, 1e100]], ids=["growth", "power"]
+    )
+    def test_overflow_rejected(self, returns):
+        # every return is finite, but one row's growth or its annual power overflows
+        rows = ret([0.01] * len(returns), returns)
+        with pytest.raises(StatsError, match="^annualized return is not finite: it overflows"):
+            annualized_return(rows)
+
 
 class TestAnnualizedVolatility:
     def test_constant_returns(self):
@@ -66,6 +75,12 @@ class TestAnnualizedVolatility:
     def test_too_few(self):
         with pytest.raises(StatsError):
             annualized_volatility(ret([0.01]))
+
+    def test_overflow_rejected(self):
+        # finite returns whose squared deviations overflow
+        rows = ret([0.01, 0.02, 0.0], [1e300, -1e300, 0.0])
+        with pytest.raises(StatsError, match="^annualized volatility is not finite: it overflows"):
+            annualized_volatility(rows)
 
 
 class TestBeta:
