@@ -108,8 +108,10 @@ def sample_covariance(returns: np.ndarray, trading_days: int = TRADING_DAYS) -> 
         raise StatsError("need at least 2 return series")
     if n_obs < 2:
         raise StatsError("need at least 2 observations")
-    rc = returns - returns.mean(axis=1, keepdims=True)
-    return (rc @ rc.T) / (n_obs - 1) * trading_days
+    with np.errstate(over="ignore"):  # an overflow ends as inf, refused below
+        rc = returns - returns.mean(axis=1, keepdims=True)
+        cov = (rc @ rc.T) / (n_obs - 1) * trading_days
+    return _finite(cov, "annualized covariance")
 
 
 def invert_matrix(matrix: np.ndarray) -> np.ndarray:

@@ -226,19 +226,26 @@ class TestAnalyze:
         assert files_under(tmp_path) == before
 
     @pytest.mark.parametrize(
-        "closes",
+        "closes, statistic",
         [
-            ["1e-300", "1.0", "1e300", "1e300"],  # the growth overflows
-            ["1.0", "1e100", "1e100", "1e100"],  # the growth is finite, its annual power is not
+            (["1e-300", "1.0", "1e300", "1e300"], "annualized return"),  # the growth overflows
+            # the growth is finite, its annual power is not
+            (["1.0", "1e100", "1e100", "1e100"], "annualized return"),
+            # the volatility is finite, its square is not
+            (["1.0", "1e154"] + [repr(1e154 * 4e-16**k) for k in range(1, 11)],
+             "annualized covariance"),
         ],
-        ids=["growth", "power"],
+        ids=["growth", "power", "covariance"],
     )
-    def test_overflowing_annual_return_exit_2(self, tmp_path, capsys, closes):
-        # every daily return of A is finite, but its annualized return is not
-        dates = ["2020-01-02", "2020-01-03", "2020-01-06", "2020-01-07"]
-        columns = {"a": closes, "b": ["100", "101", "99.5", "102"], "m": ["50", "50.5", "50.2", "51"]}
+    def test_overflowing_statistic_exit_2(self, tmp_path, capsys, closes, statistic):
+        # every daily return of A is finite, but a statistic over the window is not
+        columns = {
+            "a": closes,
+            "b": [f"{100 + k % 3}" for k in range(len(closes))],
+            "m": [f"{50 + k % 4 / 2}" for k in range(len(closes))],
+        }
         for name, column in columns.items():
-            rows = "".join(f"{d},{c}\n" for d, c in zip(dates, column))
+            rows = "".join(f"2020-01-{2 + k:02d},{c}\n" for k, c in enumerate(column))
             (tmp_path / f"{name}.csv").write_text("date,close\n" + rows)
         window = {"name": "jan", "start": "2020-01-01", "end": "2020-01-31", "rf_annual": 0.02}
         doc = {
@@ -252,7 +259,7 @@ class TestAnalyze:
         before = files_under(tmp_path)
         assert main(["analyze", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == (
-            "numeric error: annualized return is not finite: it overflows the floating-point range\n"
+            f"numeric error: {statistic} is not finite: it overflows the floating-point range\n"
         )
         assert files_under(tmp_path) == before
 

@@ -150,6 +150,13 @@ class TestSharpeTreynor:
 
 
 class TestCovarianceMatrix:
+    def test_overflow_rejected(self):
+        # a volatility just inside the float range whose square is not
+        rows = ret([1e154 - 1.0] + [4e-16 - 1.0] * 10, [0.01, -0.01] * 5 + [0.0])
+        assert np.isfinite(annualized_volatility(rows)).all()
+        with pytest.raises(StatsError, match="^annualized covariance is not finite: it overflows"):
+            sample_covariance(rows)
+
     def test_identical_series(self):
         # singular matrix: only the matrix part is defined, inversion must fail
         rng = np.random.default_rng(5)
