@@ -421,9 +421,9 @@ def render_summary(reports: list[WindowReport], format: str = "csv") -> str:
     ) + "\n"
 
 
-def _pairs(fmt: str, xy: np.ndarray, end: str) -> str:
-    """``fmt % (x, y) + end`` for every row of an (n, 2) array, in one ``%`` call."""
-    return (fmt + end) * len(xy) % tuple(xy.ravel().tolist())
+def _pairs(fmt: str, rows: np.ndarray, end: str) -> str:
+    """``fmt % tuple(row) + end`` for every row of a 2-D array, in one ``%`` call."""
+    return (fmt + end) * len(rows) % tuple(rows.ravel().tolist())
 
 
 def _fixed(xy: np.ndarray) -> str:
@@ -444,9 +444,24 @@ def curve_csv(curve: FrontierCurve) -> tuple[str, str]:
 
 
 # --- SVG figure ---
+#
+# A data point p = (risk, return) is drawn at (p - lo) / span * _SCALE + _ORIGIN, where
+# lo and span bound the figure's points: its plot area runs from x 70 to 650 and from
+# y 450 up to 70 of the 720 x 520 image.
 
-_SVG_W, _SVG_H = 720, 520
-_MARGIN = 70
+_ORIGIN, _SCALE = np.array([70, 450]), np.array([580, -380])
+_SVG_HEAD = """\
+<svg xmlns="http://www.w3.org/2000/svg" width="720" height="520" viewBox="0 0 720 520">
+<rect width="720" height="520" fill="white"/>
+<line x1="70" y1="450" x2="650" y2="450" stroke="black"/>
+<line x1="70" y1="70" x2="70" y2="450" stroke="black"/>
+"""
+# one step of both axes: the risk tick's x and value, then the return tick's y and value
+_TICKS = """\
+<text x="%.2f" y="468" font-size="11" text-anchor="middle">%.1f%%</text>
+<text x="62" y="%.2f" font-size="11" text-anchor="end">%.1f%%</text>"""
+_TITLE = '<text x="360.0" y="502" font-size="13" text-anchor="middle">Risk (annualized)</text>'
+_LINE = '<polyline fill="none" stroke="%s" stroke-width="1.5" points="%s"/>'
 
 
 def _xml_escape(s: str) -> str:
@@ -454,64 +469,37 @@ def _xml_escape(s: str) -> str:
 
 
 def render_svg(report: WindowReport, curve: FrontierCurve) -> str:
-    """Standalone SVG: ``curve``'s frontier and CML polylines, labeled markers, percent axes."""
+    """Standalone SVG: ``curve``'s frontier and CML polylines, labeled markers, percent axes.
+
+    Every point drawn, the axis ticks too, is a row of one array that one affine map
+    puts on the screen.
+    """
     sol, tan = report.solution, report.tangency
+    if sol is None:
+        raise ReportError(f"window {report.window.name} is non-viable; no figure")
     if not len(curve.points):
         raise ReportError("empty curve")
-    frontier_xy = curve.points[:, ::-1]  # (risk, return) rows
-    assets = np.column_stack([np.sqrt(np.diag(report.cov)), report.expected_returns])
+    n = len(report.labels)
     markers = [(sol.risk, sol.port_return)] + ([] if tan is None else [(tan.sigma_rt, tan.r_t)])
-    xy = np.concatenate([frontier_xy, curve.cml_points, assets, markers])
-    x_lo, x_hi = 0.0, float(xy[:, 0].max()) * 1.05 or 1.0
-    y_min, y_max = float(xy[:, 1].min()), float(xy[:, 1].max())
+    assets = np.column_stack([np.sqrt(np.diag(report.cov)), report.expected_returns])
+    xy = np.concatenate([curve.points[:, ::-1], curve.cml_points, assets, markers])
+    (x_max, y_max), y_min = xy.max(axis=0).tolist(), float(xy[:, 1].min())
     pad = (y_max - y_min) * 0.08 or 0.01
-    y_lo, y_hi = y_min - pad, y_max + pad
-
-    def sx(x):
-        return _MARGIN + (x - x_lo) / (x_hi - x_lo) * (_SVG_W - 2 * _MARGIN)
-
-    def sy(y):
-        return _SVG_H - _MARGIN - (y - y_lo) / (y_hi - y_lo) * (_SVG_H - 2 * _MARGIN)
-
-    def poly(pairs, color):
-        pts = _pairs("%.2f,%.2f", np.column_stack([sx(pairs[:, 0]), sy(pairs[:, 1])]), " ")[:-1]
-        return f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>'
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
-        f'viewBox="0 0 {_SVG_W} {_SVG_H}">',
-        f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
-        f'<line x1="{_MARGIN}" y1="{_SVG_H - _MARGIN}" x2="{_SVG_W - _MARGIN}" '
-        f'y2="{_SVG_H - _MARGIN}" stroke="black"/>',
-        f'<line x1="{_MARGIN}" y1="{_MARGIN}" x2="{_MARGIN}" y2="{_SVG_H - _MARGIN}" '
-        'stroke="black"/>',
-    ]
-    for i in range(5):
-        xv = x_lo + (x_hi - x_lo) * i / 4
-        yv = y_lo + (y_hi - y_lo) * i / 4
-        parts.append(
-            f'<text x="{sx(xv):.2f}" y="{_SVG_H - _MARGIN + 18}" font-size="11" '
-            f'text-anchor="middle">{xv * 100:.1f}%</text>'
-        )
-        parts.append(
-            f'<text x="{_MARGIN - 8}" y="{sy(yv):.2f}" font-size="11" '
-            f'text-anchor="end">{yv * 100:.1f}%</text>'
-        )
-    parts.append(
-        f'<text x="{_SVG_W / 2}" y="{_SVG_H - 18}" font-size="13" '
-        'text-anchor="middle">Risk (annualized)</text>'
-    )
-    parts.append(poly(frontier_xy, "#1f77b4"))
-    if len(curve.cml_points):
-        parts.append(poly(curve.cml_points, "#d62728"))
-    for label, (vol, capm) in zip(report.labels, assets.tolist()):
-        parts.append(f'<circle cx="{sx(vol):.2f}" cy="{sy(capm):.2f}" r="4" fill="#2ca02c"/>')
-        parts.append(
-            f'<text x="{sx(vol) + 6:.2f}" y="{sy(capm) - 6:.2f}" '
-            f'font-size="11">{_xml_escape(label)}</text>'
-        )
-    for (x, y), name, color in zip(markers, ["GMV", "Tangency"], ["#1f77b4", "#d62728"]):
-        parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="5" fill="{color}"/>')
-        parts.append(f'<text x="{sx(x) + 6:.2f}" y="{sy(y) + 14:.2f}" font-size="11">{name}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    lo = np.array([0.0, y_min - pad])
+    span = np.array([x_max * 1.05 or 1.0, y_max + pad]) - lo
+    ticks = lo + span * np.arange(5)[:, None] / 4
+    screen = (np.concatenate([xy, ticks]) - lo) / span * _SCALE + _ORIGIN
+    ends = np.cumsum([len(curve.points), len(curve.cml_points), n + len(markers)])
+    frontier, cml, dots, at = np.split(screen, ends)
+    steps = np.stack([at, ticks * 100], axis=2).reshape(5, 4)  # rows in _TICKS order
+    parts = [_SVG_HEAD + _pairs(_TICKS, steps, "\n") + _TITLE]
+    for points, color in [(frontier, "#1f77b4"), (cml, "#d62728")]:
+        if len(points):
+            parts.append(_LINE % (color, _pairs("%.2f,%.2f", points, " ")[:-1]))
+    notes = dots + np.repeat([[6, -6], [6, 14]], [n, len(markers)], axis=0)
+    names = [_xml_escape(s) for s in report.labels] + ["GMV", "Tangency"]
+    styles = ['r="4" fill="#2ca02c"'] * n + ['r="5" fill="#1f77b4"', 'r="5" fill="#d62728"']
+    for (x, y), (tx, ty), name, style in zip(dots.tolist(), notes.tolist(), names, styles):
+        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" {style}/>')
+        parts.append(f'<text x="{tx:.2f}" y="{ty:.2f}" font-size="11">{name}</text>')
+    return "\n".join(parts) + "\n</svg>\n"

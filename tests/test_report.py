@@ -1,3 +1,4 @@
+import hashlib
 import xml.etree.ElementTree as ET
 from datetime import date
 from decimal import ROUND_HALF_UP, Decimal, localcontext
@@ -45,6 +46,21 @@ def symmetric_panel():
 
 
 WINDOW = WindowSpec("test", date(2019, 1, 1), date(2021, 12, 31), 0.03)
+
+
+def no_tangency_report():
+    # at rf equal to the GMV return b / alpha the tangency is at infinity: no CML
+    replay = load_fixture("2015_2023")
+    fc = replay_paper(replay).constants
+    window = replay.window._replace(rf_annual=fc.b / fc.alpha)
+    return replay_paper(replay._replace(window=window))
+
+
+def escaped_labels_report():
+    # two assets whose labels print escaped in the SVG
+    cov, er = np.array([[0.04, 0.01], [0.01, 0.09]]), np.array([0.05, 0.08])
+    window = WindowSpec("esc", date(2020, 1, 1), date(2020, 12, 31), 0.02)
+    return replay_paper(ReplayInput(("A&B", "<C>"), cov, er, window))
 
 
 class TestAnalyzeWindow:
@@ -345,11 +361,7 @@ class TestEmitFrontierCurve:
         assert curve.points.shape == curve.cml_points.shape == (2, 2)
 
     def test_no_tangency_curve(self):
-        # at rf equal to the GMV return the tangency is at infinity: no CML
-        replay = load_fixture("2015_2023")
-        fc = replay_paper(replay).constants
-        window = replay.window._replace(rf_annual=fc.b / fc.alpha)
-        report = replay_paper(replay._replace(window=window))
+        report = no_tangency_report()
         assert report.tangency is None
         curve = emit_frontier_curve(report)
         assert curve.points.shape == (200, 2)
@@ -453,6 +465,27 @@ class TestRendering:
         empty = FrontierCurve(np.empty((0, 2)), np.empty((0, 2)))
         with pytest.raises(ReportError, match="empty curve"):
             render_svg(replay_paper(load_fixture("2023")), empty)
+
+    def test_svg_refuses_a_non_viable_report(self):
+        curve = emit_frontier_curve(replay_paper(load_fixture("2023")))
+        with pytest.raises(ReportError, match="^window 2020 is non-viable; no figure$"):
+            render_svg(replay_paper(load_fixture("2020")), curve)
+
+    # sha256 of figures that no golden file holds: a viable window without a
+    # tangency, and labels that need XML escaping
+    @pytest.mark.parametrize(
+        "make, digest",
+        [
+            (no_tangency_report,
+             "94a1f2dcfa637fd81b7ea888f5adf46374fff09678b3ebcc60acf60075b55b77"),
+            (escaped_labels_report,
+             "259e62e1c049bf2a8a9e3aeb89c12d6c4a0d12b19df22e657f7a57d06c43991d"),
+        ],
+    )
+    def test_svg_bytes(self, make, digest):
+        report = make()
+        svg = render_svg(report, emit_frontier_curve(report))
+        assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
     def test_svg_deterministic(self):
         report = replay_paper(load_fixture("2023"))
