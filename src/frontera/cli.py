@@ -208,8 +208,8 @@ def load_config(path: Path) -> AnalysisConfig:
     doc = _load_json(path)
     where = str(path)
     assets_raw = _field(doc, "assets", where, _list)
-    if not assets_raw:
-        raise InputError(f"{where}: at least one asset is required")
+    if len(assets_raw) < 2:  # a covariance needs two return series
+        raise InputError(f"{where}: at least two assets are required")
     base = path.parent
 
     def series(obj, loc: str) -> tuple[str, Path]:

@@ -3,10 +3,10 @@
 Two entry points build the same report structure:
 
 - ``analyze_window``: raw aligned prices -> returns -> per-asset stats ->
-  covariance -> frontier constants -> viability -> GMV portfolio and tangency.
-- ``replay_paper``: start from a published covariance matrix and
-  expected-return vector instead of raw prices; everything downstream is
-  the identical code path.
+  covariance, then ``replay_paper`` of those estimates.
+- ``replay_paper``: a covariance matrix, expected returns and optional
+  per-asset stats -> indicators -> certified inverse -> frontier constants
+  -> viability -> GMV portfolio and tangency.
 
 A window in which every expected return is negative is marked non-viable:
 no weights or tangency are produced for it. ``emit_frontier_curve`` samples a
@@ -64,7 +64,7 @@ class ReplayInput(NamedTuple):
     cov_matrix: np.ndarray
     expected_returns: np.ndarray
     window: WindowSpec  # its rf_annual is the risk-free rate
-    # (N, 3) published ann_return, ann_vol and beta per label, echoed in the indicator table
+    # (N, 3) ann_return, ann_vol and beta per label, published or estimated, for the indicators
     aux: np.ndarray | None = None
     market_aux: tuple[str, float, float] | None = None  # (id, ann_return, ann_vol)
 
@@ -72,72 +72,61 @@ class ReplayInput(NamedTuple):
 def analyze_window(
     panel: PricePanel, window: WindowSpec, trading_days: int = st.TRADING_DAYS
 ) -> WindowReport:
-    """Run the full pipeline on one date window of an aligned price panel."""
+    """Estimate one date window of an aligned price panel and replay the estimates."""
     sliced = slice_window(panel, window)
     r = simple_returns(sliced)
-    rf = window.rf_annual
     ann_return = st.annualized_return(r, trading_days)
     ann_vol = st.annualized_volatility(r, trading_days)
-    betas = np.append(st.beta(r[:-1], r[-1]), 1.0)  # the market's own beta is 1
-    capm = st.capm_expected_return(betas, rf, ann_return[-1])
-    indicators = _indicators(ann_return, ann_vol, betas, capm, rf)
+    betas = st.beta(r[:-1], r[-1])
+    capm = st.capm_expected_return(betas, window.rf_annual, ann_return[-1])
     cov = st.sample_covariance(r[:-1], trading_days)
-    inverse = st.invert_matrix(cov)
-    labels, market_id = sliced.labels, sliced.market_id
-    return _build_report(window, labels, capm[:-1], indicators, market_id, cov, inverse)
-
-
-def _indicators(ann_return, ann_vol, betas, capm, rf) -> np.ndarray:
-    """The (6, M) indicator array of M columns, rows in table order; Sharpe
-    and Treynor take one array call each."""
-    sharpe = st.asset_sharpe(ann_return, rf, ann_vol)
-    treynor = st.asset_treynor(ann_return, rf, betas)
-    return np.array([ann_return, ann_vol, betas, capm, sharpe, treynor])
+    aux = np.column_stack([ann_return[:-1], ann_vol[:-1], betas])
+    market_aux = (sliced.market_id, float(ann_return[-1]), float(ann_vol[-1]))
+    return replay_paper(ReplayInput(sliced.labels, cov, capm, window, aux, market_aux))
 
 
 def replay_paper(replay: ReplayInput) -> WindowReport:
-    """Run the pipeline from a published covariance matrix and CAPM vector."""
-    matrix = np.asarray(replay.cov_matrix, dtype=float)
+    """Run the pipeline from a covariance matrix and CAPM vector: check the
+    shapes, then the indicators, then the certificate of the inverse."""
+    cov = np.asarray(replay.cov_matrix, dtype=float)
     er = np.asarray(replay.expected_returns, dtype=float)
     labels = tuple(replay.labels)
-    if matrix.shape != (len(labels), len(labels)):
-        raise ReportError(f"covariance shape {matrix.shape} does not match {len(labels)} labels")
-    if er.shape != (len(labels),):
-        raise ReportError(f"expected-returns length does not match {len(labels)} labels")
-    inverse = st.invert_matrix(matrix)
-    rf = replay.window.rf_annual
-
+    n = len(labels)
+    if cov.shape != (n, n):
+        raise ReportError(f"covariance shape {cov.shape} does not match {n} labels")
+    if er.shape != (n,):
+        raise ReportError(f"expected-returns length does not match {n} labels")
     columns = np.empty((0, 4))  # (ann_return, ann_vol, beta, capm) rows
     if replay.aux is not None:
         aux = np.asarray(replay.aux, dtype=float)
-        if aux.shape != (len(labels), 3):
-            raise ReportError(f"aux stats shape {aux.shape} does not match {len(labels)} labels")
+        if aux.shape != (n, 3):
+            raise ReportError(f"aux stats shape {aux.shape} does not match {n} labels")
         columns = np.column_stack([aux, er])
+    rf = replay.window.rf_annual
     market_id = None
     if replay.market_aux is not None:
         market_id, m_ret, m_vol = replay.market_aux
         market = (m_ret, m_vol, 1.0, st.capm_expected_return(1.0, rf, m_ret))
         columns = np.vstack([columns, market])
-    indicators = _indicators(*columns.T, rf)  # checks the market even when it is not shown
-    if replay.aux is None:
+    # Sharpe and Treynor run before the inversion, so a zero volatility is
+    # named as such rather than as the singular covariance it gives
+    ret, vol, betas, capm = columns.T
+    sharpe, treynor = st.asset_sharpe(ret, rf, vol), st.asset_treynor(ret, rf, betas)
+    indicators = np.array([ret, vol, betas, capm, sharpe, treynor])
+    if replay.aux is None:  # the market is checked even when it is not shown
         indicators = market_id = None
-    return _build_report(replay.window, labels, er, indicators, market_id, matrix, inverse)
-
-
-def _build_report(window, labels, er, indicators, market_id, cov, inverse) -> WindowReport:
-    """Shared tail of analyze/replay; keeping one code path keeps the two
-    modes numerically identical on identical intermediate inputs."""
+    inverse = st.invert_matrix(cov)
     fc = fr.frontier_constants(inverse, er)
     viability = fr.viability_check(er)
-    tang = solution = None
+    tang = gmv = None
     if viability.viable:
-        solution = fr.gmv_portfolio(fc, window.rf_annual)
+        gmv = fr.gmv_portfolio(fc, rf)
         try:
-            tang = fr.tangency(fc, window.rf_annual)
+            tang = fr.tangency(fc, rf)
         except (fr.TangencyUndefinedError, fr.DegenerateFrontierError):
             pass
     return WindowReport(
-        window, labels, er, indicators, market_id, cov, inverse, fc, viability, tang, solution
+        replay.window, labels, er, indicators, market_id, cov, inverse, fc, viability, tang, gmv
     )
 
 

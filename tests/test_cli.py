@@ -69,6 +69,10 @@ def assert_one_error_line(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+# closes whose volatility is finite while its square, the covariance entry, is not
+COVARIANCE_CLOSES = ["1.0", "1e154"] + [repr(1e154 * 4e-16**k) for k in range(1, 11)]
+
+
 class TestAnalyze:
     def test_happy_path(self, tmp_path):
         cfg = make_config(tmp_path)
@@ -231,19 +235,24 @@ class TestAnalyze:
             (["1e-300", "1.0", "1e300", "1e300"], "annualized return"),  # the growth overflows
             # the growth is finite, its annual power is not
             (["1.0", "1e100", "1e100", "1e100"], "annualized return"),
-            # the volatility is finite, its square is not
-            (["1.0", "1e154"] + [repr(1e154 * 4e-16**k) for k in range(1, 11)],
-             "annualized covariance"),
+            (COVARIANCE_CLOSES, "annualized covariance"),
         ],
         ids=["growth", "power", "covariance"],
     )
     def test_overflowing_statistic_exit_2(self, tmp_path, capsys, closes, statistic):
         # every daily return of A is finite, but a statistic over the window is not
-        columns = {
-            "a": closes,
-            "b": [f"{100 + k % 3}" for k in range(len(closes))],
-            "m": [f"{50 + k % 4 / 2}" for k in range(len(closes))],
-        }
+        b = [f"{100 + k % 3}" for k in range(len(closes))]
+        self.assert_overflow_named(tmp_path, capsys, closes, b, statistic)
+
+    def test_covariance_overflow_named_before_zero_volatility(self, tmp_path, capsys):
+        # B's constant closes give a zero volatility, which Sharpe refuses, but
+        # the covariance is estimated first
+        b = ["100"] * len(COVARIANCE_CLOSES)
+        self.assert_overflow_named(tmp_path, capsys, COVARIANCE_CLOSES, b, "annualized covariance")
+
+    @staticmethod
+    def assert_overflow_named(tmp_path, capsys, a, b, statistic):
+        columns = {"a": a, "b": b, "m": [f"{50 + k % 4 / 2}" for k in range(len(a))]}
         for name, column in columns.items():
             rows = "".join(f"2020-01-{2 + k:02d},{c}\n" for k, c in enumerate(column))
             (tmp_path / f"{name}.csv").write_text("date,close\n" + rows)
@@ -763,7 +772,9 @@ CONFIG_MESSAGES = [
     ("assets-not-list", lambda d: d.update(assets={"id": "AAA"}),
      (1, "error: {doc}: field 'assets' has invalid value {'id': 'AAA'} (expected a list)")),
     ("assets-empty", lambda d: d.update(assets=[]),
-     (1, 'error: {doc}: at least one asset is required')),
+     (1, 'error: {doc}: at least two assets are required')),
+    ("assets-one", lambda d: d.update(assets=d["assets"][:1]),
+     (1, 'error: {doc}: at least two assets are required')),
     ("asset-not-object", lambda d: d["assets"].__setitem__(1, "BBB"),
      (1, "error: {doc}.assets[1]: expected a JSON object, got 'BBB'")),
     ("asset-id-missing", lambda d: d["assets"][1].pop("id"),
@@ -856,7 +867,7 @@ CONFIG_MESSAGES = [
     ("trading-days-bad-and-output-dir-bad", lambda d: d.update(trading_days=0, output_dir=5),
      (1, "error: {doc}: field 'trading_days' has invalid value 0 (expected 1 to 366)")),
     ("window-bad-and-assets-empty", lambda d: [d["windows"][0].pop("name"), d.update(assets=[])],
-     (1, 'error: {doc}: at least one asset is required')),
+     (1, 'error: {doc}: at least two assets are required')),
 ]
 
 REPLAY_MESSAGES = [
@@ -945,6 +956,10 @@ REPLAY_MESSAGES = [
      (1, "error: {doc}: field 'expected_returns' has invalid value [0.0303, 0.0432, 0.0473] (expected shape (4,), got (3,))")),
     ("name-bad-and-not-positive-definite", lambda d: [d.update(name="../x"), d["cov_matrix"][0].__setitem__(0, -0.1)],
      (1, "error: {doc}: window name '../x' is not a plain directory name")),
+    ("asset-stats-short-and-not-positive-definite", lambda d: [d["asset_stats"].pop(), d["cov_matrix"][0].__setitem__(0, -0.1)],
+     (1, 'error: aux stats shape (3, 3) does not match 4 labels')),
+    ("ann-vol-zero-and-not-positive-definite", lambda d: [d["asset_stats"][1].update(ann_vol=0), d["cov_matrix"][0].__setitem__(0, -0.1)],
+     (2, 'numeric error: Sharpe undefined for zero volatility')),
 ]
 
 

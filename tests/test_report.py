@@ -181,13 +181,21 @@ class TestReplayPaper:
                 )
             )
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ReportError):
+    @pytest.mark.parametrize(
+        "labels, expected_returns, message",
+        [
+            (("A", "B", "C"), [0.03, 0.04], r"covariance shape \(2, 2\) does not match 3 labels"),
+            (("A", "B"), [0.03, 0.04, 0.05], "expected-returns length does not match 2 labels"),
+        ],
+        ids=["covariance", "expected-returns"],
+    )
+    def test_shape_mismatch(self, labels, expected_returns, message):
+        with pytest.raises(ReportError, match=f"^{message}$"):
             replay_paper(
                 ReplayInput(
-                    labels=("A", "B", "C"),
+                    labels=labels,
                     cov_matrix=[[0.01, 0.0], [0.0, 0.01]],
-                    expected_returns=[0.03, 0.04],
+                    expected_returns=expected_returns,
                     window=WINDOW,
                 )
             )
