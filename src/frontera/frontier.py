@@ -82,13 +82,6 @@ def frontier_constants(inverse: np.ndarray, expected_returns: np.ndarray) -> Fro
     return FrontierConstants(h=h, g=g, alpha=alpha, b=b, gamma=gamma, delta=delta)
 
 
-def _check_delta(fc: FrontierConstants):
-    if fc.delta <= 1e-12 * max(1.0, fc.alpha * abs(fc.gamma)):
-        raise DegenerateFrontierError(
-            f"delta = {fc.delta:.3e}: all expected returns equal, frontier is degenerate"
-        )
-
-
 def gmv_portfolio(fc: FrontierConstants, rf: float) -> PortfolioSolution:
     """Global minimum-variance portfolio: omega = h/alpha, variance = 1/alpha."""
     mu = fc.b / fc.alpha
@@ -105,12 +98,11 @@ def gmv_portfolio(fc: FrontierConstants, rf: float) -> PortfolioSolution:
 
 def tangency(fc: FrontierConstants, rf: float) -> TangencySolution:
     """Tangency point of the line from (0, rf) to the frontier, and CML slope."""
-    _check_delta(fc)
     denom = fc.b - fc.alpha * rf
     if abs(denom) < 1e-12 * max(1.0, fc.alpha):
         raise TangencyUndefinedError("b - alpha*rf = 0: tangency at infinity")
     r_t = (fc.gamma - fc.b * rf) / denom
-    sigma_rt = frontier_risk(fc, r_t)
+    sigma_rt = frontier_risk(fc, r_t)  # refuses a degenerate frontier
     return TangencySolution(r_t=r_t, sigma_rt=sigma_rt, slope=(r_t - rf) / sigma_rt)
 
 
@@ -120,7 +112,10 @@ def frontier_risk(fc: FrontierConstants, target: float | np.ndarray) -> float | 
     ``target`` may be a number (a float is returned) or an array (an array
     of risks is returned, one per target).
     """
-    _check_delta(fc)
+    if fc.delta <= 1e-12 * max(1.0, fc.alpha * abs(fc.gamma)):
+        raise DegenerateFrontierError(
+            f"delta = {fc.delta:.3e}: all expected returns equal, frontier is degenerate"
+        )
     d = np.asarray(target, dtype=float) - fc.b / fc.alpha
     risk = np.sqrt(1.0 / fc.alpha + fc.alpha * d * d / fc.delta)
     return float(risk) if risk.ndim == 0 else risk
