@@ -102,8 +102,12 @@ def tangency(fc: FrontierConstants, rf: float) -> TangencySolution:
     if abs(denom) < 1e-12 * max(1.0, fc.alpha):
         raise TangencyUndefinedError("b - alpha*rf = 0: tangency at infinity")
     r_t = (fc.gamma - fc.b * rf) / denom
-    sigma_rt = frontier_risk(fc, r_t)  # refuses a degenerate frontier
-    return TangencySolution(r_t=r_t, sigma_rt=sigma_rt, slope=(r_t - rf) / sigma_rt)
+    with np.errstate(over="ignore", invalid="ignore"):  # out of float range: refused below
+        sigma_rt = frontier_risk(fc, r_t)  # refuses a degenerate frontier
+        slope = (r_t - rf) / sigma_rt
+    if not np.isfinite([r_t, sigma_rt, slope]).all():
+        raise TangencyUndefinedError(f"tangency return {r_t:.3e} is out of float range")
+    return TangencySolution(r_t=r_t, sigma_rt=sigma_rt, slope=slope)
 
 
 def frontier_risk(fc: FrontierConstants, target: float | np.ndarray) -> float | np.ndarray:

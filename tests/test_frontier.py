@@ -64,6 +64,12 @@ class TestFrontierConstants:
             with pytest.raises(FrontierError, match=f"^{re.escape(message)}$"):
                 frontier_constants(inverse, er)
 
+    def test_alpha_not_positive(self):
+        # a symmetric "inverse" whose entries sum to -2, as no PD inverse can
+        message = "alpha = -2.0 is not positive; covariance inverse is not PD"
+        with pytest.raises(FrontierError, match=f"^{re.escape(message)}$"):
+            frontier_constants(np.array([[1.0, -2.0], [-2.0, 1.0]]), np.array([0.01, 0.02]))
+
 
 class TestGmvPortfolio:
     def test_symmetric_two_assets(self):
@@ -191,6 +197,19 @@ class TestTangency:
         fc, _, _ = fixture_constants("2015_2023")
         with pytest.raises(TangencyUndefinedError):
             tangency(fc, fc.b / fc.alpha)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "scale, rf",
+        [(1e150, 1.5000000000000004e150), (1e140, np.nextafter(np.nextafter(1.5e140, 0), 0))],
+        ids=["1e150", "1e140"],
+    )
+    def test_out_of_float_range(self, scale, rf):
+        # rf a few ulps from b/alpha puts the tangency past the float range:
+        # it lies at infinity, as at b = alpha rf exactly, and no warning leaks
+        fc = frontier_constants(invert_matrix(0.04 * np.eye(2)), np.array([1.0, 2.0]) * scale)
+        with pytest.raises(TangencyUndefinedError, match="out of float range"):
+            tangency(fc, float(rf))
 
     def test_shift_property(self):
         replay = load_fixture("2015_2023")
