@@ -323,6 +323,20 @@ class TestReplay:
         assert main(["replay", "--input", str(src), "--output-dir", str(tmp_path / "o")]) == 0
         assert files_under(tmp_path / "o") == [tmp_path / "o" / doc["name"] / "tables.csv"]
 
+    @pytest.mark.filterwarnings("error")
+    def test_tangency_out_of_float_range_is_left_out(self, tmp_path, capsys):
+        # rf two ulps from b/alpha: the tangency lies past the float range,
+        # so it is left out as at b = alpha rf, with no warning on stderr
+        src = tmp_path / "far.json"
+        src.write_text(json.dumps({
+            "units": "decimal", "labels": ["A", "B"], "rf": 1.5000000000000004e150,
+            "expected_returns": [1e150, 2e150], "cov_matrix": [[0.04, 0], [0, 0.04]],
+        }))
+        assert main(["replay", "--input", str(src), "--output-dir", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
+        assert "tangency return" not in (tmp_path / "o" / "replay" / "tables.csv").read_text()
+        assert (tmp_path / "o" / "replay" / "cml_curve.csv").read_text() == "risk,cml_value\n"
+
     def test_byte_identical_runs(self, tmp_path):
         src = FIXTURES / "replay_2016_2020.json"
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
