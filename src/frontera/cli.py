@@ -246,10 +246,12 @@ def load_replay_input(path: Path) -> rp.ReplayInput:
     aux = None
     if "asset_stats" in doc:
         fields = ("ann_return", "ann_vol", "beta")  # the columns of ReplayInput.aux
-        rows = enumerate(_field(doc, "asset_stats", where, _list))
+        rows = _field(doc, "asset_stats", where, _list)
+        if len(rows) != n:
+            raise InputError(f"{where}: field 'asset_stats' has {len(rows)} entries for {n} labels")
         aux = np.array(
             [[_field(a, f, f"{where}.asset_stats[{i}]", _number) for f in fields]
-             for i, a in rows]
+             for i, a in enumerate(rows)]
         )
     market_aux = None
     if "market" in doc:

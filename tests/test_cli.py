@@ -909,6 +909,12 @@ REPLAY_MESSAGES = [
      (1, "error: {doc}: field 'rf' has invalid value inf (not a finite number)")),
     ("asset-stats-not-list", lambda d: d.update(asset_stats=5),
      (1, "error: {doc}: field 'asset_stats' has invalid value 5 (expected a list)")),
+    ("asset-stats-short", lambda d: d["asset_stats"].pop(),
+     (1, "error: {doc}: field 'asset_stats' has 3 entries for 4 labels")),
+    ("asset-stats-long", lambda d: d["asset_stats"].append(d["asset_stats"][0]),
+     (1, "error: {doc}: field 'asset_stats' has 5 entries for 4 labels")),
+    ("asset-stats-empty", lambda d: d.update(asset_stats=[]),
+     (1, "error: {doc}: field 'asset_stats' has 0 entries for 4 labels")),
     ("asset-stat-not-object", lambda d: d["asset_stats"].__setitem__(0, 5),
      (1, 'error: {doc}.asset_stats[0]: expected a JSON object, got 5')),
     ("asset-stat-beta-missing", lambda d: d["asset_stats"][3].pop("beta"),
@@ -971,7 +977,7 @@ REPLAY_MESSAGES = [
     ("name-bad-and-not-positive-definite", lambda d: [d.update(name="../x"), d["cov_matrix"][0].__setitem__(0, -0.1)],
      (1, "error: {doc}: window name '../x' is not a plain directory name")),
     ("asset-stats-short-and-not-positive-definite", lambda d: [d["asset_stats"].pop(), d["cov_matrix"][0].__setitem__(0, -0.1)],
-     (1, 'error: aux stats shape (3, 3) does not match 4 labels')),
+     (1, "error: {doc}: field 'asset_stats' has 3 entries for 4 labels")),
     ("ann-vol-zero-and-not-positive-definite", lambda d: [d["asset_stats"][1].update(ann_vol=0), d["cov_matrix"][0].__setitem__(0, -0.1)],
      (2, 'numeric error: Sharpe undefined for zero volatility')),
 ]
