@@ -101,6 +101,10 @@ class TestBeta:
         resid = y - (y @ mc) / (mc @ mc) * mc  # orthogonal to market in-sample
         assert abs(beta(ret(resid), m)[0]) < 1e-12
 
+    def test_one_return_column(self):
+        with pytest.raises(StatsError, match="^need at least 2 aligned returns for beta$"):
+            beta(ret([0.01]), np.array([0.02]))
+
     def test_zero_market_variance(self):
         with pytest.raises(StatsError, match="market variance"):
             beta(ret([0.01, 0.02]), np.array([0.005, 0.005]))
@@ -156,6 +160,14 @@ class TestCovarianceMatrix:
         assert np.isfinite(annualized_volatility(rows)).all()
         with pytest.raises(StatsError, match="^annualized covariance is not finite: it overflows"):
             sample_covariance(rows)
+
+    def test_one_series(self):
+        with pytest.raises(StatsError, match="^need at least 2 return series$"):
+            sample_covariance(ret([0.01, -0.02, 0.03]))
+
+    def test_one_observation(self):
+        with pytest.raises(StatsError, match="^need at least 2 observations$"):
+            sample_covariance(ret([0.01], [-0.02]))
 
     def test_identical_series(self):
         # singular matrix: only the matrix part is defined, inversion must fail
