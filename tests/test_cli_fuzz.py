@@ -1,35 +1,49 @@
-"""``frontera analyze`` on generated price files keeps the one-line failure contract.
+"""``frontera analyze`` and ``replay`` on generated inputs keep the one-line failure contract.
 
-Each example writes the price files of some assets and a market and a config
-with one or two windows, and runs ``cli.main`` in-process. Two generators
-feed it:
+Each example writes a JSON document and the files it names, and runs
+``cli.main`` in-process. Three generators feed it:
 
-- ``cases``: 2 or 3 assets and a market over 4 to 40 common dates, whose
-  closes are positive finite floats across the whole range, subnormals
-  included: most days move by up to a factor of 2, and some step by a power
-  of ten up to 1e300 (``closes``);
-- ``mutated_cases``: 1 or 2 assets and a market, one of whose price files is
-  an odd or bad file of ``TestBulkPathMatchesRowLoop`` with a few bytes
-  mutated, as ``test_price_csv`` mutates them; the other files are ordinary.
+- ``cases``: an ``analyze`` config of 2 or 3 assets and a market over 4 to 40
+  common dates, whose closes are positive finite floats across the whole
+  range, subnormals included: most days move by up to a factor of 2, and
+  some step by a power of ten up to 1e300 (``closes``);
+- ``mutated_cases``: an ``analyze`` config of 1 or 2 assets and a market,
+  one of whose price files is an odd or bad file of
+  ``TestBulkPathMatchesRowLoop`` with a few bytes mutated, as
+  ``test_price_csv`` mutates them; the other files are ordinary;
+- ``replay_docs``: a ``replay`` document, one of the six fixtures or the
+  documents of ``test_cli.REPLAY_MESSAGES``, with one to three mutations
+  (``MUTATIONS``): numbers at the edges of the float range or not finite,
+  the covariance or the expected returns scaled by up to 1e±300, rf a few
+  ulps from b/alpha, ragged and nested lists, type swaps, and labels that
+  hold separators or lone surrogates.
 
-Whatever the files, the run exits 0, 1 or 2 with no ``RuntimeWarning``; a
-failure prints one stderr line and writes nothing; no temporary file is
-left; and no output prints a non-finite number.
+Whatever the input, the run exits 0, 1 or 2 with no ``RuntimeWarning``; a
+failure prints one stderr line and writes nothing; no file is written
+outside the output directory; no temporary file is left; and no output
+prints a non-finite number.
 """
 
 import contextlib
+import copy
+import functools
 import io
 import json
+import operator
+import os
 import re
 import tempfile
 import warnings
 from datetime import date, timedelta
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frontera import cli
+from conftest import FIXTURES
+from test_cli import REPLAY_MESSAGES
 from test_price_csv import mutated_files
 
 START = date(2020, 1, 1)
@@ -115,15 +129,16 @@ def config(ids: list[str], windows: list[dict]) -> dict:
     }
 
 
-def run(root: Path, doc: dict, files: dict[str, bytes]) -> tuple[int, str, str]:
+def run(root: Path, doc, files: dict[str, bytes], command: str) -> tuple[int, str, str]:
     for name, data in files.items():
         (root / name).write_bytes(data)
-    (root / "config.json").write_text(json.dumps(doc))
+    (root / "doc.json").write_text(json.dumps(doc), encoding="utf-8")
+    option = {"analyze": "--config", "replay": "--input"}[command]
     stdout, stderr = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
             contextlib.redirect_stderr(stderr):
         warnings.simplefilter("error", RuntimeWarning)
-        code = cli.main(["analyze", "--config", str(root / "config.json")])
+        code = cli.main([command, option, str(root / "doc.json")])
     return code, stdout.getvalue(), stderr.getvalue()
 
 
@@ -139,17 +154,21 @@ def test_mutated_price_file_keeps_failure_contract(case):
     assert_failure_contract(*case)
 
 
-def assert_failure_contract(doc: dict, files: dict[str, bytes]):
+def assert_failure_contract(doc, files: dict[str, bytes], command: str = "analyze"):
+    """Run ``command`` on ``doc`` beside ``files``, whose outputs go to ``out/``."""
     with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        code, out, err = run(root, doc, files)
+        root = Path(tmp) / "run"
+        root.mkdir()
+        code, out, err = run(root, doc, files, command)
+        assert os.listdir(tmp) == ["run"]
         written = sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
-        inputs = sorted(Path(name) for name in [*files, "config.json"])
+        inputs = sorted(Path(name) for name in [*files, "doc.json"])
         assert out == ""
         assert not [p for p in written if ".tmp" in p.name or ".old" in p.name], written
         if code == 0:
             assert err == ""
             for rel in set(written) - set(inputs):
+                assert rel.parts[0] == "out", rel
                 text = (root / rel).read_text(encoding="utf-8")
                 assert not NON_FINITE.search(text), (rel, NON_FINITE.search(text))
         else:
@@ -157,3 +176,155 @@ def assert_failure_contract(doc: dict, files: dict[str, bytes]):
             assert err.count("\n") == 1 and err.endswith("\n"), err
             assert err.startswith("error: " if code == 1 else "numeric error: "), err
             assert written == inputs
+
+
+# --- replay documents ---
+
+
+def message_documents() -> list:
+    """The documents of the replay message table, each of which is refused."""
+    docs = []
+    for _, edit, _ in REPLAY_MESSAGES:
+        if isinstance(edit, str):
+            docs.append(json.loads(edit))
+        else:
+            doc = json.loads((FIXTURES / "replay_2015_2023.json").read_text())
+            edit(doc)
+            docs.append(doc)
+    return docs
+
+
+FIXTURE_DOCUMENTS = [json.loads(p.read_text()) for p in sorted(FIXTURES.glob("replay_*.json"))]
+MESSAGE_DOCUMENTS = message_documents()
+EDGE_NUMBERS = [0, 0.0, -0.0, 1, -1, 1e300, -1e300, 1e-300, -1e-300, 1e154, -1e154, 1e-154,
+                5e-324, -5e-324, 2.2e-308, 1.7976931348623157e308, float("nan"), float("inf"),
+                float("-inf")]
+ODD_VALUES = ["x", "0.1", "", True, False, None, {}, [], [[]], 5, {"a": 1}]
+ODD_NAMES = ["a/b", "..", ".", "a\\b", "\ud800", "x\udcffy", "a,b", "a|b", "a\nb", "", " ",
+             "a\tb", "A\x00B", '"q"', "ÉXITO", "C:x"]
+
+
+def nodes(node, path=()):
+    """(path, value) of ``node`` and of every value nested in it."""
+    yield path, node
+    if isinstance(node, (dict, list)):
+        for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from nodes(value, (*path, key))
+
+
+def at(doc, path):
+    return functools.reduce(operator.getitem, path, doc)
+
+
+def replace(doc, path, value):
+    """``doc`` with the value at ``path`` replaced."""
+    if not path:
+        return value
+    at(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+def is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def edge_number(draw, doc):
+    numbers = [p for p, v in nodes(doc) if is_number(v)]
+    if not numbers:
+        return doc
+    return replace(doc, draw(st.sampled_from(numbers)), draw(st.sampled_from(EDGE_NUMBERS)))
+
+
+def scaled(draw, doc):
+    """The covariance or the expected returns times 10^k, |k| <= 300.
+
+    Half of the exponents are edges: a square overflows past 1e154, so a
+    scale of 1e150 keeps gamma and delta finite while it puts the tangency
+    of an rf near b/alpha past the float range.
+    """
+    field = draw(st.sampled_from(["expected_returns", "cov_matrix"]))
+    if not isinstance(doc, dict) or field not in doc:
+        return doc
+    exponent = draw(st.sampled_from([150, 154, 300]) | st.integers(0, 300))
+    factor = 10.0 ** (exponent * draw(st.sampled_from([1, -1])))
+    for path, value in list(nodes(doc[field], (field,))):
+        if is_number(value):
+            replace(doc, path, value * factor)
+    return doc
+
+
+def rf_near_gmv(draw, doc):
+    """rf a few ulps from b/alpha, where the tangency goes to infinity."""
+    try:
+        with np.errstate(all="ignore"):
+            inverse = np.linalg.inv(np.array(doc["cov_matrix"], dtype=float))
+            alpha = inverse.sum()
+            rf = float((np.array(doc["expected_returns"], dtype=float) @ inverse).sum() / alpha)
+    except (KeyError, TypeError, ValueError, np.linalg.LinAlgError):
+        return doc
+    if not np.isfinite(rf):
+        return doc
+    steps = draw(st.integers(-4, 4))
+    for _ in range(abs(steps)):
+        rf = float(np.nextafter(rf, np.copysign(np.inf, steps)))
+    doc["rf"] = rf
+    return doc
+
+
+def ragged(draw, doc):
+    lists = [p for p, v in nodes(doc) if isinstance(v, list)]
+    if not lists:
+        return doc
+    path = draw(st.sampled_from(lists))
+    value = copy.deepcopy(at(doc, path))
+    how = draw(st.sampled_from(["pop", "append", "nest-item", "nest-list"]))
+    if how == "pop" and value:
+        value.pop(draw(st.integers(0, len(value) - 1)))
+    elif how == "append":
+        value.append(copy.deepcopy(value[0]) if value else 0.01)
+    elif how == "nest-item" and value:
+        i = draw(st.integers(0, len(value) - 1))
+        value[i] = [value[i]]
+    else:
+        value = [value]
+    return replace(doc, path, value)
+
+
+def type_swap(draw, doc):
+    path = draw(st.sampled_from([p for p, _ in nodes(doc)]))
+    return replace(doc, path, copy.deepcopy(draw(st.sampled_from(ODD_VALUES))))
+
+
+def odd_name(draw, doc):
+    """A label, the window name or the market id set to a separator or a lone surrogate."""
+    names = [p for p, v in nodes(doc) if isinstance(v, str) and (
+        p == ("name",) or p == ("market", "id") or p[:1] == ("labels",))]
+    if not names:
+        return doc
+    return replace(doc, draw(st.sampled_from(names)), draw(st.sampled_from(ODD_NAMES)))
+
+
+MUTATIONS = [edge_number, scaled, rf_near_gmv, ragged, type_swap, odd_name]
+
+
+@st.composite
+def replay_docs(draw):
+    """A fixture or a message-table document with one to three mutations."""
+    doc = draw(st.sampled_from(FIXTURE_DOCUMENTS) | st.sampled_from(MESSAGE_DOCUMENTS))
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        doc = draw(st.sampled_from(MUTATIONS))(draw, doc)
+    return doc
+
+
+@st.composite
+def scaled_docs(draw):
+    """A fixture whose covariance or expected returns are scaled, with rf
+    then moved next to b/alpha."""
+    return rf_near_gmv(draw, scaled(draw, copy.deepcopy(draw(st.sampled_from(FIXTURE_DOCUMENTS)))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(replay_docs() | scaled_docs())
+def test_replay_keeps_failure_contract(doc):
+    assert_failure_contract(doc, {}, "replay")
