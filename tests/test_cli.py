@@ -606,6 +606,33 @@ class TestFrontier:
         cfg = make_config(tmp_path)
         assert main(["frontier", "--config", str(cfg), "--window", "zzz"]) == 1
 
+    @pytest.mark.parametrize(
+        "args, line",
+        [
+            (["--window=all", "--span=0.2:0.1"], "invalid return span [0.2, 0.1]"),
+            (["--window=all", "--span=nan:1"], "invalid return span [nan, 1.0]"),
+            (["--window=all", "--span=-inf:inf"],
+             "return span [-inf, inf] gives non-finite curve values"),
+            # two rules: the curve checks the span after the window and the points
+            (["--window=crash", "--span=0.2:0.1"], "window crash is non-viable; no curve"),
+            (["--window=all", "--points=1", "--span=0.2:0.1"],
+             "need 2 to 1000000 curve points, got 1"),
+        ],
+        ids=["reversed", "nan", "infinite", "non-viable-and-reversed", "points-and-reversed"],
+    )
+    def test_span_message(self, tmp_path, capsys, args, line):
+        cfg = FIXTURES / "analyze" / "config.json"
+        assert main(["frontier", "--config", str(cfg), *args, "--output-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert files_under(tmp_path) == []
+
+    def test_no_format_option(self, capsys):
+        # frontier writes only the curve files, which have one format
+        with pytest.raises(SystemExit) as exc:
+            main(["frontier", "--config", "c.json", "--window", "w", "--format", "csv"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
 
 class TestSummarize:
     def test_all_windows(self, tmp_path):
