@@ -30,7 +30,7 @@ class DegenerateFrontierError(FrontierError):
 
 
 class TangencyUndefinedError(FrontierError):
-    """b - alpha * rf = 0: the CML is parallel to the frontier asymptote."""
+    """b - alpha * rf = 0, or so near 0 that the tangency overflows: it lies at infinity."""
 
 
 class FrontierConstants(NamedTuple):
@@ -106,7 +106,7 @@ def tangency(fc: FrontierConstants, rf: float) -> TangencySolution:
         sigma_rt = frontier_risk(fc, r_t)  # refuses a degenerate frontier
         slope = (r_t - rf) / sigma_rt
     if not np.isfinite([r_t, sigma_rt, slope]).all():
-        raise TangencyUndefinedError(f"tangency return {r_t:.3e} is out of float range")
+        raise TangencyUndefinedError("tangency at infinity: r_t, its risk or the slope overflows")
     return TangencySolution(r_t=r_t, sigma_rt=sigma_rt, slope=slope)
 
 

@@ -16,7 +16,8 @@ Each example writes a JSON document and the files it names, and runs
   (``MUTATIONS``): numbers at the edges of the float range or not finite,
   the covariance or the expected returns scaled by up to 1e±300, rf a few
   ulps from b/alpha, ragged and nested lists, type swaps, and labels that
-  hold separators or lone surrogates.
+  hold separators or lone surrogates; or (``scaled_docs``) a fixture scaled
+  so and then given an rf a few ulps from b/alpha.
 
 Whatever the input, the run exits 0, 1 or 2 with no ``RuntimeWarning``; a
 failure prints one stderr line and writes nothing; no file is written
