@@ -13,8 +13,9 @@ no weights or tangency are produced for it. ``emit_frontier_curve`` samples a
 viable window's frontier and CML for the files that draw them.
 """
 
+import re
 from decimal import ROUND_HALF_UP, Decimal, localcontext
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 import numpy as np
@@ -180,6 +181,8 @@ _POW10 = 10 ** np.arange(10, dtype=np.int32)[:, None]  # a printed m < 5e8 < 10*
 # 1 for a byte that starts a character: neither fill nor a UTF-8 continuation byte
 _STARTS = ((np.arange(256) & 0xC0) != 0x80).astype(np.uint8)
 _STARTS[_PAD] = 0
+# a header or label holding one of these would break its table's rows
+_BREAKS = {"csv": re.compile('[,"\r\n]'), "markdown": re.compile("[|\r\n]")}
 
 
 def _pct_cells(values, places: int) -> np.ndarray:
@@ -263,22 +266,20 @@ def _splice(block: np.ndarray, cells: np.ndarray, texts: list[str]) -> np.ndarra
     return block
 
 
-def _split(block: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
-    """Consecutive runs of ``sizes`` cells of one block."""
-    return [block[:, end - n : end] for n, end in zip(sizes, accumulate(sizes))]
-
-
 def _text(layout: np.ndarray) -> str:
     """The text of laid-out bytes, in row-major order, without the _PAD fill."""
     return layout.tobytes().translate(None, _FILL).decode("utf-8", "surrogatepass")
 
 
-def _table(header: list[str], labels: list[np.ndarray], body: np.ndarray, fmt: str) -> str:
+def _table(header: list[str], labels: list[list[str]], body: np.ndarray, fmt: str) -> str:
     """A csv or markdown table: the header row, then each row's label cells
-    and body cells. ``labels`` holds the blocks of the leading text columns
-    and ``body`` the block of the rest, cells in row order."""
-    blocks = [*labels, body]
-    rows = blocks[0].shape[1]
+    and body cells. ``labels`` holds the leading text columns, each a list of
+    strings, and ``body`` the block of the rest, cells in row order."""
+    bad = next(filter(_BREAKS[fmt].search, [*header, *chain(*labels)]), None)
+    if bad is not None:
+        raise ReportError(f"{bad!r} holds a character that breaks a {fmt} table row")
+    blocks = [*map(_text_cells, labels), body]
+    rows = len(labels[0])
     counts = [1] * len(labels) + [len(header) - len(labels)]  # columns per block
     if fmt == "csv":
         lines, start, sep, end = [",".join(header)], b"", b",", b"\n"
@@ -311,45 +312,33 @@ def _table(header: list[str], labels: list[np.ndarray], body: np.ndarray, fmt: s
 
 
 def render_tables(report: WindowReport, format: str = "csv") -> str:
-    """Deterministic indicator/covariance/portfolio tables for one window."""
+    """Deterministic indicator/covariance/portfolio tables for one window.
+
+    Each table is formatted in turn, so a cell too large to print is named
+    from the first table that holds one.
+    """
     if format not in ("csv", "markdown"):
         raise ReportError(f"unknown format {format!r}")
-    cols = list(report.labels)
-    fc = report.constants
-    names, values = ["viability"], []
-    if report.solution is not None:
-        sol = report.solution
-        names = cols + ["return", "variance", "risk", "sharpe"]
-        values = sol.weights.tolist() + [sol.port_return, sol.variance, sol.risk, sol.sharpe]
-        if report.tangency is not None:
-            names += ["tangency return", "tangency risk", "cml slope"]
-            values += [report.tangency.r_t, report.tangency.sigma_rt, report.tangency.slope]
-    texts = ["Return", "Volatility", "Beta", "CAPM", "Sharpe", "Treynor"] + cols
-    texts += ["alpha", "b", "gamma", "delta"] + names
-    indicator_names, labels, constant_names, portfolio_names = _split(
-        _text_cells(texts), [6, len(cols), 4, len(names)]
-    )
-    # One formatting pass serves the first two tables, one the inverse and one
-    # the last two. Cells are formatted in table order, so a cell too large to
-    # print is named from the first table that holds one.
-    ind = np.empty((6, 0)) if report.indicators is None else report.indicators
-    indicator_cells, cov_cells = _split(
-        _pct_cells(np.concatenate([ind.ravel(), report.cov.ravel()]), 2),
-        [ind.size, len(cols) ** 2],
-    )
+    cols, fc, sol, tan = list(report.labels), report.constants, report.solution, report.tangency
     out = []
     if report.indicators is not None:
         ids = cols + ([] if report.market_id is None else [report.market_id])
-        out.append(_table(["Indicator"] + ids, [indicator_names], indicator_cells, format))
-    out.append(_table(["Covariance"] + cols, [labels], cov_cells, format))
-    out.append(_table(["Inverse"] + cols, [labels], _pct_cells(report.inverse, 0), format))
-    constant_cells, portfolio_cells = _split(
-        _pct_cells([fc.alpha, fc.b, fc.gamma, fc.delta] + values, 2), [4, len(values)]
-    )
-    if report.solution is None:
-        portfolio_cells = _text_cells([f"non-viable: {report.viability.reason}"])
-    out.append(_table(["Constant", "Value"], [constant_names], constant_cells, format))
-    out.append(_table(["Portfolio", "Value"], [portfolio_names], portfolio_cells, format))
+        names = ["Return", "Volatility", "Beta", "CAPM", "Sharpe", "Treynor"]
+        out.append(_table(["Indicator"] + ids, [names], _pct_cells(report.indicators, 2), format))
+    out.append(_table(["Covariance"] + cols, [cols], _pct_cells(report.cov, 2), format))
+    out.append(_table(["Inverse"] + cols, [cols], _pct_cells(report.inverse, 0), format))
+    constants = _pct_cells([fc.alpha, fc.b, fc.gamma, fc.delta], 2)
+    out.append(_table(["Constant", "Value"], [["alpha", "b", "gamma", "delta"]], constants, format))
+    if sol is None:
+        names, cells = ["viability"], _text_cells([f"non-viable: {report.viability.reason}"])
+    else:
+        names = cols + ["return", "variance", "risk", "sharpe"]
+        values = sol.weights.tolist() + [sol.port_return, sol.variance, sol.risk, sol.sharpe]
+        if tan is not None:
+            names += ["tangency return", "tangency risk", "cml slope"]
+            values += [tan.r_t, tan.sigma_rt, tan.slope]
+        cells = _pct_cells(values, 2)
+    out.append(_table(["Portfolio", "Value"], [names], cells, format))
     return "\n\n".join(out) + "\n"
 
 
@@ -399,13 +388,13 @@ def render_summary(reports: list[WindowReport], format: str = "csv") -> str:
         np.repeat(["", "non-viable", "non-viable"], n)[:, None],
     )
     win = [r.window.name for r in reports]
-    names = _text_cells(["Return", "Beta", "Variance", "Risk", "Sharpe"])
-    blocks = _text_cells(np.repeat(["Historical", "CAPM", "Markowitz"], n).tolist())
+    names = ["Return", "Beta", "Variance", "Risk", "Sharpe"]
+    blocks = np.repeat(["Historical", "CAPM", "Markowitz"], n).tolist()
     return "\n\n".join(
         [
             _table(["Indicator"] + win, [names], perf, format),
-            _table(["Asset"] + win, [_text_cells(labels)], weight_cells, format),
-            _table(["Block", "Asset"] + win, [blocks, _text_cells(labels * 3)], returns, format),
+            _table(["Asset"] + win, [list(labels)], weight_cells, format),
+            _table(["Block", "Asset"] + win, [blocks, list(labels) * 3], returns, format),
         ]
     ) + "\n"
 

@@ -337,6 +337,24 @@ class TestReplay:
         assert "tangency return" not in (tmp_path / "o" / "replay" / "tables.csv").read_text()
         assert (tmp_path / "o" / "replay" / "cml_curve.csv").read_text() == "risk,cml_value\n"
 
+    @pytest.mark.parametrize("fmt, ok", [("csv", True), ("markdown", False)])
+    def test_table_breaking_label_per_format(self, tmp_path, capsys, fmt, ok):
+        # "|" splits a markdown row but is plain text in a csv cell
+        doc = json.loads((FIXTURES / "replay_2015_2019.json").read_text())
+        doc["labels"][0] = "A|B"
+        src = tmp_path / "bar.json"
+        src.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        code = main(["replay", "--input", str(src), "--output-dir", str(out), "--format", fmt])
+        err = capsys.readouterr().err
+        if ok:
+            assert (code, err) == (0, "")
+            assert "Covariance,A|B," in (out / doc["name"] / "tables.csv").read_text()
+        else:
+            line = "error: 'A|B' holds a character that breaks a markdown table row\n"
+            assert (code, err) == (1, line)
+            assert not out.exists()
+
     def test_byte_identical_runs(self, tmp_path):
         src = FIXTURES / "replay_2016_2020.json"
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
@@ -888,6 +906,15 @@ CONFIG_MESSAGES = [
      (1, "error: {doc}: field 'output_dir' has invalid value 5 (expected a string)")),
     ("output-dir-surrogate", lambda d: d.update(output_dir="o\udfff"),
      (1, "error: {doc}: field 'output_dir' has invalid value 'o\\udfff' ('utf-8' codec can't encode character '\\udfff' in position 1: surrogates not allowed)")),
+    # a string that would break a table row is refused when its table is printed
+    ("asset-id-comma", lambda d: d["assets"][1].update(id="B,B"),
+     (1, "error: 'B,B' holds a character that breaks a csv table row")),
+    ("market-id-quote", lambda d: d["market"].update(id='"M"'),
+     (1, 'error: \'"M"\' holds a character that breaks a csv table row')),
+    ("window-name-lf", lambda d: d["windows"][1].update(name="w\n2"),
+     (1, "error: 'w\\n2' holds a character that breaks a csv table row")),
+    ("window-name-cr", lambda d: d["windows"][0].update(name="w\r1"),
+     (1, "error: 'w\\r1' holds a character that breaks a csv table row")),
     # two rules
     ("units-and-assets-missing", lambda d: [d.pop("units"), d.pop("assets")],
      (1, "error: {doc}: missing field 'units'")),
@@ -909,6 +936,8 @@ CONFIG_MESSAGES = [
      (1, "error: {doc}: field 'trading_days' has invalid value 0 (expected 1 to 366)")),
     ("window-bad-and-assets-empty", lambda d: [d["windows"][0].pop("name"), d.update(assets=[])],
      (1, 'error: {doc}: at least two assets are required')),
+    ("window-name-lf-and-asset-id-comma", lambda d: [d["windows"][0].update(name="w\n1"), d["assets"][0].update(id="A,A")],
+     (1, "error: 'A,A' holds a character that breaks a csv table row")),
 ]
 
 REPLAY_MESSAGES = [
@@ -984,6 +1013,16 @@ REPLAY_MESSAGES = [
      (1, 'error: {doc}: window name 5 is not a plain directory name')),
     ("name-surrogate", lambda d: d.update(name="\ud800X"),
      (1, "error: {doc}: window name '\\ud800X' is not a plain directory name")),
+    ("label-comma", lambda d: d["labels"].__setitem__(0, "A,B"),
+     (1, "error: 'A,B' holds a character that breaks a csv table row")),
+    ("label-quote", lambda d: d["labels"].__setitem__(2, 'I"SA'),
+     (1, 'error: \'I"SA\' holds a character that breaks a csv table row')),
+    ("label-cr", lambda d: d["labels"].__setitem__(1, "C\rD"),
+     (1, "error: 'C\\rD' holds a character that breaks a csv table row")),
+    ("label-lf", lambda d: d["labels"].__setitem__(3, "C\nD"),
+     (1, "error: 'C\\nD' holds a character that breaks a csv table row")),
+    ("market-id-comma", lambda d: d["market"].update(id="ICOL,CAP"),
+     (1, "error: 'ICOL,CAP' holds a character that breaks a csv table row")),
     ("not-positive-definite", lambda d: d["cov_matrix"][0].__setitem__(0, -0.1),
      (2, 'numeric error: pivot -1.000e-01 at index 0 fails the positive-definiteness check (leading minor 1 not positive)')),
     # two rules
@@ -1007,6 +1046,8 @@ REPLAY_MESSAGES = [
      (1, "error: {doc}: field 'asset_stats' has 3 entries for 4 labels")),
     ("ann-vol-zero-and-not-positive-definite", lambda d: [d["asset_stats"][1].update(ann_vol=0), d["cov_matrix"][0].__setitem__(0, -0.1)],
      (2, 'numeric error: Sharpe undefined for zero volatility')),
+    ("label-comma-and-not-positive-definite", lambda d: [d["labels"].__setitem__(0, "A,B"), d["cov_matrix"][0].__setitem__(0, -0.1)],
+     (2, 'numeric error: pivot -1.000e-01 at index 0 fails the positive-definiteness check (leading minor 1 not positive)')),
 ]
 
 

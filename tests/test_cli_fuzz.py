@@ -21,12 +21,14 @@ Each example writes a JSON document and the files it names, and runs
 
 Whatever the input, the run exits 0, 1 or 2 with no ``RuntimeWarning``; a
 failure prints one stderr line and writes nothing; no file is written
-outside the output directory; no temporary file is left; and no output
-prints a non-finite number.
+outside the output directory; no temporary file is left; no output
+prints a non-finite number; and every row of a csv or markdown table has
+as many fields as its header.
 """
 
 import contextlib
 import copy
+import csv
 import functools
 import io
 import json
@@ -36,6 +38,7 @@ import re
 import tempfile
 import warnings
 from datetime import date, timedelta
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -170,13 +173,28 @@ def assert_failure_contract(doc, files: dict[str, bytes], command: str = "analyz
             assert err == ""
             for rel in set(written) - set(inputs):
                 assert rel.parts[0] == "out", rel
-                text = (root / rel).read_text(encoding="utf-8")
+                text = (root / rel).read_bytes().decode("utf-8")  # CR kept
                 assert not NON_FINITE.search(text), (rel, NON_FINITE.search(text))
+                if rel.suffix in (".csv", ".md"):
+                    assert all(len(c) == 1 for c in field_counts(text, rel.suffix)), (rel, text)
         else:
             assert code in (1, 2), code
             assert err.count("\n") == 1 and err.endswith("\n"), err
             assert err.startswith("error: " if code == 1 else "numeric error: "), err
             assert written == inputs
+
+
+def field_counts(text: str, suffix: str) -> list[set[int]]:
+    """The set of the rows' field counts, per table of a csv or markdown
+    output: csv fields, or a markdown row's ``|`` count. Blank lines part
+    the tables."""
+    if suffix == ".csv":
+        # Python 3.10's csv module refuses NUL, which parts no field
+        rows = csv.reader(io.StringIO(text.replace("\0", ""), newline=""))
+        counts = [len(row) for row in rows]
+    else:
+        counts = [line.count("|") for line in text.split("\n")]
+    return [set(group) for nonblank, group in groupby(counts, bool) if nonblank]
 
 
 # --- replay documents ---

@@ -56,6 +56,21 @@ def no_tangency_report():
     return replay_paper(replay._replace(window=window))
 
 
+# the fields of WindowReport that render_tables prints, one table each, in its order
+TABLES = ["indicators", "cov", "inverse", "constants", "solution"]
+
+
+def with_cell(report, table, value):
+    """``report`` with one cell of ``table``, a field of TABLES, set to ``value``."""
+    if table == "constants":
+        return report._replace(constants=report.constants._replace(b=value))
+    if table == "solution":
+        return report._replace(solution=report.solution._replace(risk=value))
+    matrix = getattr(report, table).copy()
+    matrix[0, -1] = value
+    return report._replace(**{table: matrix})
+
+
 def escaped_labels_report():
     # two assets whose labels print escaped in the SVG
     cov, er = np.array([[0.04, 0.01], [0.01, 0.09]]), np.array([0.05, 0.08])
@@ -422,6 +437,34 @@ class TestRendering:
         with pytest.raises(ReportError):
             render_tables(report, "yaml")
 
+    @pytest.mark.parametrize("fmt", ["csv", "markdown"])
+    @pytest.mark.parametrize("earlier, later", list(zip(TABLES, TABLES[1:])))
+    def test_oversized_cell_named_from_the_first_table(self, earlier, later, fmt):
+        # 1e307 and -1e307 are finite, but their percents are not
+        report = replay_paper(load_fixture("2015_2023"))
+        report = with_cell(with_cell(report, earlier, 1e307), later, -1e307)
+        with pytest.raises(ReportError, match=r"^cell value 1e\+307 is too large"):
+            render_tables(report, fmt)
+
+    @pytest.mark.parametrize(
+        "fmt, text",
+        [("csv", "A,B"), ("csv", '"q"'), ("csv", "A\rB"), ("csv", "A\nB"),
+         ("markdown", "A|B"), ("markdown", "A\rB"), ("markdown", "A\nB")],
+    )
+    def test_table_breaking_strings_refused(self, fmt, text):
+        # a label, the market id and a window name, which heads a summary column
+        report = replay_paper(load_fixture("2015_2023"))
+        broken = [
+            (render_tables, report._replace(labels=(text, *report.labels[1:]))),
+            (render_tables, report._replace(market_id=text)),
+            (lambda r, f: render_summary([r], f), report._replace(
+                window=report.window._replace(name=text))),
+        ]
+        for render, r in broken:
+            with pytest.raises(ReportError) as exc:
+                render(r, fmt)
+            assert str(exc.value) == f"{text!r} holds a character that breaks a {fmt} table row"
+
     def test_format_pct_half_up(self):
         assert pct_cells([0.12345, 0.12125, 0.005]) == ["12.35%", "12.13%", "0.50%"]
 
@@ -678,9 +721,10 @@ def render_summary_reference(reports, fmt):
     ) + "\n"
 
 
-def seeded_replay(rng, labels, viable=True, stats=True):
+def seeded_replay(rng, labels, viable=True, stats=True, market=True):
     """A replay whose cells include exact .5 ties, values just beside a tie
-    and tiny negatives that print as -0.00% and -0%."""
+    and tiny negatives that print as -0.00% and -0%. With ``stats`` but not
+    ``market``, its Indicator table has no market column."""
     n = len(labels)
     cov = random_pd_matrix(rng, n) / 10
     special = rng.choice([0.00125, -0.00125, 0.001245, -3e-7, -0.004e-2, 0.0], size=(n, n))
@@ -700,7 +744,7 @@ def seeded_replay(rng, labels, viable=True, stats=True):
         expected_returns=er,
         window=WindowSpec(f"w{n}", date(2019, 1, 1), date(2021, 12, 31), 0.01),
         aux=aux if stats else None,
-        market_aux=("ÍNDICE", -1e-7, 0.15) if stats else None,
+        market_aux=("ÍNDICE", -1e-7, 0.15) if stats and market else None,
     )
 
 
@@ -712,8 +756,9 @@ class TestDigitKernel:
     @pytest.mark.parametrize("n", [1, 2, 4, 40])
     def test_tables_match_per_cell_renderer(self, n, fmt):
         rng = np.random.default_rng(500 + n)
-        for viable, stats in [(True, True), (False, True), (True, False)]:
-            report = replay_paper(seeded_replay(rng, LABELS[:n], viable, stats))
+        cases = [(True, True, True), (False, True, True), (True, False, True), (True, True, False)]
+        for viable, stats, market in cases:
+            report = replay_paper(seeded_replay(rng, LABELS[:n], viable, stats, market))
             assert render_tables(report, fmt) == render_tables_reference(report, fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "markdown"])
