@@ -53,7 +53,7 @@ class PortfolioSolution(NamedTuple):
     port_return: float
     variance: float
     risk: float
-    sharpe: float | None
+    sharpe: float
 
 
 class Viability(NamedTuple):

@@ -237,13 +237,13 @@ def _pct_cells(values, places: int) -> np.ndarray:
     return block
 
 
-def _masked_pcts(values: np.ndarray, known: np.ndarray, text) -> np.ndarray:
-    """``_pct_cells`` of ``values`` at 2 places; a cell where ``known`` is
-    False prints as its cell of ``text`` instead (both broadcast to ``values``)."""
-    known = np.broadcast_to(known, values.shape)
-    block = _pct_cells(np.where(known, values, 0.0), 2)
-    texts = np.broadcast_to(text, known.shape)[~known].tolist()
-    return _splice(block, (~known).ravel().nonzero()[0], texts)
+def _masked_pcts(values: np.ndarray, text) -> np.ndarray:
+    """``_pct_cells`` of ``values`` at 2 places; a NaN cell prints as its
+    cell of ``text`` instead (broadcast to ``values``)."""
+    unknown = np.isnan(values)
+    block = _pct_cells(np.where(unknown, 0.0, values), 2)
+    texts = np.broadcast_to(text, values.shape)[unknown].tolist()
+    return _splice(block, unknown.ravel().nonzero()[0], texts)
 
 
 def _text_cells(texts: list[str], height: int = 0) -> np.ndarray:
@@ -275,6 +275,8 @@ def _table(header: list[str], labels: list[list[str]], body: np.ndarray, fmt: st
     """A csv or markdown table: the header row, then each row's label cells
     and body cells. ``labels`` holds the leading text columns, each a list of
     strings, and ``body`` the block of the rest, cells in row order."""
+    if fmt not in ("csv", "markdown"):
+        raise ReportError(f"unknown format {fmt!r}")
     bad = next(filter(_BREAKS[fmt].search, [*header, *chain(*labels)]), None)
     if bad is not None:
         raise ReportError(f"{bad!r} holds a character that breaks a {fmt} table row")
@@ -317,8 +319,6 @@ def render_tables(report: WindowReport, format: str = "csv") -> str:
     Each table is formatted in turn, so a cell too large to print is named
     from the first table that holds one.
     """
-    if format not in ("csv", "markdown"):
-        raise ReportError(f"unknown format {format!r}")
     cols, fc, sol, tan = list(report.labels), report.constants, report.solution, report.tangency
     out = []
     if report.indicators is not None:
@@ -349,54 +349,44 @@ def render_summary(reports: list[WindowReport], format: str = "csv") -> str:
     beta ``indicators[2, :N] @ weights``, known only when the report has
     per-asset stats, and the Markowitz returns ``weights * capm``. A cell
     that needs a portfolio the window does not have prints ``non-viable``,
-    and a historical return without per-asset stats prints empty.
+    and a historical return without per-asset stats prints empty. Each
+    table is formatted in turn, so a cell too large to print is named from
+    the first table that holds one.
     """
     if not reports:
         raise ReportError("need at least one report to summarize")
     labels = reports[0].labels
     if any(r.labels != labels for r in reports[1:]):
         raise ReportError("reports have mismatched asset labels")
-    if format not in ("csv", "markdown"):
-        raise ReportError(f"unknown format {format!r}")
     n = len(labels)
     sols = [r.solution for r in reports]
-    viable = np.array([s is not None for s in sols])
-    has_stats = np.array([r.indicators is not None for r in reports])
-    unknown = np.zeros(n)  # a column the masks below hide
+    unknown = np.full(n, np.nan)  # NaN marks a value the window cannot know
     # one column per window: Return, Beta (printed from text), Variance, Risk, Sharpe
     perf = np.array(
-        [[0.0] * 5 if s is None else [s.port_return, 0.0, s.variance, s.risk, s.sharpe]
+        [[np.nan] * 5 if s is None else [s.port_return, np.nan, s.variance, s.risk, s.sharpe]
          for s in sols]
     ).T
-    known = np.repeat(viable[None], 5, axis=0)
-    known[1] = False  # the Beta row prints two places and no percent sign
     text = np.full(perf.shape, "non-viable", dtype=object)
     text[1] = [
-        f"{r.indicators[2, :n] @ s.weights:.2f}" if ok else "non-viable"
-        for r, s, ok in zip(reports, sols, (viable & has_stats).tolist())
+        f"{r.indicators[2, :n] @ s.weights:.2f}" if s is not None and r.indicators is not None
+        else "non-viable" for r, s in zip(reports, sols)
     ]
-    perf = _masked_pcts(perf, known, text)
     weights = np.column_stack([unknown if s is None else s.weights for s in sols])
-    weight_cells = _masked_pcts(weights, viable, "non-viable")
     capm = np.column_stack([r.expected_returns for r in reports])
     historical = np.column_stack(
         [unknown if r.indicators is None else r.indicators[0, :n] for r in reports]
     )
-    returns = _masked_pcts(
-        np.concatenate([historical, capm, weights * capm]),
-        np.concatenate([np.broadcast_to(k, capm.shape) for k in (has_stats, True, viable)]),
-        np.repeat(["", "non-viable", "non-viable"], n)[:, None],
-    )
     win = [r.window.name for r in reports]
     names = ["Return", "Beta", "Variance", "Risk", "Sharpe"]
     blocks = np.repeat(["Historical", "CAPM", "Markowitz"], n).tolist()
-    return "\n\n".join(
-        [
-            _table(["Indicator"] + win, [names], perf, format),
-            _table(["Asset"] + win, [list(labels)], weight_cells, format),
-            _table(["Block", "Asset"] + win, [blocks, list(labels) * 3], returns, format),
-        ]
-    ) + "\n"
+    tables = [  # header, label columns, values, text of their NaN cells
+        (["Indicator"] + win, [names], perf, text),
+        (["Asset"] + win, [list(labels)], weights, "non-viable"),
+        (["Block", "Asset"] + win, [blocks, list(labels) * 3],
+         np.concatenate([historical, capm, weights * capm]),
+         np.repeat(["", "non-viable", "non-viable"], n)[:, None]),
+    ]
+    return "\n\n".join(_table(h, c, _masked_pcts(v, t), format) for h, c, v, t in tables) + "\n"
 
 
 def _pairs(fmt: str, rows: np.ndarray, end: str) -> str:
@@ -442,7 +432,13 @@ _TITLE = '<text x="360.0" y="502" font-size="13" text-anchor="middle">Risk (annu
 _LINE = '<polyline fill="none" stroke="%s" stroke-width="1.5" points="%s"/>'
 
 
+# a character outside XML 1.0's Char production, which no SVG document may hold
+_NOT_XML = re.compile("[^\t\n\r -\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
 def _xml_escape(s: str) -> str:
+    if _NOT_XML.search(s):
+        raise ReportError(f"{s!r} holds a character that an SVG document cannot hold")
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 

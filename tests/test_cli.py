@@ -915,6 +915,9 @@ CONFIG_MESSAGES = [
      (1, "error: 'w\\n2' holds a character that breaks a csv table row")),
     ("window-name-cr", lambda d: d["windows"][0].update(name="w\r1"),
      (1, "error: 'w\\r1' holds a character that breaks a csv table row")),
+    # a label holding a character that XML 1.0 cannot hold is refused when its figure is drawn
+    ("asset-id-control", lambda d: d["assets"][0].update(id="A\u0001B"),
+     (1, "error: 'A\\x01B' holds a character that an SVG document cannot hold")),
     # two rules
     ("units-and-assets-missing", lambda d: [d.pop("units"), d.pop("assets")],
      (1, "error: {doc}: missing field 'units'")),
@@ -1023,6 +1026,12 @@ REPLAY_MESSAGES = [
      (1, "error: 'C\\nD' holds a character that breaks a csv table row")),
     ("market-id-comma", lambda d: d["market"].update(id="ICOL,CAP"),
      (1, "error: 'ICOL,CAP' holds a character that breaks a csv table row")),
+    ("label-control", lambda d: d["labels"].__setitem__(0, "A\u0001B"),
+     (1, "error: 'A\\x01B' holds a character that an SVG document cannot hold")),
+    ("label-nul", lambda d: d["labels"].__setitem__(1, "C\u0000D"),
+     (1, "error: 'C\\x00D' holds a character that an SVG document cannot hold")),
+    ("label-noncharacter", lambda d: d["labels"].__setitem__(2, "\ufffe"),
+     (1, "error: '\\ufffe' holds a character that an SVG document cannot hold")),
     ("not-positive-definite", lambda d: d["cov_matrix"][0].__setitem__(0, -0.1),
      (2, 'numeric error: pivot -1.000e-01 at index 0 fails the positive-definiteness check (leading minor 1 not positive)')),
     # two rules

@@ -16,14 +16,15 @@ Each example writes a JSON document and the files it names, and runs
   (``MUTATIONS``): numbers at the edges of the float range or not finite,
   the covariance or the expected returns scaled by up to 1e±300, rf a few
   ulps from b/alpha, ragged and nested lists, type swaps, and labels that
-  hold separators or lone surrogates; or (``scaled_docs``) a fixture scaled
-  so and then given an rf a few ulps from b/alpha.
+  hold separators, lone surrogates or characters XML cannot hold; or
+  (``scaled_docs``) a fixture scaled so and then given an rf a few ulps
+  from b/alpha.
 
 Whatever the input, the run exits 0, 1 or 2 with no ``RuntimeWarning``; a
 failure prints one stderr line and writes nothing; no file is written
 outside the output directory; no temporary file is left; no output
-prints a non-finite number; and every row of a csv or markdown table has
-as many fields as its header.
+prints a non-finite number; every row of a csv or markdown table has
+as many fields as its header; and every SVG figure is well-formed XML.
 """
 
 import contextlib
@@ -37,12 +38,13 @@ import os
 import re
 import tempfile
 import warnings
+import xml.etree.ElementTree as ET
 from datetime import date, timedelta
 from itertools import groupby
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frontera import cli
@@ -177,6 +179,8 @@ def assert_failure_contract(doc, files: dict[str, bytes], command: str = "analyz
                 assert not NON_FINITE.search(text), (rel, NON_FINITE.search(text))
                 if rel.suffix in (".csv", ".md"):
                     assert all(len(c) == 1 for c in field_counts(text, rel.suffix)), (rel, text)
+                if rel.suffix == ".svg":
+                    ET.fromstring(text)  # a well-formed XML document
         else:
             assert code in (1, 2), code
             assert err.count("\n") == 1 and err.endswith("\n"), err
@@ -220,7 +224,7 @@ EDGE_NUMBERS = [0, 0.0, -0.0, 1, -1, 1e300, -1e300, 1e-300, -1e-300, 1e154, -1e1
                 float("-inf")]
 ODD_VALUES = ["x", "0.1", "", True, False, None, {}, [], [[]], 5, {"a": 1}]
 ODD_NAMES = ["a/b", "..", ".", "a\\b", "\ud800", "x\udcffy", "a,b", "a|b", "a\nb", "", " ",
-             "a\tb", "A\x00B", '"q"', "ÉXITO", "C:x"]
+             "a\tb", "A\x00B", '"q"', "ÉXITO", "C:x", "a\x01b", "\ufffe"]
 
 
 def nodes(node, path=()):
@@ -315,7 +319,7 @@ def type_swap(draw, doc):
 
 
 def odd_name(draw, doc):
-    """A label, the window name or the market id set to a separator or a lone surrogate."""
+    """A label, the window name or the market id set to an odd name of ``ODD_NAMES``."""
     names = [p for p, v in nodes(doc) if isinstance(v, str) and (
         p == ("name",) or p == ("market", "id") or p[:1] == ("labels",))]
     if not names:
@@ -345,5 +349,7 @@ def scaled_docs(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(replay_docs() | scaled_docs())
+# a fixture whose one fault is a label XML cannot hold, which the generators seldom draw
+@example({**FIXTURE_DOCUMENTS[0], "labels": ["a\x01b", *FIXTURE_DOCUMENTS[0]["labels"][1:]]})
 def test_replay_keeps_failure_contract(doc):
     assert_failure_contract(doc, {}, "replay")

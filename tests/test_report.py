@@ -71,6 +71,20 @@ def with_cell(report, table, value):
     return report._replace(**{table: matrix})
 
 
+def with_summary_cell(report, table, value):
+    """``report`` with one cell of the ``render_summary`` table ``table``,
+    named by its header, set to ``value``."""
+    if table == "Indicator":
+        return report._replace(solution=report.solution._replace(risk=value))
+    if table == "Asset":
+        weights = report.solution.weights.copy()
+        weights[0] = value
+        return report._replace(solution=report.solution._replace(weights=weights))
+    indicators = report.indicators.copy()
+    indicators[0, 0] = value  # a historical return of the Block table
+    return report._replace(indicators=indicators)
+
+
 def escaped_labels_report():
     # two assets whose labels print escaped in the SVG
     cov, er = np.array([[0.04, 0.01], [0.01, 0.09]]), np.array([0.05, 0.08])
@@ -445,6 +459,25 @@ class TestRendering:
         report = with_cell(with_cell(report, earlier, 1e307), later, -1e307)
         with pytest.raises(ReportError, match=r"^cell value 1e\+307 is too large"):
             render_tables(report, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "markdown"])
+    @pytest.mark.parametrize("earlier, later", [("Indicator", "Asset"), ("Asset", "Block")])
+    def test_summary_oversized_cell_named_from_the_first_table(self, earlier, later, fmt):
+        report = replay_paper(load_fixture("2015_2023"))
+        report = with_summary_cell(with_summary_cell(report, earlier, 1e307), later, -1e307)
+        with pytest.raises(ReportError, match=r"^cell value 1e\+307 is too large"):
+            render_summary([report], fmt)
+
+    def test_oversized_cell_named_before_an_unknown_format(self):
+        # the first table's cells are formatted before the table is laid out
+        report = replay_paper(load_fixture("2015_2023"))
+        broken = [
+            (render_tables, with_cell(report, "indicators", 1e307)),
+            (lambda r, f: render_summary([r], f), with_summary_cell(report, "Indicator", 1e307)),
+        ]
+        for render, r in broken:
+            with pytest.raises(ReportError, match=r"^cell value 1e\+307 is too large"):
+                render(r, "xml")
 
     @pytest.mark.parametrize(
         "fmt, text",
