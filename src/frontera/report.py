@@ -15,7 +15,7 @@ viable window's frontier and CML for the files that draw them.
 
 import re
 from decimal import ROUND_HALF_UP, Decimal, localcontext
-from itertools import accumulate, chain
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -167,20 +167,18 @@ def emit_frontier_curve(
 
 # --- rendering ---
 #
-# A table is laid out as bytes before it becomes text. Its cells are held
-# in uint8 blocks of shape (height, cells): column j holds cell j's bytes,
+# A table row starts with its label cells, joined as one text "head"; only
+# the body cells, the many numbers, are laid out as bytes. They are held in
+# a uint8 block of shape (height, cells): column j holds cell j's bytes,
 # bottom-aligned and filled above with _PAD, a byte that UTF-8 never
 # contains, so dropping every _PAD byte of a laid-out table in one pass
-# leaves each cell whole. Blocks run cells along their long axis, so each
+# leaves each cell whole. The block runs cells along its long axis, so each
 # numpy step covers every cell at once rather than the few bytes of one.
 
 _PAD, _SPACE = np.uint8(0xFF), np.uint8(ord(" "))
 _FILL = bytes([_PAD])
 _MINUS, _POINT, _PERCENT, _ZERO = b"-.%0"
 _POW10 = 10 ** np.arange(10, dtype=np.int32)[:, None]  # a printed m < 5e8 < 10**9
-# 1 for a byte that starts a character: neither fill nor a UTF-8 continuation byte
-_STARTS = ((np.arange(256) & 0xC0) != 0x80).astype(np.uint8)
-_STARTS[_PAD] = 0
 # a header or label holding one of these would break its table's rows
 _BREAKS = {"csv": re.compile('[,"\r\n]'), "markdown": re.compile("[|\r\n]")}
 
@@ -280,35 +278,26 @@ def _table(header: list[str], labels: list[list[str]], body: np.ndarray, fmt: st
     bad = next(filter(_BREAKS[fmt].search, [*header, *chain(*labels)]), None)
     if bad is not None:
         raise ReportError(f"{bad!r} holds a character that breaks a {fmt} table row")
-    blocks = [*map(_text_cells, labels), body]
-    rows = len(labels[0])
-    counts = [1] * len(labels) + [len(header) - len(labels)]  # columns per block
+    rows = list(zip(*labels))
     if fmt == "csv":
-        lines, start, sep, end = [",".join(header)], b"", b",", b"\n"
-        pads = [np.empty((0, b.shape[1]), np.uint8) for b in blocks]
+        lines, sep, end = [",".join(header)], b",", b"\n"
+        heads = [",".join(row) + "," for row in rows]
+        pads = body[:0]  # no spaces after a csv cell
     else:
-        chars = [_STARTS[b].sum(axis=0, dtype=np.intp) for b in blocks]  # per cell
-        chars = np.concatenate([c.reshape(rows, n) for c, n in zip(chars, counts)], axis=1)
-        widths = np.maximum([len(h) for h in header], chars.max(axis=0, initial=0))
+        chars = (body != _PAD).sum(axis=0).reshape(len(rows), -1)  # body cells are ASCII
+        widths = [max(map(len, [h, *col])) for h, col in zip(header, labels)]
+        widths += np.maximum([len(h) for h in header[len(labels) :]], chars.max(axis=0)).tolist()
         lines = [
-            "| " + " | ".join(h.ljust(w) for h, w in zip(header, widths.tolist())) + " |",
-            "|" + "|".join("-" * (w + 2) for w in widths.tolist()) + "|",
+            "| " + " | ".join(h.ljust(w) for h, w in zip(header, widths)) + " |",
+            "|" + "|".join("-" * (w + 2) for w in widths) + "|",
         ]
-        start, sep, end = b"| ", b" | ", b" |\n"
-        need = widths - chars  # spaces after each cell
-        spaces = np.arange(need.max(initial=0))[:, None]
-        edges = list(accumulate([0] + counts))
-        pads = [
-            np.where(spaces < need[:, lo:hi].ravel(), _SPACE, _PAD)
-            for lo, hi in zip(edges, edges[1:])
-        ]
-    if not rows:
-        return "\n".join(lines)
-    parts = [np.frombuffer(start * rows, np.uint8).reshape(rows, -1)]
-    for block, pad in zip(blocks, pads):
-        seps = np.frombuffer(sep * block.shape[1], np.uint8).reshape(-1, len(sep)).T
-        parts.append(np.concatenate([block, pad, seps]).T.reshape(rows, -1))
-    layout = np.concatenate(parts, axis=1)
+        sep, end = b" | ", b" |\n"
+        heads = ["| " + " | ".join(map(str.ljust, row, widths)) + " | " for row in rows]
+        need = (widths[len(labels) :] - chars).ravel()  # spaces after each body cell
+        pads = np.where(np.arange(need.max())[:, None] < need, _SPACE, _PAD)
+    seps = np.frombuffer(sep * body.shape[1], np.uint8).reshape(-1, len(sep)).T
+    cells = np.concatenate([body, pads, seps]).T.reshape(len(rows), -1)
+    layout = np.concatenate([_text_cells(heads).T, cells], axis=1)
     layout[:, -len(end) :] = np.frombuffer(end, np.uint8)
     return "\n".join(lines) + "\n" + _text(layout)[:-1]
 

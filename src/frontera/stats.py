@@ -128,6 +128,8 @@ def invert_matrix(matrix: np.ndarray) -> np.ndarray:
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise StatsError(f"matrix is not square: shape {a.shape}")
+    if not a.size:
+        raise StatsError("matrix is empty")
     if not np.all(np.isfinite(a)):
         raise StatsError("matrix has non-finite entries")
     scale = float(np.max(np.abs(a))) or 1.0

@@ -178,6 +178,10 @@ class TestReplayPaper:
                 )
             )
 
+    def test_no_labels_rejected(self):
+        with pytest.raises(StatsError, match="^matrix is empty$"):
+            replay_paper(ReplayInput((), np.empty((0, 0)), np.empty(0), WINDOW))
+
     @pytest.mark.parametrize(
         "aux, message",
         [
@@ -802,6 +806,8 @@ class TestDigitKernel:
             replay_paper(seeded_replay(rng, LABELS[:n], viable, stats))
             for viable, stats in [(True, True), (False, True), (True, False), (True, True)]
         ]
+        # a window name heads a body column: 13 characters in 14 UTF-8 bytes, wider than its cells
+        reports[0] = reports[0]._replace(window=reports[0].window._replace(name="AÑO-2019-2021"))
         assert render_summary(reports, fmt) == render_summary_reference(reports, fmt)
 
     @pytest.mark.parametrize("places, expected", [(2, "-0.00%"), (0, "-0%")])

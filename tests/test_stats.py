@@ -246,6 +246,10 @@ class TestInvertMatrix:
         assert np.max(np.abs(a @ inv - np.eye(4))) < 1e-9
         assert np.max(np.abs(inv - inv.T)) < 1e-9
 
+    def test_empty(self):
+        with pytest.raises(StatsError, match="^matrix is empty$"):
+            invert_matrix(np.empty((0, 0)))
+
     def test_not_symmetric(self):
         with pytest.raises(StatsError, match="symmetric"):
             invert_matrix(np.array([[1.0, 0.5], [0.2, 1.0]]))
