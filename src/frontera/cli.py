@@ -43,13 +43,10 @@ class AnalysisConfig(NamedTuple):
 
 
 class OutputSet:
-    """Collects output files and renames them into place only on success."""
+    """A command's output files, by path, renamed into place only on success."""
 
-    def __init__(self):
-        self._pending: list[tuple[Path, str]] = []
-
-    def add(self, path: Path, text: str):
-        self._pending.append((path, text))
+    def __init__(self, files: dict[Path, str]):
+        self._files = files
 
     def commit(self):
         """Write every file beside its target, then rename each into place.
@@ -61,7 +58,7 @@ class OutputSet:
         """
         temps, saved, placed, made = [], [], [], []
         try:
-            for path, text in self._pending:
+            for path, text in self._files.items():
                 if not path.parent.is_dir():
                     new = [d for d in [path.parent, *path.parent.parents] if not d.exists()]
                     made += reversed(new)  # each directory after its parent
@@ -277,19 +274,25 @@ def _ext(fmt: str) -> str:
     return "csv" if fmt == "csv" else "md"
 
 
-def _add_report_files(out: OutputSet, base: Path, report: rp.WindowReport, fmt: str):
+def _curve_files(base: Path, curve: rp.FrontierCurve) -> dict[Path, str]:
+    frontier_text, cml_text = rp.curve_csv(curve)
+    return {base / "frontier_curve.csv": frontier_text, base / "cml_curve.csv": cml_text}
+
+
+def _report_files(base: Path, report: rp.WindowReport, fmt: str) -> dict[Path, str]:
     base = base / report.window.name
-    out.add(base / f"tables.{_ext(fmt)}", rp.render_tables(report, fmt))
+    files = {base / f"tables.{_ext(fmt)}": rp.render_tables(report, fmt)}
     if report.solution is None:
-        return
+        return files
     try:
         curve = rp.emit_frontier_curve(report)
     except fr.DegenerateFrontierError:  # equal expected returns: no frontier to draw
-        return
-    frontier_text, cml_text = rp.curve_csv(curve)
-    out.add(base / "frontier_curve.csv", frontier_text)
-    out.add(base / "cml_curve.csv", cml_text)
-    out.add(base / "frontier.svg", rp.render_svg(report, curve))
+        return files
+    return files | _curve_files(base, curve) | {base / "frontier.svg": rp.render_svg(report, curve)}
+
+
+def _summary_file(base: Path, reports: list[rp.WindowReport], fmt: str) -> dict[Path, str]:
+    return {base / f"summary.{_ext(fmt)}": rp.render_summary(reports, fmt)}
 
 
 def _named_window(cfg: AnalysisConfig, args) -> WindowSpec:
@@ -305,14 +308,10 @@ def _cmd_analyze(args) -> OutputSet:
     windows = cfg.windows if args.window is None else (_named_window(cfg, args),)
     panel = _load_panel(cfg)
     reports = [rp.analyze_window(panel, w, cfg.trading_days) for w in windows]
-    out = OutputSet()
+    files = {}
     for report in reports:
-        _add_report_files(out, out_dir, report, args.format)
-    out.add(
-        out_dir / f"summary.{_ext(args.format)}",
-        rp.render_summary(reports, args.format),
-    )
-    return out
+        files |= _report_files(out_dir, report, args.format)
+    return OutputSet(files | _summary_file(out_dir, reports, args.format))
 
 
 def _load_panel(cfg: AnalysisConfig):
@@ -329,9 +328,7 @@ def _load_panel(cfg: AnalysisConfig):
 def _cmd_replay(args) -> OutputSet:
     report = rp.replay_paper(load_replay_input(Path(args.input)))
     out_dir = _output_dir(Path(args.input).parent / "out", args.output_dir)
-    out = OutputSet()
-    _add_report_files(out, out_dir, report, args.format)
-    return out
+    return OutputSet(_report_files(out_dir, report, args.format))
 
 
 def _parse_span(raw: str) -> tuple[float, float]:
@@ -348,22 +345,14 @@ def _cmd_frontier(args) -> OutputSet:
     window = _named_window(cfg, args)
     report = rp.analyze_window(_load_panel(cfg), window, cfg.trading_days)
     span = _parse_span(args.span) if args.span else None
-    frontier_text, cml_text = rp.curve_csv(rp.emit_frontier_curve(report, args.points, span))
-    out = OutputSet()
-    out.add(out_dir / args.window / "frontier_curve.csv", frontier_text)
-    out.add(out_dir / args.window / "cml_curve.csv", cml_text)
-    return out
+    curve = rp.emit_frontier_curve(report, args.points, span)
+    return OutputSet(_curve_files(out_dir / args.window, curve))
 
 
 def _cmd_summarize(args) -> OutputSet:
     reports = [rp.replay_paper(load_replay_input(Path(p))) for p in args.inputs]
     out_dir = _output_dir(Path(args.inputs[0]).parent / "out", args.output_dir)
-    out = OutputSet()
-    out.add(
-        out_dir / f"summary.{_ext(args.format)}",
-        rp.render_summary(reports, args.format),
-    )
-    return out
+    return OutputSet(_summary_file(out_dir, reports, args.format))
 
 
 def build_parser() -> argparse.ArgumentParser:

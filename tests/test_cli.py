@@ -737,9 +737,7 @@ class TestLoaders:
         assert replay.market_aux[0] == "ICOLCAP"
 
     def test_output_set_atomic(self, tmp_path):
-        out = OutputSet()
-        out.add(tmp_path / "sub" / "a.txt", "hello")
-        out.add(tmp_path / "sub" / "b.txt", "world")
+        out = OutputSet({tmp_path / "sub" / "a.txt": "hello", tmp_path / "sub" / "b.txt": "world"})
         assert not (tmp_path / "sub").exists()
         out.commit()
         assert (tmp_path / "sub" / "a.txt").read_text() == "hello"
@@ -747,19 +745,17 @@ class TestLoaders:
 
     def test_output_set_replaces_existing(self, tmp_path):
         (tmp_path / "a.txt").write_text("old a")
-        out = OutputSet()
-        out.add(tmp_path / "a.txt", "new a")
-        out.add(tmp_path / "b.txt", "new b")
-        out.commit()
+        OutputSet({tmp_path / "a.txt": "new a", tmp_path / "b.txt": "new b"}).commit()
         assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {
             "a.txt": "new a",
             "b.txt": "new b",
         }
 
     def test_output_set_failed_write_leaves_no_temp(self, tmp_path):
-        out = OutputSet()
-        out.add(tmp_path / "od" / "a.txt", "new a")
-        out.add(tmp_path / "od" / "b.txt", "\ud800")  # UTF-8 cannot encode it: the write fails
+        out = OutputSet({
+            tmp_path / "od" / "a.txt": "new a",
+            tmp_path / "od" / "b.txt": "\ud800",  # UTF-8 cannot encode it: the write fails
+        })
         with pytest.raises(UnicodeEncodeError):
             out.commit()
         assert list(tmp_path.rglob("*")) == []
@@ -779,9 +775,7 @@ class TestLoaders:
             return real_replace(self, target)
 
         monkeypatch.setattr(type(tmp_path), "replace", replace)
-        out = OutputSet()
-        for name in order:
-            out.add(tmp_path / name, f"new {name}")
+        out = OutputSet({tmp_path / name: f"new {name}" for name in order})
         with pytest.raises(OSError, match="disk full"):
             out.commit()
         assert {p.name: p.read_text() for p in tmp_path.iterdir()} == before
@@ -803,9 +797,7 @@ class TestLoaders:
             return real_replace(self, target)
 
         monkeypatch.setattr(type(tmp_path), "replace", replace)
-        out = OutputSet()
-        out.add(od / "win" / "a.csv", "new a")
-        out.add(od / "win" / "b.csv", "new b")
+        out = OutputSet({od / "win" / "a.csv": "new a", od / "win" / "b.csv": "new b"})
         with pytest.raises(OSError, match="disk full"):
             out.commit()
         assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
