@@ -12,6 +12,7 @@ command leaves no partial files behind.
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -42,11 +43,10 @@ class AnalysisConfig(NamedTuple):
     output_dir: Path
 
 
-class OutputSet:
+class OutputSet(NamedTuple):
     """A command's output files, by path, renamed into place only on success."""
 
-    def __init__(self, files: dict[Path, str]):
-        self._files = files
+    files: dict[Path, str]
 
     def commit(self):
         """Write every file beside its target, then rename each into place.
@@ -58,7 +58,7 @@ class OutputSet:
         """
         temps, saved, placed, made = [], [], [], []
         try:
-            for path, text in self._files.items():
+            for path, text in self.files.items():
                 if not path.parent.is_dir():
                     new = [d for d in [path.parent, *path.parent.parents] if not d.exists()]
                     made += reversed(new)  # each directory after its parent
@@ -133,6 +133,8 @@ def _days_per_year(value) -> int:
 
 
 def _number(value) -> float:
+    if type(value) not in (int, float):  # what json.loads makes of a JSON number
+        raise TypeError("expected a JSON number")
     x = float(value)
     if not math.isfinite(x):
         raise ValueError("not a finite number")
@@ -140,17 +142,21 @@ def _number(value) -> float:
 
 
 def _numbers(shape: tuple[int, ...]):
-    """Converter to a float array of the given shape with only finite entries."""
+    """Converter to a float array of the given shape with only finite JSON numbers."""
 
     def convert(value) -> np.ndarray:
         try:
             a = np.array(value, dtype=float)
-        except ValueError:  # checked only now, so an accepted document pays nothing
+        except (ValueError, TypeError):  # checked only now, so an accepted document pays nothing
             if _ragged(value):
                 raise ValueError(f"expected shape {shape}, got a ragged list") from None
-            raise
+            raise TypeError("expected JSON numbers") from None
         if a.shape != shape:
             raise ValueError(f"expected shape {shape}, got {a.shape}")
+        # the shape holds, so the leaves are the entries of value, or of its rows
+        leaves = value if len(shape) == 1 else itertools.chain.from_iterable(value)
+        if not {int, float}.issuperset(map(type, leaves)):
+            raise TypeError("expected JSON numbers")
         if not np.all(np.isfinite(a)):
             raise ValueError("not all numbers are finite")
         return a
@@ -395,13 +401,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args).commit()
+        return 0
     except (InputError, MarketDataError, rp.ReportError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code, line = 1, f"error: {exc}"
     except (st.StatsError, fr.FrontierError) as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+        code, line = 2, f"numeric error: {exc}"
+    # a window name or a path from the input may hold a line break: the message stays one line
+    print(line.replace("\r", "\\r").replace("\n", "\\n"), file=sys.stderr)
+    return code
 
 
 def run():

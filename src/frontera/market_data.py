@@ -163,6 +163,7 @@ def _parse_rows(b: np.ndarray, ends: np.ndarray, lines: np.ndarray | None = None
     y = year - (month < 3)
     days = 365 * y + (y >> 2) - y // 100 + y // 400 + np.take(_MARCH_DAYS, month, mode="clip")
     dates = (days + day - 719469).astype("datetime64[D]")
+    del chars, d, century, yy, year, month, day, leap, y, days  # before the closes' block
     closes = _fixed_point_closes(b, ends, ends - starts - 11) if ok.all() else None
     if closes is None:  # float() reads the closes, in rows with one comma
         commas = np.flatnonzero(b == _COMMA)

@@ -65,8 +65,9 @@ def beta(returns: np.ndarray, market: np.ndarray) -> np.ndarray:
 
 
 def capm_expected_return(beta_: float | np.ndarray, rf: float, market_return: float):
-    """CAPM: rf + beta * (market_return - rf)."""
-    return rf + beta_ * (market_return - rf)
+    """CAPM: rf + beta * (market_return - rf), which must not overflow."""
+    with np.errstate(over="ignore"):  # an overflow ends as inf, refused below
+        return _finite(rf + beta_ * (market_return - rf), "CAPM expected return")
 
 
 def asset_sharpe(ann_return: float | np.ndarray, rf: float, ann_vol: float | np.ndarray):

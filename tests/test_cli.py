@@ -871,11 +871,18 @@ CONFIG_MESSAGES = [
     ("window-end-invalid-day", lambda d: d["windows"][0].update(end="2019-02-30"),
      (1, "error: {doc}.windows[0]: invalid date '2019-02-30' (expected YYYY-MM-DD)")),
     ("window-rf-not-number", lambda d: d["windows"][0].update(rf_annual="x"),
-     (1, "error: {doc}.windows[0]: field 'rf_annual' has invalid value 'x' (could not convert string to float: 'x')")),
+     (1, "error: {doc}.windows[0]: field 'rf_annual' has invalid value 'x' (expected a JSON number)")),
+    ("window-rf-true", lambda d: d["windows"][0].update(rf_annual=True),
+     (1, "error: {doc}.windows[0]: field 'rf_annual' has invalid value True (expected a JSON number)")),
+    ("window-rf-numeric-string", lambda d: d["windows"][1].update(rf_annual="0.03"),
+     (1, "error: {doc}.windows[1]: field 'rf_annual' has invalid value '0.03' (expected a JSON number)")),
     ("window-rf-nan", lambda d: d["windows"][0].update(rf_annual=float("nan")),
      (1, "error: {doc}.windows[0]: field 'rf_annual' has invalid value nan (not a finite number)")),
+    # found by test_mutated_config_keeps_failure_contract: the CAPM return overflowed
+    ("window-rf-max-float", lambda d: d["windows"][0].update(rf_annual=1.7976931348623157e308),
+     (2, "numeric error: CAPM expected return is not finite: it overflows the floating-point range")),
     ("window-rf-list", lambda d: d["windows"][0].update(rf_annual=[0.03]),
-     (1, "error: {doc}.windows[0]: field 'rf_annual' has invalid value [0.03] (float() argument must be a string or a real number, not 'list')")),
+     (1, "error: {doc}.windows[0]: field 'rf_annual' has invalid value [0.03] (expected a JSON number)")),
     ("window-name-escapes", lambda d: d["windows"][0].update(name="../escape"),
      (1, "error: {doc}.windows[0]: window name '../escape' is not a plain directory name")),
     ("window-name-not-str", lambda d: d["windows"][0].update(name=5),
@@ -920,7 +927,7 @@ CONFIG_MESSAGES = [
     ("window-name-bad-and-start-bad", lambda d: d["windows"][0].update(name="../x", start="x"),
      (1, "error: {doc}.windows[0]: invalid date 'x' (expected YYYY-MM-DD)")),
     ("window-name-bad-and-rf-bad", lambda d: d["windows"][0].update(name="../x", rf_annual="x"),
-     (1, "error: {doc}.windows[0]: field 'rf_annual' has invalid value 'x' (could not convert string to float: 'x')")),
+     (1, "error: {doc}.windows[0]: field 'rf_annual' has invalid value 'x' (expected a JSON number)")),
     ("window-start-bad-and-rf-missing", lambda d: [d["windows"][0].update(start="x"), d["windows"][0].pop("rf_annual")],
      (1, "error: {doc}.windows[0]: invalid date 'x' (expected YYYY-MM-DD)")),
     ("ids-duplicate-and-windows-missing", lambda d: [d["market"].update(id="AAA"), d.pop("windows")],
@@ -933,6 +940,12 @@ CONFIG_MESSAGES = [
      (1, 'error: {doc}: at least two assets are required')),
     ("window-name-lf-and-asset-id-comma", lambda d: [d["windows"][0].update(name="w\n1"), d["assets"][0].update(id="A,A")],
      (1, "error: 'A,A' holds a character that breaks a csv table row")),
+    # found by test_mutated_config_keeps_failure_contract: a line break in a window name
+    # split the message over two lines
+    ("window-name-lf-and-start-after-end", lambda d: d["windows"][0].update(name="w\n1", start="2020-01-01"),
+     (1, "error: {doc}.windows[0]: window w\\n1: start 2020-01-01 after end 2019-12-31")),
+    ("window-name-cr-and-no-dates", lambda d: d["windows"][1].update(name="w\r2", start="2030-01-01", end="2030-12-31"),
+     (1, "error: window w\\r2: 0 trading date(s) in range; need at least 2")),
 ]
 
 REPLAY_MESSAGES = [
@@ -955,7 +968,11 @@ REPLAY_MESSAGES = [
     ("rf-missing", lambda d: d.pop("rf"),
      (1, "error: {doc}: missing field 'rf'")),
     ("rf-not-number", lambda d: d.update(rf="x"),
-     (1, "error: {doc}: field 'rf' has invalid value 'x' (could not convert string to float: 'x')")),
+     (1, "error: {doc}: field 'rf' has invalid value 'x' (expected a JSON number)")),
+    ("rf-true", lambda d: d.update(rf=True),
+     (1, "error: {doc}: field 'rf' has invalid value True (expected a JSON number)")),
+    ("rf-numeric-string", lambda d: d.update(rf="0.02"),
+     (1, "error: {doc}: field 'rf' has invalid value '0.02' (expected a JSON number)")),
     ("rf-inf", lambda d: d.update(rf=float("inf")),
      (1, "error: {doc}: field 'rf' has invalid value inf (not a finite number)")),
     ("asset-stats-not-list", lambda d: d.update(asset_stats=5),
@@ -970,6 +987,10 @@ REPLAY_MESSAGES = [
      (1, 'error: {doc}.asset_stats[0]: expected a JSON object, got 5')),
     ("asset-stat-beta-missing", lambda d: d["asset_stats"][3].pop("beta"),
      (1, "error: {doc}.asset_stats[3]: missing field 'beta'")),
+    ("asset-stat-return-numeric-string", lambda d: d["asset_stats"][1].update(ann_return="0.05"),
+     (1, "error: {doc}.asset_stats[1]: field 'ann_return' has invalid value '0.05' (expected a JSON number)")),
+    ("asset-stat-beta-false", lambda d: d["asset_stats"][0].update(beta=False),
+     (1, "error: {doc}.asset_stats[0]: field 'beta' has invalid value False (expected a JSON number)")),
     ("asset-stat-beta-nan", lambda d: d["asset_stats"][2].update(beta=float("nan")),
      (1, "error: {doc}.asset_stats[2]: field 'beta' has invalid value nan (not a finite number)")),
     ("market-not-object", lambda d: d.update(market=5),
@@ -981,7 +1002,9 @@ REPLAY_MESSAGES = [
     ("market-ann-vol-missing", lambda d: d["market"].pop("ann_vol"),
      (1, "error: {doc}.market: missing field 'ann_vol'")),
     ("market-ann-return-not-number", lambda d: d["market"].update(ann_return="x"),
-     (1, "error: {doc}.market: field 'ann_return' has invalid value 'x' (could not convert string to float: 'x')")),
+     (1, "error: {doc}.market: field 'ann_return' has invalid value 'x' (expected a JSON number)")),
+    ("market-ann-vol-true", lambda d: d["market"].update(ann_vol=True),
+     (1, "error: {doc}.market: field 'ann_vol' has invalid value True (expected a JSON number)")),
     ("market-id-is-label", lambda d: d["market"].update(id="ISA"),
      (1, 'error: {doc}: market id must differ from the labels')),
     ("cov-missing", lambda d: d.pop("cov_matrix"),
@@ -991,7 +1014,11 @@ REPLAY_MESSAGES = [
     ("cov-nan", lambda d: d["cov_matrix"][1].__setitem__(1, float("nan")),
      (1, "error: {doc}: field 'cov_matrix' has invalid value [[0.0874, 0.0492, 0.0373, 0.0782], [0.0492, nan, 0.0399, 0.0478], [0.0373, 0.0399, 0.1172, 0.0468], [0.0782, 0.0478, 0.0468, 0.1203]] (not all numbers are finite)")),
     ("cov-string", lambda d: d["cov_matrix"][0].__setitem__(0, "x"),
-     (1, "error: {doc}: field 'cov_matrix' has invalid value [['x', 0.0492, 0.0373, 0.0782], [0.0492, 0.1494, 0.0399, 0.0478], [0.0373, 0.0399, 0.1172, 0.0468], [0.0782, 0.0478, 0.0468, 0.1203]] (could not convert string to float: 'x')")),
+     (1, "error: {doc}: field 'cov_matrix' has invalid value [['x', 0.0492, 0.0373, 0.0782], [0.0492, 0.1494, 0.0399, 0.0478], [0.0373, 0.0399, 0.1172, 0.0468], [0.0782, 0.0478, 0.0468, 0.1203]] (expected JSON numbers)")),
+    ("cov-numeric-string", lambda d: d["cov_matrix"][2].__setitem__(3, "0.0468"),
+     (1, "error: {doc}: field 'cov_matrix' has invalid value [[0.0874, 0.0492, 0.0373, 0.0782], [0.0492, 0.1494, 0.0399, 0.0478], [0.0373, 0.0399, 0.1172, '0.0468'], [0.0782, 0.0478, 0.0468, 0.1203]] (expected JSON numbers)")),
+    ("cov-true", lambda d: d["cov_matrix"][3].__setitem__(0, True),
+     (1, "error: {doc}: field 'cov_matrix' has invalid value [[0.0874, 0.0492, 0.0373, 0.0782], [0.0492, 0.1494, 0.0399, 0.0478], [0.0373, 0.0399, 0.1172, 0.0468], [True, 0.0478, 0.0468, 0.1203]] (expected JSON numbers)")),
     ("cov-ragged", lambda d: d["cov_matrix"][1].pop(),
      (1, "error: {doc}: field 'cov_matrix' has invalid value [[0.0874, 0.0492, 0.0373, 0.0782], [0.0492, 0.1494, 0.0399], [0.0373, 0.0399, 0.1172, 0.0468], [0.0782, 0.0478, 0.0468, 0.1203]] (expected shape (4, 4), got a ragged list)")),
     ("er-missing", lambda d: d.pop("expected_returns"),
@@ -999,7 +1026,13 @@ REPLAY_MESSAGES = [
     ("er-too-short", lambda d: d["expected_returns"].pop(),
      (1, "error: {doc}: field 'expected_returns' has invalid value [0.0303, 0.0432, 0.0473] (expected shape (4,), got (3,))")),
     ("er-string", lambda d: d["expected_returns"].__setitem__(1, "x"),
-     (1, "error: {doc}: field 'expected_returns' has invalid value [0.0303, 'x', 0.0473, 0.0392] (could not convert string to float: 'x')")),
+     (1, "error: {doc}: field 'expected_returns' has invalid value [0.0303, 'x', 0.0473, 0.0392] (expected JSON numbers)")),
+    ("er-numeric-string", lambda d: d["expected_returns"].__setitem__(2, "0.0473"),
+     (1, "error: {doc}: field 'expected_returns' has invalid value [0.0303, 0.0432, '0.0473', 0.0392] (expected JSON numbers)")),
+    ("er-false", lambda d: d["expected_returns"].__setitem__(0, False),
+     (1, "error: {doc}: field 'expected_returns' has invalid value [False, 0.0432, 0.0473, 0.0392] (expected JSON numbers)")),
+    ("er-null", lambda d: d["expected_returns"].__setitem__(3, None),
+     (1, "error: {doc}: field 'expected_returns' has invalid value [0.0303, 0.0432, 0.0473, None] (expected JSON numbers)")),
     ("er-nested", lambda d: d["expected_returns"].__setitem__(1, [0.0432]),
      (1, "error: {doc}: field 'expected_returns' has invalid value [0.0303, [0.0432], 0.0473, 0.0392] (expected shape (4,), got a ragged list)")),
     ("name-escapes", lambda d: d.update(name="../../x"),
@@ -1032,7 +1065,7 @@ REPLAY_MESSAGES = [
     ("labels-duplicate-and-rf-missing", lambda d: [d["labels"].__setitem__(1, "ISA"), d.pop("rf")],
      (1, 'error: {doc}: labels must be unique')),
     ("rf-bad-and-cov-missing", lambda d: [d.update(rf="x"), d.pop("cov_matrix")],
-     (1, "error: {doc}: field 'rf' has invalid value 'x' (could not convert string to float: 'x')")),
+     (1, "error: {doc}: field 'rf' has invalid value 'x' (expected a JSON number)")),
     ("asset-stat-bad-and-market-bad", lambda d: [d["asset_stats"][0].pop("beta"), d.update(market=5)],
      (1, "error: {doc}.asset_stats[0]: missing field 'beta'")),
     ("market-id-is-label-and-cov-bad", lambda d: [d["market"].update(id="ISA"), d["cov_matrix"].pop()],

@@ -360,3 +360,59 @@ def test_replay_keeps_failure_contract(doc):
 @pytest.mark.parametrize("name", ODD_NAMES)
 def test_odd_name_keeps_failure_contract(name, path):
     assert_failure_contract(replace(copy.deepcopy(FIXTURE_DOCUMENTS[0]), path, name), {}, "replay")
+
+
+# --- analyze config documents ---
+#
+# One config of two assets and a market over 40 days, with a window on all of
+# them and one on the last 20, and one to three mutations of the config alone
+# (``CONFIG_MUTATIONS``); the price files stay as they are.
+
+CONFIG_CLOSES = np.exp(np.cumsum(np.random.default_rng(7).normal(0, 0.02, (3, 40)), axis=1)) * 100
+CONFIG_FILES = {f"{i}.csv": price_file([f"{c:.4f}" for c in column])
+                for i, column in zip(["A0", "A1", "M"], CONFIG_CLOSES.tolist())}
+CONFIG_DOCUMENT = {
+    **config(["A0", "A1", "M"], [
+        {"name": "w0", "start": "2020-01-01", "end": "2020-02-09", "rf_annual": 0.02},
+        {"name": "w1", "start": "2020-01-21", "end": "2020-02-09", "rf_annual": 0.05},
+    ]),
+    "trading_days": 252,
+}
+CONFIG_DATES = ["2019-02-29", "2020-02-30", "2020-13-01", "2020-00-10", "0000-01-01",
+                "0001-01-01", "9999-12-31", "01/01/2020", "20200101", "2020-W01-1", "2020-1-1",
+                " 2020-01-01", "2020-01-01T00:00", "", "2020-02-09", "2019-12-31", "2020-01-01"]
+TRADING_DAYS = [0, 1, 2, 365, 366, 367, -1, 1.0, 252.5, 2**63, "252", True, None]
+RF_EDGES = [1e308, -1e308, 1e-308, -1e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+            5e-324, 1e154, -1e154, 1.0, -1.0, "0.02", True, False]
+CONFIG_NAMES = ODD_NAMES + ["w0", "w1", "A0", "A1", "M"]  # the document's own: duplicates
+
+
+def set_field(keys: tuple[str, ...], values: list):
+    """The mutation that sets a field named in ``keys`` to one of ``values``."""
+
+    def mutate(draw, doc):
+        paths = [p for p, _ in nodes(doc) if p and p[-1] in keys]
+        if not paths:
+            return doc
+        return replace(doc, draw(st.sampled_from(paths)), draw(st.sampled_from(values)))
+
+    return mutate
+
+
+CONFIG_MUTATIONS = [edge_number, type_swap, ragged, set_field(("start", "end"), CONFIG_DATES),
+                    set_field(("trading_days",), TRADING_DAYS),
+                    set_field(("rf_annual",), RF_EDGES), set_field(("name", "id"), CONFIG_NAMES)]
+
+
+@st.composite
+def config_docs(draw):
+    doc = copy.deepcopy(CONFIG_DOCUMENT)
+    for _ in range(draw(st.integers(1, 3))):
+        doc = draw(st.sampled_from(CONFIG_MUTATIONS))(draw, doc)
+    return doc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(config_docs())
+def test_mutated_config_keeps_failure_contract(doc):
+    assert_failure_contract(doc, CONFIG_FILES)

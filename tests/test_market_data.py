@@ -95,6 +95,25 @@ class TestParsePriceCsv:
         assert len(s.closes) == n
         assert peak <= 12 * len(data)
 
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["LF", "CRLF"])
+    def test_date_arithmetic_freed_before_closes(self, line_end):
+        # the date digits and day arithmetic are freed before the closes are gathered:
+        # these 2.1-2.2 MiB files then peak at 5.5x (LF) and 6.2x (CRLF) of their size,
+        # against 9.1x and 9.6x while those temporaries stayed alive
+        n = 100_000
+        days = (np.datetime64("1970-01-01") + np.arange(n)).astype(str)
+        closes = (np.arange(n) % 9000 + 1000) / 100
+        rows = [f"{d},{c:.6f}" for d, c in zip(days, closes.tolist())]
+        data = line_end.join(["date,close", *rows, ""]).encode()
+        tracemalloc.start()
+        try:
+            s = parse_price_csv(data, "A")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(s.closes) == n
+        assert peak <= 7 * len(data)
+
 
 def outcome(text):
     """What parse_price_csv makes of text: the exact arrays, or the error message."""

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import xml.etree.ElementTree as ET
 from datetime import date
 from decimal import ROUND_HALF_UP, Decimal, localcontext
@@ -11,6 +12,7 @@ from frontera.report import (
     FrontierCurve,
     ReplayInput,
     ReportError,
+    _NOT_XML,
     _pct_cells,
     _text,
     analyze_window,
@@ -574,6 +576,14 @@ class TestRendering:
         report = make()
         svg = render_svg(report, emit_frontier_curve(report))
         assert hashlib.sha256(svg.encode()).hexdigest() == digest
+
+    def test_not_xml_is_the_complement_of_xml_chars(self):
+        # XML 1.0's Char production, negated: every code point either class refuses
+        char = re.compile("[^\t\n\r -\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+        every = "".join(map(chr, range(0x110000)))
+        refused = [m.start() for m in _NOT_XML.finditer(every)]
+        assert refused == [m.start() for m in char.finditer(every)]
+        assert len(refused) == 29 + 2048 + 2  # C0 controls but TAB/LF/CR, surrogates, FFFE/FFFF
 
     def test_svg_deterministic(self):
         report = replay_paper(load_fixture("2023"))

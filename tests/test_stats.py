@@ -127,6 +127,14 @@ class TestCapm:
     def test_risk_free(self):
         assert capm_expected_return(0.0, 0.05, 0.12) == 0.05
 
+    @pytest.mark.parametrize("betas, rf, market", [
+        (np.array([0.18, -0.001]), 1.7976931348623157e308, -0.32),  # rf + beta·(m - rf)
+        (1.0, -1.7976931348623157e308, 1e308),  # m - rf
+    ], ids=["sum", "difference"])
+    def test_overflow_rejected(self, betas, rf, market):
+        with pytest.raises(StatsError, match="^CAPM expected return is not finite"):
+            capm_expected_return(betas, rf, market)
+
 
 class TestSharpeTreynor:
     def test_sharpe_paper_fixture(self):
