@@ -15,8 +15,6 @@ _BOM = "\ufeff".encode()
 _LF, _COMMA, _DASH, _DOT, _ZERO, _SPACE, _TAB = b"\n,-.0 \t"
 _MAX_DIGITS = 15  # every integer below 10**15 < 2**53 is exact as a float
 _DATE_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]  # positions in YYYY-MM-DD
-_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0])  # by month 0-13
-_MARCH_DAYS = (153 * ((np.arange(14) + 9) % 12) + 2) // 5  # days from March 1 to month 1-12
 
 
 class MarketDataError(ValueError):
@@ -150,20 +148,17 @@ def _parse_rows(b: np.ndarray, ends: np.ndarray, lines: np.ndarray | None = None
     # (11, rows): each row's date and comma; a row shorter than that has its LF in them
     chars = np.take(b, np.arange(11)[:, None] + starts, mode="clip")
     d = (chars[_DATE_DIGITS] - _ZERO).astype(np.int32)  # a non-digit wraps to >= 10
-    century, yy = d[0] * 10 + d[1], d[2] * 10 + d[3]
-    year, month, day = century * 100 + yy, d[4] * 10 + d[5], d[6] * 10 + d[7]
-    leap = (np.where(yy > 0, yy, century) & 3) == 0
+    year = d[0] * 1000 + d[1] * 100 + d[2] * 10 + d[3]
+    month, day = d[4] * 10 + d[5], d[6] * 10 + d[7]
+    # numpy's calendar: a day of 00, or one past the month's end, lands in another month
+    months = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
+    dates = months.astype("datetime64[D]") + (day - 1)
     ok = (
         (chars[4] == _DASH) & (chars[7] == _DASH) & (chars[10] == _COMMA)
-        & (d < 10).all(axis=0) & (year > 0) & (day > 0)
-        & (day <= np.take(_MONTH_DAYS, month, mode="clip") + ((month == 2) & leap))
+        & (d < 10).all(axis=0) & (year > 0) & (month >= 1) & (month <= 12)
+        & (dates.astype("datetime64[M]") == months)
     )
-    # days from 1970-01-01, with years counted from March so that a leap day
-    # ends one (Hinnant, "chrono-Compatible Low-Level Date Algorithms")
-    y = year - (month < 3)
-    days = 365 * y + (y >> 2) - y // 100 + y // 400 + np.take(_MARCH_DAYS, month, mode="clip")
-    dates = (days + day - 719469).astype("datetime64[D]")
-    del chars, d, century, yy, year, month, day, leap, y, days  # before the closes' block
+    del chars, d, year, month, day, months  # before the closes' block
     closes = _fixed_point_closes(b, ends, ends - starts - 11) if ok.all() else None
     if closes is None:  # float() reads the closes, in rows with one comma
         commas = np.flatnonzero(b == _COMMA)
