@@ -112,6 +112,12 @@ def _text(value) -> str:
     return value
 
 
+def _path(value) -> str:
+    if not _text(value) or "\0" in value:
+        raise ValueError("expected a non-empty path without NUL")
+    return value
+
+
 def _list(value) -> list:
     if not isinstance(value, list):
         raise TypeError("expected a list")
@@ -216,7 +222,7 @@ def load_config(path: Path) -> AnalysisConfig:
     base = path.parent
 
     def series(obj, loc: str) -> tuple[str, Path]:
-        return _field(obj, "id", loc, _text), base / _field(obj, "csv_path", loc, _text)
+        return _field(obj, "id", loc, _text), base / _field(obj, "csv_path", loc, _path)
 
     def window(w, loc: str) -> WindowSpec:
         name = _field(w, "name", loc)  # first: a window without a name reports that
@@ -234,7 +240,7 @@ def load_config(path: Path) -> AnalysisConfig:
     if len(set(names)) != len(names):
         raise InputError(f"{where}: window names must be unique")
     trading_days = _field(doc, "trading_days", where, _days_per_year, st.TRADING_DAYS)
-    output_dir = base / _field(doc, "output_dir", where, _text, "out")
+    output_dir = base / _field(doc, "output_dir", where, _path, "out")
     return AnalysisConfig(assets, market, windows, trading_days, output_dir)
 
 

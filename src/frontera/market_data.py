@@ -153,11 +153,8 @@ def _parse_rows(b: np.ndarray, ends: np.ndarray, lines: np.ndarray | None = None
     # numpy's calendar: a day of 00, or one past the month's end, lands in another month
     months = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
     dates = months.astype("datetime64[D]") + (day - 1)
-    ok = (
-        (chars[4] == _DASH) & (chars[7] == _DASH) & (chars[10] == _COMMA)
-        & (d < 10).all(axis=0) & (year > 0) & (month >= 1) & (month <= 12)
-        & (dates.astype("datetime64[M]") == months)
-    )
+    ok = (chars[4] == _DASH) & (chars[7] == _DASH) & (chars[10] == _COMMA) & (d < 10).all(axis=0)
+    ok &= (year > 0) & (month >= 1) & (month <= 12) & (dates.astype("datetime64[M]") == months)
     del chars, d, year, month, day, months  # before the closes' block
     closes = _fixed_point_closes(b, ends, ends - starts - 11) if ok.all() else None
     if closes is None:  # float() reads the closes, in rows with one comma

@@ -905,6 +905,16 @@ CONFIG_MESSAGES = [
      (1, "error: {doc}: field 'output_dir' has invalid value 5 (expected a string)")),
     ("output-dir-surrogate", lambda d: d.update(output_dir="o\udfff"),
      (1, "error: {doc}: field 'output_dir' has invalid value 'o\\udfff' ('utf-8' codec can't encode character '\\udfff' in position 1: surrogates not allowed)")),
+    # a path with NUL, which the file system refuses with ValueError rather than OSError,
+    # or "", which names the config's own directory, is refused at load
+    ("output-dir-nul", lambda d: d.update(output_dir="a\u0000b"),
+     (1, "error: {doc}: field 'output_dir' has invalid value 'a\\x00b' (expected a non-empty path without NUL)")),
+    ("output-dir-empty", lambda d: d.update(output_dir=""),
+     (1, "error: {doc}: field 'output_dir' has invalid value '' (expected a non-empty path without NUL)")),
+    ("asset-csv-path-empty", lambda d: d["assets"][0].update(csv_path=""),
+     (1, "error: {doc}.assets[0]: field 'csv_path' has invalid value '' (expected a non-empty path without NUL)")),
+    ("market-csv-path-nul", lambda d: d["market"].update(csv_path="m\u0000.csv"),
+     (1, "error: {doc}.market: field 'csv_path' has invalid value 'm\\x00.csv' (expected a non-empty path without NUL)")),
     # a string that would break a table row is refused when its table is printed
     ("asset-id-comma", lambda d: d["assets"][1].update(id="B,B"),
      (1, "error: 'B,B' holds a character that breaks a csv table row")),

@@ -1,4 +1,5 @@
-"""``frontera analyze`` and ``replay`` on generated inputs keep the one-line failure contract.
+"""``frontera analyze``, ``replay`` and ``frontier`` on generated inputs keep the one-line
+failure contract.
 
 Each example writes a JSON document and the files it names, and runs
 ``cli.main`` in-process. Three generators feed it:
@@ -136,16 +137,17 @@ def config(ids: list[str], windows: list[dict]) -> dict:
     }
 
 
-def run(root: Path, doc, files: dict[str, bytes], command: str) -> tuple[int, str, str]:
+def run(root: Path, doc, files: dict[str, bytes], command: str,
+        options: tuple[str, ...]) -> tuple[int, str, str]:
     for name, data in files.items():
         (root / name).write_bytes(data)
     (root / "doc.json").write_text(json.dumps(doc), encoding="utf-8")
-    option = {"analyze": "--config", "replay": "--input"}[command]
+    option = "--input" if command == "replay" else "--config"
     stdout, stderr = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
             contextlib.redirect_stderr(stderr):
         warnings.simplefilter("error", RuntimeWarning)
-        code = cli.main([command, option, str(root / "doc.json")])
+        code = cli.main([command, option, str(root / "doc.json"), *options])
     return code, stdout.getvalue(), stderr.getvalue()
 
 
@@ -161,12 +163,14 @@ def test_mutated_price_file_keeps_failure_contract(case):
     assert_failure_contract(*case)
 
 
-def assert_failure_contract(doc, files: dict[str, bytes], command: str = "analyze"):
-    """Run ``command`` on ``doc`` beside ``files``, whose outputs go to ``out/``."""
+def assert_failure_contract(doc, files: dict[str, bytes], command: str = "analyze",
+                            options: tuple[str, ...] = ()):
+    """Run ``command`` on ``doc`` beside ``files``. The outputs go to ``out/``, or
+    to a config's own ``output_dir``."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "run"
         root.mkdir()
-        code, out, err = run(root, doc, files, command)
+        code, out, err = run(root, doc, files, command, options)
         assert os.listdir(tmp) == ["run"]
         written = sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
         inputs = sorted(Path(name) for name in [*files, "doc.json"])
@@ -174,8 +178,9 @@ def assert_failure_contract(doc, files: dict[str, bytes], command: str = "analyz
         assert not [p for p in written if ".tmp" in p.name or ".old" in p.name], written
         if code == 0:
             assert err == ""
+            out_dir = Path("out" if command == "replay" else doc.get("output_dir", "out"))
             for rel in set(written) - set(inputs):
-                assert rel.parts[0] == "out", rel
+                assert rel.parts[: len(out_dir.parts)] == out_dir.parts, rel
                 text = (root / rel).read_bytes().decode("utf-8")  # CR kept
                 assert not NON_FINITE.search(text), (rel, NON_FINITE.search(text))
                 if rel.suffix in (".csv", ".md"):
@@ -399,9 +404,23 @@ def set_field(keys: tuple[str, ...], values: list):
     return mutate
 
 
+# NUL, empty, directories as price files, and a price file as the output directory
+CSV_PATHS = ["a\0b", "", ".", "..", "missing.csv", "A1.csv"]
+OUTPUT_DIRS = ["a\0b", "", "A0.csv", "A0.csv/out", "out"]
+
+
+def set_output_dir(draw, doc):
+    """The config's ``output_dir``, which the document leaves out, set to one of
+    ``OUTPUT_DIRS``."""
+    if isinstance(doc, dict):
+        doc["output_dir"] = draw(st.sampled_from(OUTPUT_DIRS))
+    return doc
+
+
 CONFIG_MUTATIONS = [edge_number, type_swap, ragged, set_field(("start", "end"), CONFIG_DATES),
                     set_field(("trading_days",), TRADING_DAYS),
-                    set_field(("rf_annual",), RF_EDGES), set_field(("name", "id"), CONFIG_NAMES)]
+                    set_field(("rf_annual",), RF_EDGES), set_field(("name", "id"), CONFIG_NAMES),
+                    set_field(("csv_path",), CSV_PATHS), set_output_dir]
 
 
 @st.composite
@@ -416,3 +435,16 @@ def config_docs(draw):
 @given(config_docs())
 def test_mutated_config_keeps_failure_contract(doc):
     assert_failure_contract(doc, CONFIG_FILES)
+
+
+# spans float() reads or refuses at the edges of the float range, and point counts at and
+# past the bounds of MAX_CURVE_POINTS
+SPANS = ["-1.7e308:1.7e308", "0:1.7e308", "nan:1", "0:inf", "-0:0", "1:2:3", "0x1p3:9",
+         "1_0:20", " 1:2", "0.01:0.2"]
+
+
+@pytest.mark.parametrize("points", [1, 2, 1_000_001])
+@pytest.mark.parametrize("span", SPANS)
+def test_frontier_keeps_failure_contract(span, points):
+    options = ("--window", "w0", f"--span={span}", "--points", str(points))
+    assert_failure_contract(CONFIG_DOCUMENT, CONFIG_FILES, "frontier", options)

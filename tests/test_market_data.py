@@ -1,3 +1,4 @@
+import calendar
 import tracemalloc
 from datetime import date
 from functools import reduce
@@ -219,6 +220,21 @@ class TestBulkPathMatchesRowLoop:
             for month in range(14):
                 for day in range(33):
                     assert_line_ends_agree(f"date,close\n{year}-{month:02d}-{day:02d},1\n")
+
+    def test_last_day_of_every_month(self):
+        # numpy's calendar against datetime.date's in every year the parser reads
+        last = [date(y, m, calendar.monthrange(y, m)[1])
+                for y in range(1, 10000) for m in range(1, 13)]
+        s = parse_price_csv("date,close\n" + "".join(f"{d.isoformat()},1\n" for d in last), "A")
+        assert s.dates.tolist() == last
+
+    def test_february_29_only_in_leap_years(self):
+        leap = [y for y in range(1, 10000) if calendar.isleap(y)]
+        s = parse_price_csv("date,close\n" + "".join(f"{y:04d}-02-29,1\n" for y in leap), "A")
+        assert s.dates.tolist() == [date(y, 2, 29) for y in leap]
+        for year in sorted(set(range(1, 10000)) - set(leap)):
+            with pytest.raises(MarketDataError, match="malformed row at line 2$"):
+                parse_price_csv(f"date,close\n{year:04d}-02-29,1\n", "A")
 
     def test_closes_bit_equal_to_float(self):
         rng = np.random.default_rng(20150102)
