@@ -12,12 +12,14 @@ command leaves no partial files behind.
 
 import argparse
 import contextlib
+import errno
 import itertools
 import json
 import math
 import os
 import re
 import reprlib
+import stat
 import sys
 from datetime import date as Date
 from pathlib import Path
@@ -51,10 +53,11 @@ class OutputSet(NamedTuple):
     def commit(self):
         """Write every file beside its target, then rename each into place.
 
-        An existing target is first moved aside. If any write or rename
-        fails, the new files are removed, the old ones put back and the
-        directories this commit created removed, so the targets hold either
-        all the new files or exactly what they held before.
+        An existing target is first moved aside; one that is a directory is
+        refused. If any write or rename fails, the new files are removed, the
+        old ones put back and the directories this commit created removed, so
+        the targets hold either all the new files or exactly what they held
+        before.
         """
         temps, saved, placed, made = [], [], [], []
         try:
@@ -67,7 +70,9 @@ class OutputSet(NamedTuple):
                 temps.append((tmp, path))  # before writing: a failed write leaves a file
                 tmp.write_text(text, encoding="utf-8")
             for tmp, path in temps:
-                if path.exists():
+                with contextlib.suppress(FileNotFoundError):
+                    if stat.S_ISDIR(path.lstat().st_mode):  # e.g. a window named summary.csv
+                        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
                     old = path.with_name(path.name + f".old{os.getpid()}")
                     path.replace(old)
                     saved.append((old, path))

@@ -64,11 +64,6 @@ def files_under(root):
     return sorted(p for p in root.rglob("*") if p.is_file())
 
 
-def assert_one_error_line(capsys):
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-
-
 # closes whose volatility is finite while its square, the covariance entry, is not
 COVARIANCE_CLOSES = ["1.0", "1e154"] + [repr(1e154 * 4e-16**k) for k in range(1, 11)]
 
@@ -101,110 +96,10 @@ class TestAnalyze:
         assert main(["analyze", "--config", str(absent)]) == 1
         assert capsys.readouterr().err == f"error: {absent}: file not found\n"
 
-    def test_missing_units_exit_1(self, tmp_path, capsys):
-        cfg = make_config(tmp_path)
-        doc = json.loads(cfg.read_text())
-        del doc["units"]
-        cfg.write_text(json.dumps(doc))
-        assert main(["analyze", "--config", str(cfg)]) == 1
-        assert "units" in capsys.readouterr().err
-
-    def test_percent_units_rejected(self, tmp_path):
-        cfg = make_config(tmp_path, extra={"units": "percent"})
-        assert main(["analyze", "--config", str(cfg)]) == 1
-
     def test_missing_price_file_exit_1(self, tmp_path):
         cfg = make_config(tmp_path)
         (tmp_path / "b.csv").unlink()
         assert main(["analyze", "--config", str(cfg)]) == 1
-
-    def test_duplicate_asset_exit_2(self, tmp_path, capsys):
-        # two identical series make the covariance singular: numeric failure
-        cfg = make_config(tmp_path)
-        doc = json.loads(cfg.read_text())
-        doc["assets"][1] = {"id": "BBB", "csv_path": "a.csv"}
-        cfg.write_text(json.dumps(doc))
-        assert main(["analyze", "--config", str(cfg)]) == 2
-        assert "numeric error" in capsys.readouterr().err
-
-    def test_no_partial_writes_on_failure(self, tmp_path):
-        cfg = make_config(tmp_path)
-        doc = json.loads(cfg.read_text())
-        doc["assets"][1] = {"id": "BBB", "csv_path": "a.csv"}
-        cfg.write_text(json.dumps(doc))
-        assert main(["analyze", "--config", str(cfg)]) == 2
-        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").rglob("*"))
-
-    @pytest.mark.parametrize(
-        "window_field, config_field",
-        [
-            ({"name": "../escape"}, {}),
-            ({"name": 5}, {}),
-            ({"name": "w\ud800"}, {}),
-            ({"rf_annual": "x"}, {}),
-            # forms that date.fromisoformat accepts from Python 3.11 on
-            ({"start": "20190101"}, {}),
-            ({"end": "2019-W52-2"}, {}),
-            ({}, {"trading_days": "abc"}),
-            ({}, {"trading_days": 1e300}),
-            ({}, {"trading_days": 2.7}),
-            ({}, {"trading_days": True}),
-            ({}, {"trading_days": 0}),
-            ({}, {"trading_days": 367}),
-        ],
-        ids=[
-            "name-escapes", "name-not-str", "name-surrogate", "rf-not-number",
-            "start-compact", "end-week-date", "trading-days-not-int", "trading-days-huge", "trading-days-fraction",
-            "trading-days-bool", "trading-days-zero", "trading-days-367",
-        ],
-    )
-    def test_bad_field_exit_1(self, tmp_path, capsys, window_field, config_field):
-        cfg = make_config(tmp_path)
-        doc = json.loads(cfg.read_text())
-        doc["windows"][0].update(window_field)
-        doc.update(config_field)
-        cfg.write_text(json.dumps(doc))
-        before = files_under(tmp_path)
-        assert main(["analyze", "--config", str(cfg)]) == 1
-        assert_one_error_line(capsys)
-        assert files_under(tmp_path) == before
-
-    @pytest.mark.parametrize(
-        "edit, field",
-        [
-            (lambda doc: doc.update(windows=5), "windows"),
-            (lambda doc: doc.update(market=5), "market"),
-            (lambda doc: doc.update(assets=5), "assets"),
-            (lambda doc: doc.update(output_dir=5), "output_dir"),
-            (lambda doc: doc["assets"][1].update(id=5), "id"),
-            (lambda doc: doc["assets"][1].update(csv_path=5), "csv_path"),
-            (lambda doc: doc["windows"].__setitem__(0, 5), "windows[0]"),
-            (lambda doc: doc["assets"][1].update(id="AAA"), "unique"),
-            (lambda doc: doc["market"].update(id="CCC"), "unique"),
-            # JSON text that UTF-8 cannot encode: a lone surrogate
-            (lambda doc: doc["assets"][1].update(id="B\ud800"), "id"),
-            (lambda doc: doc["market"].update(id="\udcffM"), "id"),
-            (lambda doc: doc["assets"][1].update(csv_path="b\ud800.csv"), "csv_path"),
-            (lambda doc: doc.update(output_dir="o\udfff"), "output_dir"),
-            (lambda doc: doc.update(windows=DEEP), "invalid JSON: nested too deeply"),
-        ],
-        ids=[
-            "windows-not-list", "market-not-object", "assets-not-list", "output-dir-not-str",
-            "asset-id-not-str", "csv-path-not-str", "window-not-object", "asset-id-duplicate",
-            "market-id-is-asset-id", "asset-id-surrogate", "market-id-surrogate",
-            "csv-path-surrogate", "output-dir-surrogate", "nested-too-deeply",
-        ],
-    )
-    def test_bad_structure_exit_1(self, tmp_path, capsys, edit, field):
-        cfg = make_config(tmp_path)
-        doc = json.loads(cfg.read_text())
-        edit(doc)
-        cfg.write_text(dump(doc))
-        before = files_under(tmp_path)
-        assert main(["analyze", "--config", str(cfg)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and field in err, err
-        assert files_under(tmp_path) == before
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -366,127 +261,6 @@ class TestReplay:
         for rel in files1:
             assert (d1 / rel).read_bytes() == (d2 / rel).read_bytes()
 
-    def test_non_pd_input_exit_2(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text(
-            json.dumps(
-                {
-                    "units": "decimal",
-                    "labels": ["A", "B"],
-                    "cov_matrix": [[0.01, 0.02], [0.02, 0.01]],
-                    "expected_returns": [0.03, 0.04],
-                    "rf": 0.02,
-                }
-            )
-        )
-        assert main(["replay", "--input", str(bad), "--output-dir", str(tmp_path / "o")]) == 2
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize(
-        "field",
-        [
-            {"name": "../../x"},
-            {"rf": "x"},
-            {"labels": 5},
-            {"labels": ["A", "A"]},
-            {"labels": ["\ud800X", "B"]},
-            {"name": "\ud800X"},
-        ],
-        ids=[
-            "name-escapes", "rf-not-number", "labels-not-list", "labels-duplicate",
-            "labels-surrogate", "name-surrogate",
-        ],
-    )
-    def test_bad_field_exit_1(self, tmp_path, capsys, field):
-        doc = {
-            "units": "decimal",
-            "labels": ["A", "B"],
-            "cov_matrix": [[0.04, 0.01], [0.01, 0.09]],
-            "expected_returns": [0.03, 0.04],
-            "rf": 0.02,
-        }
-        doc.update(field)
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        out = tmp_path / "a" / "b" / "o"  # "../../x" from here stays inside tmp_path
-        assert main(["replay", "--input", str(bad), "--output-dir", str(out)]) == 1
-        assert_one_error_line(capsys)
-        assert files_under(tmp_path) == [bad]
-
-    @pytest.mark.parametrize(
-        "edit, field",
-        [
-            (lambda doc: doc["expected_returns"].__setitem__(1, "x"), "expected_returns"),
-            (lambda doc: doc["expected_returns"].__setitem__(1, float("nan")), "expected_returns"),
-            (lambda doc: doc["cov_matrix"][2].pop(), "cov_matrix"),
-            (lambda doc: doc["cov_matrix"][1].__setitem__(1, float("nan")), "cov_matrix"),
-            (lambda doc: doc["cov_matrix"][0].__setitem__(3, float("inf")), "cov_matrix"),
-            (lambda doc: doc.update(asset_stats=5), "asset_stats"),
-            (lambda doc: doc["asset_stats"].__setitem__(0, 5), "asset_stats[0]"),
-            (lambda doc: doc["asset_stats"][2].update(beta=float("nan")), "beta"),
-            (lambda doc: doc.update(market=5), "market"),
-            (lambda doc: doc["market"].update(id=5), "id"),
-            (lambda doc: doc["market"].update(id="ISA"), "market id"),
-            (lambda doc: doc["market"].update(id="\udcffX"), "id"),
-            (lambda doc: doc.update(cov_matrix=DEEP), "invalid JSON: nested too deeply"),
-        ],
-        ids=[
-            "er-string", "er-nan", "cov-ragged", "cov-nan", "cov-inf", "asset-stats-not-list",
-            "asset-stat-not-object", "asset-stat-nan", "market-not-object", "market-id-not-str",
-            "market-id-is-label", "market-id-surrogate", "nested-too-deeply",
-        ],
-    )
-    def test_bad_fixture_exit_1(self, tmp_path, capsys, edit, field):
-        doc = json.loads((FIXTURES / "replay_2015_2023.json").read_text())
-        edit(doc)
-        bad = tmp_path / "bad.json"
-        bad.write_text(dump(doc))
-        assert main(["replay", "--input", str(bad), "--output-dir", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and field in err, err
-        assert files_under(tmp_path) == [bad]
-
-    @pytest.mark.filterwarnings("error")
-    def test_overflowing_inverse_exit_2(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text(
-            json.dumps(
-                {
-                    "units": "decimal",
-                    "labels": ["A", "B"],
-                    "cov_matrix": [[1e-310, 0.0], [0.0, 1e-310]],
-                    "expected_returns": [0.03, 0.04],
-                    "rf": 0.02,
-                }
-            )
-        )
-        assert main(["replay", "--input", str(bad), "--output-dir", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("numeric error: ") and err.count("\n") == 1, err
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize(
-        "edit, ratio",
-        [
-            (lambda doc: doc["asset_stats"][1].update(ann_vol=1e-320), "Sharpe"),
-            (lambda doc: doc["asset_stats"][1].update(beta=1e-320), "Treynor"),
-            (lambda doc: doc["market"].update(ann_vol=1e-320), "Sharpe"),
-        ],
-        ids=["asset-ann-vol", "asset-beta", "market-ann-vol"],
-    )
-    def test_overflowing_ratio_exit_2(self, tmp_path, capsys, edit, ratio):
-        # a subnormal denominator overflows Sharpe or Treynor, without a warning
-        doc = json.loads((FIXTURES / "replay_2015_2023.json").read_text())
-        edit(doc)
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        assert main(["replay", "--input", str(bad), "--output-dir", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"numeric error: {ratio} ratio is not finite"), err
-        assert err.count("\n") == 1
-        assert files_under(tmp_path) == [bad]
-
     def test_market_without_asset_stats_is_not_shown(self, tmp_path, capsys):
         # the market column is printed only beside the assets' indicators
         doc = json.loads((FIXTURES / "replay_2023.json").read_text())
@@ -498,38 +272,6 @@ class TestReplay:
         assert capsys.readouterr().err == ""
         tables = (out / "2023" / "tables.csv").read_text()
         assert tables.startswith("Covariance,") and "ICOLCAP" not in tables
-
-    @pytest.mark.filterwarnings("error")
-    def test_market_without_asset_stats_is_checked(self, tmp_path, capsys):
-        doc = json.loads((FIXTURES / "replay_2023.json").read_text())
-        del doc["asset_stats"]
-        doc["market"]["ann_vol"] = 0
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        assert main(["replay", "--input", str(bad), "--output-dir", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == "numeric error: Sharpe undefined for zero volatility\n"
-        assert files_under(tmp_path) == [bad]
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            # gamma = E(R)' A^-1 E(R) overflows
-            lambda doc: doc["expected_returns"].__setitem__(2, 1e160),
-            # alpha * gamma and b * b overflow, so delta is inf - inf
-            lambda doc: doc.update(cov_matrix=(1e-300 * np.eye(4)).tolist()),
-        ],
-        ids=["huge-returns", "tiny-covariance"],
-    )
-    def test_overflowing_constants_exit_2(self, tmp_path, capsys, edit):
-        doc = json.loads((FIXTURES / "replay_2023.json").read_text())
-        edit(doc)
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        assert main(["replay", "--input", str(bad), "--output-dir", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err == "numeric error: frontier constants overflow the floating-point range\n"
-        assert files_under(tmp_path) == [bad]
 
     @pytest.mark.parametrize("variance, code", [(1e30, 0), (1e307, 1)])
     def test_huge_variances(self, tmp_path, capsys, variance, code):
@@ -550,39 +292,11 @@ class TestReplay:
             assert err == "error: cell value 1e+307 is too large to print as a percent\n", err
             assert not out.exists()
 
-    def test_non_utf8_json_exit_1(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_bytes(b'{"units": "decimal", "name": "\xff"}')
-        assert main(["replay", "--input", str(bad), "--output-dir", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "not UTF-8 text" in err and err.count("\n") == 1
-        assert files_under(tmp_path) == [bad]
-
-    def test_invalid_json_exit_1(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert main(["replay", "--input", str(bad)]) == 1
-
     def test_missing_input_exit_1(self, tmp_path, capsys):
         absent = tmp_path / "absent.json"
         assert main(["replay", "--input", str(absent), "--output-dir", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"error: {absent}: file not found\n"
         assert files_under(tmp_path) == []
-
-    def test_shape_mismatch_exit_1(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text(
-            json.dumps(
-                {
-                    "units": "decimal",
-                    "labels": ["A", "B", "C"],
-                    "cov_matrix": [[0.01, 0.0], [0.0, 0.01]],
-                    "expected_returns": [0.03, 0.04],
-                    "rf": 0.02,
-                }
-            )
-        )
-        assert main(["replay", "--input", str(bad)]) == 1
 
 
 class TestFrontier:
@@ -596,53 +310,9 @@ class TestFrontier:
         assert len(lines) == 51
         assert (tmp_path / "out" / "w1" / "cml_curve.csv").is_file()
 
-    def test_bad_span_exit_1(self, tmp_path):
-        cfg = make_config(tmp_path)
-        assert main(["frontier", "--config", str(cfg), "--window", "w1", "--span", "0.2:0.1"]) == 1
-        assert main(["frontier", "--config", str(cfg), "--window", "w1", "--span", "abc"]) == 1
-
-    @pytest.mark.parametrize(
-        "arg",
-        [
-            "--span=-inf:inf",
-            "--span=0:1e200",
-            "--span=-1e300:1e300",
-            "--span=nan:1",
-            "--points=1000000000000",
-            "--points=1000001",
-            "--points=1",
-        ],
-    )
-    def test_non_finite_span_or_points_out_of_range_exit_1(self, tmp_path, capsys, arg):
-        cfg = make_config(tmp_path)
-        before = files_under(tmp_path)
-        assert main(["frontier", "--config", str(cfg), "--window", "w1", arg]) == 1
-        assert_one_error_line(capsys)
-        assert files_under(tmp_path) == before
-
     def test_unknown_window_exit_1(self, tmp_path):
         cfg = make_config(tmp_path)
         assert main(["frontier", "--config", str(cfg), "--window", "zzz"]) == 1
-
-    @pytest.mark.parametrize(
-        "args, line",
-        [
-            (["--window=all", "--span=0.2:0.1"], "invalid return span [0.2, 0.1]"),
-            (["--window=all", "--span=nan:1"], "invalid return span [nan, 1.0]"),
-            (["--window=all", "--span=-inf:inf"],
-             "return span [-inf, inf] gives non-finite curve values"),
-            # two rules: the curve checks the span after the window and the points
-            (["--window=crash", "--span=0.2:0.1"], "window crash is non-viable; no curve"),
-            (["--window=all", "--points=1", "--span=0.2:0.1"],
-             "need 2 to 1000000 curve points, got 1"),
-        ],
-        ids=["reversed", "nan", "infinite", "non-viable-and-reversed", "points-and-reversed"],
-    )
-    def test_span_message(self, tmp_path, capsys, args, line):
-        cfg = FIXTURES / "analyze" / "config.json"
-        assert main(["frontier", "--config", str(cfg), *args, "--output-dir", str(tmp_path)]) == 1
-        assert capsys.readouterr().err == f"error: {line}\n"
-        assert files_under(tmp_path) == []
 
     def test_no_format_option(self, capsys):
         # frontier writes only the curve files, which have one format
@@ -803,17 +473,37 @@ class TestLoaders:
         assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
         assert od.exists() == od_existed
 
+    def test_output_set_refuses_directory_target(self, tmp_path):
+        # a window named summary.csv, or an earlier replay of one, makes the
+        # summary's target a directory: the commit is refused and undone
+        (tmp_path / "a.txt").write_text("old a")
+        (tmp_path / "summary.csv").mkdir()
+        (tmp_path / "summary.csv" / "tables.csv").write_text("kept")
+        before = {p: p.is_file() and p.read_text() for p in tmp_path.rglob("*")}
+        out = OutputSet({tmp_path / "a.txt": "new a", tmp_path / "od" / "b.txt": "new b",
+                         tmp_path / "summary.csv": "new summary"})
+        with pytest.raises(IsADirectoryError):
+            out.commit()
+        # unchanged, with no .tmp or .old entry left
+        assert {p: p.is_file() and p.read_text() for p in tmp_path.rglob("*")} == before
 
-# --- every loader message, word for word ---
+
+# --- every refusal of the CLI's inputs, word for word ---
 #
-# Each case edits a valid document (or replaces its text) and pins the one
-# stderr line and the exit code of ``main``. ``{doc}`` in a message stands
-# for the document's path. Cases marked "two rules" break two rules at once,
-# so they also pin which check runs first.
+# One table per input: ``analyze`` configs, ``replay`` documents and the
+# ``frontier`` span and points arguments. Each case edits a valid document (or
+# replaces its text or bytes), or gives the arguments, and pins the exit code
+# of ``main`` and its one stderr line. ``{doc}`` in a message stands for the
+# document's path and ``{dir}`` for its directory. The harness also requires
+# that nothing under ``tmp_path`` changes but the inputs, and turns warnings
+# into errors. Cases marked "two rules" break two rules at once, so they also
+# pin which check runs first.
 
 CONFIG_MESSAGES = [
     ("not-object", "[1, 2]",
      (1, 'error: {doc}: expected a JSON object, got [1, 2]')),
+    ("nested-too-deeply", lambda d: d.update(windows=DEEP),
+     (1, "error: {doc}: invalid JSON: nested too deeply")),
     ("units-missing", lambda d: d.pop("units"),
      (1, "error: {doc}: missing field 'units'")),
     ("units-percent", lambda d: d.update(units="percent"),
@@ -832,6 +522,8 @@ CONFIG_MESSAGES = [
      (1, "error: {doc}.assets[1]: missing field 'id'")),
     ("asset-id-not-str", lambda d: d["assets"][1].update(id=5),
      (1, "error: {doc}.assets[1]: field 'id' has invalid value 5 (expected a string)")),
+    ("asset-id-surrogate", lambda d: d["assets"][1].update(id="B\ud800"),
+     (1, "error: {doc}.assets[1]: field 'id' has invalid value 'B\\ud800' ('utf-8' codec can't encode character '\\ud800' in position 1: surrogates not allowed)")),
     ("asset-csv-path-missing", lambda d: d["assets"][2].pop("csv_path"),
      (1, "error: {doc}.assets[2]: missing field 'csv_path'")),
     ("asset-csv-path-surrogate", lambda d: d["assets"][1].update(csv_path="b\ud800.csv"),
@@ -842,6 +534,8 @@ CONFIG_MESSAGES = [
      (1, "error: {doc}.market: expected a JSON object, got ['MKT']")),
     ("market-id-missing", lambda d: d["market"].pop("id"),
      (1, "error: {doc}.market: missing field 'id'")),
+    ("market-id-surrogate", lambda d: d["market"].update(id="\udcffM"),
+     (1, "error: {doc}.market: field 'id' has invalid value '\\udcffM' ('utf-8' codec can't encode character '\\udcff' in position 0: surrogates not allowed)")),
     ("market-csv-path-not-str", lambda d: d["market"].update(csv_path=None),
      (1, "error: {doc}.market: field 'csv_path' has invalid value None (expected a string)")),
     ("ids-duplicate", lambda d: d["market"].update(id="AAA"),
@@ -889,16 +583,22 @@ CONFIG_MESSAGES = [
      (1, 'error: {doc}.windows[0]: window name 5 is not a plain directory name')),
     ("window-name-empty", lambda d: d["windows"][0].update(name=""),
      (1, "error: {doc}.windows[0]: window name '' is not a plain directory name")),
+    ("window-name-surrogate", lambda d: d["windows"][0].update(name="w\ud800"),
+     (1, "error: {doc}.windows[0]: window name 'w\\ud800' is not a plain directory name")),
     ("window-start-after-end", lambda d: d["windows"][0].update(start="2020-01-01"),
      (1, 'error: {doc}.windows[0]: window w1: start 2020-01-01 after end 2019-12-31')),
     ("window-names-duplicate", lambda d: d["windows"][1].update(name="w1"),
      (1, 'error: {doc}: window names must be unique')),
     ("trading-days-not-int", lambda d: d.update(trading_days="abc"),
      (1, "error: {doc}: field 'trading_days' has invalid value 'abc' (expected a JSON integer)")),
+    ("trading-days-huge", lambda d: d.update(trading_days=1e300),
+     (1, "error: {doc}: field 'trading_days' has invalid value 1e+300 (expected a JSON integer)")),
     ("trading-days-fraction", lambda d: d.update(trading_days=2.7),
      (1, "error: {doc}: field 'trading_days' has invalid value 2.7 (expected a JSON integer)")),
     ("trading-days-bool", lambda d: d.update(trading_days=True),
      (1, "error: {doc}: field 'trading_days' has invalid value True (expected a JSON integer)")),
+    ("trading-days-zero", lambda d: d.update(trading_days=0),
+     (1, "error: {doc}: field 'trading_days' has invalid value 0 (expected 1 to 366)")),
     ("trading-days-367", lambda d: d.update(trading_days=367),
      (1, "error: {doc}: field 'trading_days' has invalid value 367 (expected 1 to 366)")),
     ("output-dir-not-str", lambda d: d.update(output_dir=5),
@@ -927,6 +627,12 @@ CONFIG_MESSAGES = [
     # a label holding a character that XML 1.0 cannot hold is refused when its figure is drawn
     ("asset-id-control", lambda d: d["assets"][0].update(id="A\u0001B"),
      (1, "error: 'A\\x01B' holds a character that an SVG document cannot hold")),
+    # two identical series make the covariance singular
+    ("assets-same-prices", lambda d: d["assets"][1].update(csv_path="a.csv"),
+     (2, "numeric error: pivot 0.000e+00 at index 1 fails the positive-definiteness check (leading minor 2 not positive)")),
+    # a window directory where the summary file goes is refused when the outputs are committed
+    ("window-name-summary-file", lambda d: d["windows"][1].update(name="summary.csv"),
+     (1, "error: [Errno 21] Is a directory: '{dir}/out/summary.csv'")),
     # two rules
     ("units-and-assets-missing", lambda d: [d.pop("units"), d.pop("assets")],
      (1, "error: {doc}: missing field 'units'")),
@@ -958,9 +664,22 @@ CONFIG_MESSAGES = [
      (1, "error: window w\\r2: 0 trading date(s) in range; need at least 2")),
 ]
 
+
+def two_assets(cov) -> str:
+    """A replay document of two assets, A and B, whose covariance is ``cov``."""
+    return json.dumps({"units": "decimal", "labels": ["A", "B"], "rf": 0.02,
+                       "expected_returns": [0.03, 0.04], "cov_matrix": cov})
+
+
 REPLAY_MESSAGES = [
     ("not-object", '"decimal"',
      (1, "error: {doc}: expected a JSON object, got 'decimal'")),
+    ("not-utf8", b'{"units": "decimal", "name": "\xff"}',
+     (1, "error: {doc}: not UTF-8 text: invalid start byte at byte 30")),
+    ("invalid-json", "{not json",
+     (1, "error: {doc}: invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)")),
+    ("nested-too-deeply", lambda d: d.update(cov_matrix=DEEP),
+     (1, "error: {doc}: invalid JSON: nested too deeply")),
     ("units-missing", lambda d: d.pop("units"),
      (1, "error: {doc}: missing field 'units'")),
     ("units-percent", lambda d: d.update(units="percent"),
@@ -1009,6 +728,8 @@ REPLAY_MESSAGES = [
      (1, "error: {doc}.market: missing field 'id'")),
     ("market-id-not-str", lambda d: d["market"].update(id=5),
      (1, "error: {doc}.market: field 'id' has invalid value 5 (expected a string)")),
+    ("market-id-surrogate", lambda d: d["market"].update(id="\udcffX"),
+     (1, "error: {doc}.market: field 'id' has invalid value '\\udcffX' ('utf-8' codec can't encode character '\\udcff' in position 0: surrogates not allowed)")),
     ("market-ann-vol-missing", lambda d: d["market"].pop("ann_vol"),
      (1, "error: {doc}.market: missing field 'ann_vol'")),
     ("market-ann-return-not-number", lambda d: d["market"].update(ann_return="x"),
@@ -1045,6 +766,8 @@ REPLAY_MESSAGES = [
      (1, "error: {doc}: field 'expected_returns' has invalid value [0.0303, 0.0432, 0.0473, None] (expected JSON numbers)")),
     ("er-nested", lambda d: d["expected_returns"].__setitem__(1, [0.0432]),
      (1, "error: {doc}: field 'expected_returns' has invalid value [0.0303, [0.0432], 0.0473, 0.0392] (expected shape (4,), got a ragged list)")),
+    ("er-nan", lambda d: d["expected_returns"].__setitem__(1, float("nan")),
+     (1, "error: {doc}: field 'expected_returns' has invalid value [0.0303, nan, 0.0473, 0.0392] (not all numbers are finite)")),
     ("name-escapes", lambda d: d.update(name="../../x"),
      (1, "error: {doc}: window name '../../x' is not a plain directory name")),
     ("name-not-str", lambda d: d.update(name=5),
@@ -1069,6 +792,25 @@ REPLAY_MESSAGES = [
      (1, "error: '\\ufffe' holds a character that an SVG document cannot hold")),
     ("not-positive-definite", lambda d: d["cov_matrix"][0].__setitem__(0, -0.1),
      (2, 'numeric error: pivot -1.000e-01 at index 0 fails the positive-definiteness check (leading minor 1 not positive)')),
+    ("not-positive-definite-at-second-pivot", two_assets([[0.01, 0.02], [0.02, 0.01]]),
+     (2, "numeric error: pivot -3.000e-02 at index 1 fails the positive-definiteness check (leading minor 2 not positive)")),
+    ("inverse-overflows", two_assets([[1e-310, 0.0], [0.0, 1e-310]]),
+     (2, "numeric error: inverse overflows the floating-point range")),
+    # a subnormal denominator overflows Sharpe or Treynor, without a warning; the
+    # market's column is the last of the same arrays
+    ("ann-vol-subnormal", lambda d: d["asset_stats"][1].update(ann_vol=1e-320),
+     (2, "numeric error: Sharpe ratio is not finite: it overflows the floating-point range")),
+    ("beta-subnormal", lambda d: d["asset_stats"][1].update(beta=1e-320),
+     (2, "numeric error: Treynor ratio is not finite: it overflows the floating-point range")),
+    # the market is checked even when no asset indicators are shown beside it
+    ("market-ann-vol-zero-without-asset-stats", lambda d: [d.pop("asset_stats"), d["market"].update(ann_vol=0)],
+     (2, "numeric error: Sharpe undefined for zero volatility")),
+    # gamma = E(R)' A^-1 E(R) overflows
+    ("constants-overflow-huge-returns", lambda d: d["expected_returns"].__setitem__(2, 1e160),
+     (2, "numeric error: frontier constants overflow the floating-point range")),
+    # alpha * gamma and b * b overflow, so delta is inf - inf
+    ("constants-overflow-tiny-covariance", lambda d: d.update(cov_matrix=(1e-300 * np.eye(4)).tolist()),
+     (2, "numeric error: frontier constants overflow the floating-point range")),
     # two rules
     ("units-bad-and-labels-missing", lambda d: [d.update(units="percent"), d.pop("labels")],
      (1, 'error: {doc}: field \'units\' must be "decimal" (rates as fractions)')),
@@ -1095,34 +837,73 @@ REPLAY_MESSAGES = [
 ]
 
 
+FRONTIER_MESSAGES = [
+    ("span-reversed", ["--window=all", "--span=0.2:0.1"],
+     (1, "error: invalid return span [0.2, 0.1]")),
+    ("span-nan", ["--window=all", "--span=nan:1"],
+     (1, "error: invalid return span [nan, 1.0]")),
+    ("span-not-two-numbers", ["--window=all", "--span=abc"],
+     (1, "error: invalid span 'abc' (expected LO:HI)")),
+    ("span-infinite", ["--window=all", "--span=-inf:inf"],
+     (1, "error: return span [-inf, inf] gives non-finite curve values")),
+    # finite, but its frontier risks overflow
+    ("span-overflows", ["--window=all", "--span=0:1e200"],
+     (1, "error: return span [0.0, 1e+200] gives non-finite curve values")),
+    ("points-too-many", ["--window=all", "--points=1000001"],
+     (1, "error: need 2 to 1000000 curve points, got 1000001")),
+    # two rules: the curve checks the span after the window and the points
+    ("non-viable-and-span-reversed", ["--window=crash", "--span=0.2:0.1"],
+     (1, "error: window crash is non-viable; no curve")),
+    ("points-one-and-span-reversed", ["--window=all", "--points=1", "--span=0.2:0.1"],
+     (1, "error: need 2 to 1000000 curve points, got 1")),
+]
+
+
 def write_case(path, doc, edit):
-    if isinstance(edit, str):
+    """Write ``edit`` to ``path``: the document's bytes or text, or an edit of ``doc``."""
+    if isinstance(edit, bytes):
+        path.write_bytes(edit)
+    elif isinstance(edit, str):
         path.write_text(edit, encoding="utf-8")
     else:
         edit(doc)
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        path.write_text(dump(doc), encoding="utf-8")
 
 
-def expected_line(message: str, path) -> tuple[int, str]:
-    code, text = message
-    return code, text.replace("{doc}", str(path)) + "\n"
+def assert_refused(tmp_path, capsys, argv, doc, message):
+    """``main(argv)`` gives ``message``, its exit code and stderr line with ``{doc}``
+    standing for ``doc`` and ``{dir}`` for its directory, and changes nothing under
+    ``tmp_path``."""
+    before = sorted(tmp_path.rglob("*"))
+    code, line = message
+    line = line.replace("{doc}", str(doc)).replace("{dir}", str(doc.parent))
+    assert (main(argv), capsys.readouterr().err) == (code, line + "\n")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("edit, message", [c[1:] for c in CONFIG_MESSAGES],
                          ids=[c[0] for c in CONFIG_MESSAGES])
 def test_config_message(tmp_path, capsys, edit, message):
     cfg = make_config(tmp_path)
     write_case(cfg, json.loads(cfg.read_text()), edit)
-    code = main(["analyze", "--config", str(cfg)])
-    assert (code, capsys.readouterr().err) == expected_line(message, cfg)
-    assert not (tmp_path / "out").exists()
+    assert_refused(tmp_path, capsys, ["analyze", "--config", str(cfg)], cfg, message)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("edit, message", [c[1:] for c in REPLAY_MESSAGES],
                          ids=[c[0] for c in REPLAY_MESSAGES])
 def test_replay_message(tmp_path, capsys, edit, message):
     src = tmp_path / "doc.json"
     write_case(src, json.loads((FIXTURES / "replay_2015_2023.json").read_text()), edit)
-    code = main(["replay", "--input", str(src), "--output-dir", str(tmp_path / "o")])
-    assert (code, capsys.readouterr().err) == expected_line(message, src)
-    assert not (tmp_path / "o").exists()
+    argv = ["replay", "--input", str(src), "--output-dir", str(tmp_path / "o")]
+    assert_refused(tmp_path, capsys, argv, src, message)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args, message", [c[1:] for c in FRONTIER_MESSAGES],
+                         ids=[c[0] for c in FRONTIER_MESSAGES])
+def test_frontier_message(tmp_path, capsys, args, message):
+    cfg = FIXTURES / "analyze" / "config.json"
+    argv = ["frontier", "--config", str(cfg), *args, "--output-dir", str(tmp_path)]
+    assert_refused(tmp_path, capsys, argv, cfg, message)

@@ -211,11 +211,12 @@ def field_counts(text: str, suffix: str) -> list[set[int]]:
 
 
 def message_documents() -> list:
-    """The documents of the replay message table, each of which is refused."""
+    """The JSON documents of the replay message table, each of which is refused."""
     docs = []
     for _, edit, _ in REPLAY_MESSAGES:
-        if isinstance(edit, str):
-            docs.append(json.loads(edit))
+        if isinstance(edit, (str, bytes)):
+            with contextlib.suppress(ValueError):  # invalid JSON, or not UTF-8
+                docs.append(json.loads(edit))
         else:
             doc = json.loads((FIXTURES / "replay_2015_2023.json").read_text())
             edit(doc)
@@ -389,7 +390,8 @@ CONFIG_DATES = ["2019-02-29", "2020-02-30", "2020-13-01", "2020-00-10", "0000-01
 TRADING_DAYS = [0, 1, 2, 365, 366, 367, -1, 1.0, 252.5, 2**63, "252", True, None]
 RF_EDGES = [1e308, -1e308, 1e-308, -1e-308, 1.7976931348623157e308, -1.7976931348623157e308,
             5e-324, 1e154, -1e154, 1.0, -1.0, "0.02", True, False]
-CONFIG_NAMES = ODD_NAMES + ["w0", "w1", "A0", "A1", "M"]  # the document's own: duplicates
+# the document's own names, as duplicates, and the summary's file name as a window's
+CONFIG_NAMES = ODD_NAMES + ["w0", "w1", "A0", "A1", "M", "summary.csv"]
 
 
 def set_field(keys: tuple[str, ...], values: list):
