@@ -60,6 +60,13 @@ def dump(doc) -> str:
     return json.dumps(doc).replace(json.dumps(DEEP), "[" * 100_000 + "]" * 100_000)
 
 
+def two_assets(cov, **fields) -> str:
+    """A replay document of two assets, A and B, whose covariance is ``cov``,
+    with ``fields`` added or replaced."""
+    return json.dumps({"units": "decimal", "labels": ["A", "B"], "rf": 0.02,
+                       "expected_returns": [0.03, 0.04], "cov_matrix": cov, **fields})
+
+
 def files_under(root):
     return sorted(p for p in root.rglob("*") if p.is_file())
 
@@ -100,6 +107,91 @@ class TestAnalyze:
         cfg = make_config(tmp_path)
         (tmp_path / "b.csv").unlink()
         assert main(["analyze", "--config", str(cfg)]) == 1
+
+    # The refusals from here to test_bad_structure_exit_1 are pinned as the rows
+    # of CONFIG_MESSAGES are: see refuse_config.
+    @pytest.mark.filterwarnings("error")
+    def test_missing_units_exit_1(self, tmp_path, capsys):
+        refuse_config(tmp_path, capsys, lambda d: d.pop("units"), (1, "error: {doc}: missing field 'units'"))
+
+    @pytest.mark.filterwarnings("error")
+    def test_percent_units_rejected(self, tmp_path, capsys):
+        refuse_config(tmp_path, capsys, lambda d: d.update(units="percent"), (1, 'error: {doc}: field \'units\' must be "decimal" (rates as fractions)'))
+
+    @pytest.mark.filterwarnings("error")
+    def test_duplicate_asset_exit_2(self, tmp_path, capsys):
+        # two identical series make the covariance singular: numeric failure
+        refuse_config(tmp_path, capsys, lambda d: d["assets"].__setitem__(1, {"id": "BBB", "csv_path": "a.csv"}),
+                      (2, "numeric error: pivot 0.000e+00 at index 1 fails the positive-definiteness check (leading minor 2 not positive)"))
+
+    @pytest.mark.filterwarnings("error")
+    def test_no_partial_writes_on_failure(self, tmp_path, capsys):
+        # the refused run leaves the outputs of an earlier run byte for byte
+        assert main(["analyze", "--config", str(make_config(tmp_path))]) == 0
+        outputs = {p: p.read_bytes() for p in files_under(tmp_path / "out")}
+        refuse_config(tmp_path, capsys, lambda d: d["assets"].__setitem__(1, {"id": "BBB", "csv_path": "a.csv"}),
+                      (2, "numeric error: pivot 0.000e+00 at index 1 fails the positive-definiteness check (leading minor 2 not positive)"))
+        assert {p: p.read_bytes() for p in files_under(tmp_path / "out")} == outputs
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "window_field, config_field, message",
+        [
+            ({"name": "../escape"}, {}, (1, "error: {doc}.windows[0]: window name '../escape' is not a plain directory name")),
+            ({"name": 5}, {}, (1, "error: {doc}.windows[0]: window name 5 is not a plain directory name")),
+            ({"name": "w\ud800"}, {}, (1, "error: {doc}.windows[0]: window name 'w\\ud800' is not a plain directory name")),
+            ({"rf_annual": "x"}, {}, (1, "error: {doc}.windows[0]: field 'rf_annual' has invalid value 'x' (expected a JSON number)")),
+            # forms that date.fromisoformat accepts from Python 3.11 on
+            ({"start": "20190101"}, {}, (1, "error: {doc}.windows[0]: invalid date '20190101' (expected YYYY-MM-DD)")),
+            ({"end": "2019-W52-2"}, {}, (1, "error: {doc}.windows[0]: invalid date '2019-W52-2' (expected YYYY-MM-DD)")),
+            ({}, {"trading_days": "abc"}, (1, "error: {doc}: field 'trading_days' has invalid value 'abc' (expected a JSON integer)")),
+            ({}, {"trading_days": 1e300}, (1, "error: {doc}: field 'trading_days' has invalid value 1e+300 (expected a JSON integer)")),
+            ({}, {"trading_days": 2.7}, (1, "error: {doc}: field 'trading_days' has invalid value 2.7 (expected a JSON integer)")),
+            ({}, {"trading_days": True}, (1, "error: {doc}: field 'trading_days' has invalid value True (expected a JSON integer)")),
+            ({}, {"trading_days": 0}, (1, "error: {doc}: field 'trading_days' has invalid value 0 (expected 1 to 366)")),
+            ({}, {"trading_days": 367}, (1, "error: {doc}: field 'trading_days' has invalid value 367 (expected 1 to 366)")),
+        ],
+        ids=[
+            "name-escapes", "name-not-str", "name-surrogate", "rf-not-number",
+            "start-compact", "end-week-date", "trading-days-not-int", "trading-days-huge", "trading-days-fraction",
+            "trading-days-bool", "trading-days-zero", "trading-days-367",
+        ],
+    )
+    def test_bad_field_exit_1(self, tmp_path, capsys, window_field, config_field, message):
+        def edit(doc):
+            doc["windows"][0].update(window_field)
+            doc.update(config_field)
+        refuse_config(tmp_path, capsys, edit, message)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.update(windows=5), (1, "error: {doc}: field 'windows' has invalid value 5 (expected a list)")),
+            (lambda doc: doc.update(market=5), (1, "error: {doc}.market: expected a JSON object, got 5")),
+            (lambda doc: doc.update(assets=5), (1, "error: {doc}: field 'assets' has invalid value 5 (expected a list)")),
+            (lambda doc: doc.update(output_dir=5), (1, "error: {doc}: field 'output_dir' has invalid value 5 (expected a string)")),
+            (lambda doc: doc["assets"][1].update(id=5), (1, "error: {doc}.assets[1]: field 'id' has invalid value 5 (expected a string)")),
+            (lambda doc: doc["assets"][1].update(csv_path=5), (1, "error: {doc}.assets[1]: field 'csv_path' has invalid value 5 (expected a string)")),
+            (lambda doc: doc["windows"].__setitem__(0, 5), (1, "error: {doc}.windows[0]: expected a JSON object, got 5")),
+            (lambda doc: doc["assets"][1].update(id="AAA"), (1, "error: {doc}: asset and market ids must be unique")),
+            (lambda doc: doc["market"].update(id="CCC"), (1, "error: {doc}: asset and market ids must be unique")),
+            # JSON text that UTF-8 cannot encode: a lone surrogate
+            (lambda doc: doc["assets"][1].update(id="B\ud800"), (1, "error: {doc}.assets[1]: field 'id' has invalid value 'B\\ud800' ('utf-8' codec can't encode character '\\ud800' in position 1: surrogates not allowed)")),
+            (lambda doc: doc["market"].update(id="\udcffM"), (1, "error: {doc}.market: field 'id' has invalid value '\\udcffM' ('utf-8' codec can't encode character '\\udcff' in position 0: surrogates not allowed)")),
+            (lambda doc: doc["assets"][1].update(csv_path="b\ud800.csv"), (1, "error: {doc}.assets[1]: field 'csv_path' has invalid value 'b\\ud800.csv' ('utf-8' codec can't encode character '\\ud800' in position 1: surrogates not allowed)")),
+            (lambda doc: doc.update(output_dir="o\udfff"), (1, "error: {doc}: field 'output_dir' has invalid value 'o\\udfff' ('utf-8' codec can't encode character '\\udfff' in position 1: surrogates not allowed)")),
+            (lambda doc: doc.update(windows=DEEP), (1, "error: {doc}: invalid JSON: nested too deeply")),
+        ],
+        ids=[
+            "windows-not-list", "market-not-object", "assets-not-list", "output-dir-not-str",
+            "asset-id-not-str", "csv-path-not-str", "window-not-object", "asset-id-duplicate",
+            "market-id-is-asset-id", "asset-id-surrogate", "market-id-surrogate",
+            "csv-path-surrogate", "output-dir-surrogate", "nested-too-deeply",
+        ],
+    )
+    def test_bad_structure_exit_1(self, tmp_path, capsys, edit, message):
+        refuse_config(tmp_path, capsys, edit, message)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -298,6 +390,133 @@ class TestReplay:
         assert capsys.readouterr().err == f"error: {absent}: file not found\n"
         assert files_under(tmp_path) == []
 
+    # The refusals from here to the end of the class are pinned as the rows of
+    # REPLAY_MESSAGES are: see refuse_replay.
+    @pytest.mark.filterwarnings("error")
+    def test_non_pd_input_exit_2(self, tmp_path, capsys):
+        refuse_replay(tmp_path, capsys, two_assets([[0.01, 0.02], [0.02, 0.01]]), (2, "numeric error: pivot -3.000e-02 at index 1 fails the positive-definiteness check (leading minor 2 not positive)"))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ({"name": "../../x"}, (1, "error: {doc}: window name '../../x' is not a plain directory name")),
+            ({"rf": "x"}, (1, "error: {doc}: field 'rf' has invalid value 'x' (expected a JSON number)")),
+            ({"labels": 5}, (1, "error: {doc}: field 'labels' has invalid value 5 (expected a list of strings)")),
+            ({"labels": ["A", "A"]}, (1, "error: {doc}: labels must be unique")),
+            ({"labels": ["\ud800X", "B"]}, (1, "error: {doc}: field 'labels' has invalid value ['\\ud800X', 'B'] ('utf-8' codec can't encode character '\\ud800' in position 0: surrogates not allowed)")),
+            ({"name": "\ud800X"}, (1, "error: {doc}: window name '\\ud800X' is not a plain directory name")),
+        ],
+        ids=[
+            "name-escapes", "rf-not-number", "labels-not-list", "labels-duplicate",
+            "labels-surrogate", "name-surrogate",
+        ],
+    )
+    def test_bad_field_exit_1(self, tmp_path, capsys, field, message):
+        refuse_replay(tmp_path, capsys, two_assets([[0.04, 0.01], [0.01, 0.09]], **field), message)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["expected_returns"].__setitem__(1, "x"), (1, "error: {doc}: field 'expected_returns' has invalid value [0.0303, 'x', 0.0473, 0.0392] (expected JSON numbers)")),
+            (lambda doc: doc["expected_returns"].__setitem__(1, float("nan")), (1, "error: {doc}: field 'expected_returns' has invalid value [0.0303, nan, 0.0473, 0.0392] (not all numbers are finite)")),
+            (lambda doc: doc["cov_matrix"][2].pop(), (1, "error: {doc}: field 'cov_matrix' has invalid value [[0.0874, 0.0492, 0.0373, 0.0782], [0.0492, 0.1494, 0.0399, 0.0478], [0.0373, 0.0399, 0.1172], [0.0782, 0.0478, 0.0468, 0.1203]] (expected shape (4, 4), got a ragged list)")),
+            (lambda doc: doc["cov_matrix"][1].__setitem__(1, float("nan")), (1, "error: {doc}: field 'cov_matrix' has invalid value [[0.0874, 0.0492, 0.0373, 0.0782], [0.0492, nan, 0.0399, 0.0478], [0.0373, 0.0399, 0.1172, 0.0468], [0.0782, 0.0478, 0.0468, 0.1203]] (not all numbers are finite)")),
+            (lambda doc: doc["cov_matrix"][0].__setitem__(3, float("inf")), (1, "error: {doc}: field 'cov_matrix' has invalid value [[0.0874, 0.0492, 0.0373, inf], [0.0492, 0.1494, 0.0399, 0.0478], [0.0373, 0.0399, 0.1172, 0.0468], [0.0782, 0.0478, 0.0468, 0.1203]] (not all numbers are finite)")),
+            (lambda doc: doc.update(asset_stats=5), (1, "error: {doc}: field 'asset_stats' has invalid value 5 (expected a list)")),
+            (lambda doc: doc["asset_stats"].__setitem__(0, 5), (1, "error: {doc}.asset_stats[0]: expected a JSON object, got 5")),
+            (lambda doc: doc["asset_stats"][2].update(beta=float("nan")), (1, "error: {doc}.asset_stats[2]: field 'beta' has invalid value nan (not a finite number)")),
+            (lambda doc: doc.update(market=5), (1, "error: {doc}.market: expected a JSON object, got 5")),
+            (lambda doc: doc["market"].update(id=5), (1, "error: {doc}.market: field 'id' has invalid value 5 (expected a string)")),
+            (lambda doc: doc["market"].update(id="ISA"), (1, "error: {doc}: market id must differ from the labels")),
+            (lambda doc: doc["market"].update(id="\udcffX"), (1, "error: {doc}.market: field 'id' has invalid value '\\udcffX' ('utf-8' codec can't encode character '\\udcff' in position 0: surrogates not allowed)")),
+            (lambda doc: doc.update(cov_matrix=DEEP), (1, "error: {doc}: invalid JSON: nested too deeply")),
+        ],
+        ids=[
+            "er-string", "er-nan", "cov-ragged", "cov-nan", "cov-inf", "asset-stats-not-list",
+            "asset-stat-not-object", "asset-stat-nan", "market-not-object", "market-id-not-str",
+            "market-id-is-label", "market-id-surrogate", "nested-too-deeply",
+        ],
+    )
+    def test_bad_fixture_exit_1(self, tmp_path, capsys, edit, message):
+        refuse_replay(tmp_path, capsys, edit, message)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_inverse_exit_2(self, tmp_path, capsys):
+        refuse_replay(tmp_path, capsys, two_assets([[1e-310, 0.0], [0.0, 1e-310]]), (2, "numeric error: inverse overflows the floating-point range"))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["asset_stats"][1].update(ann_vol=1e-320), (2, "numeric error: Sharpe ratio is not finite: it overflows the floating-point range")),
+            (lambda doc: doc["asset_stats"][1].update(beta=1e-320), (2, "numeric error: Treynor ratio is not finite: it overflows the floating-point range")),
+            (lambda doc: doc["market"].update(ann_vol=1e-320), (2, "numeric error: Sharpe ratio is not finite: it overflows the floating-point range")),
+        ],
+        ids=["asset-ann-vol", "asset-beta", "market-ann-vol"],
+    )
+    def test_overflowing_ratio_exit_2(self, tmp_path, capsys, edit, message):
+        # a subnormal denominator overflows Sharpe or Treynor, without a warning
+        refuse_replay(tmp_path, capsys, edit, message)
+
+    @pytest.mark.filterwarnings("error")
+    def test_market_without_asset_stats_is_checked(self, tmp_path, capsys):
+        refuse_replay(tmp_path, capsys, lambda d: [d.pop("asset_stats"), d["market"].update(ann_vol=0)],
+                      (2, "numeric error: Sharpe undefined for zero volatility"), base="replay_2023.json")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # gamma = E(R)' A^-1 E(R) overflows
+            (lambda doc: doc["expected_returns"].__setitem__(2, 1e160), (2, "numeric error: frontier constants overflow the floating-point range")),
+            # alpha * gamma and b * b overflow, so delta is inf - inf
+            (lambda doc: doc.update(cov_matrix=(1e-300 * np.eye(4)).tolist()), (2, "numeric error: frontier constants overflow the floating-point range")),
+        ],
+        ids=["huge-returns", "tiny-covariance"],
+    )
+    def test_overflowing_constants_exit_2(self, tmp_path, capsys, edit, message):
+        refuse_replay(tmp_path, capsys, edit, message, base="replay_2023.json")
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_utf8_json_exit_1(self, tmp_path, capsys):
+        refuse_replay(tmp_path, capsys, b'{"units": "decimal", "name": "\xff"}', (1, "error: {doc}: not UTF-8 text: invalid start byte at byte 30"))
+
+    @pytest.mark.filterwarnings("error")
+    def test_invalid_json_exit_1(self, tmp_path, capsys):
+        refuse_replay(tmp_path, capsys, "{not json", (1, "error: {doc}: invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"))
+
+    @pytest.mark.filterwarnings("error")
+    def test_shape_mismatch_exit_1(self, tmp_path, capsys):
+        doc = two_assets([[0.01, 0.0], [0.0, 0.01]], labels=["A", "B", "C"])
+        refuse_replay(tmp_path, capsys, doc, (1, "error: {doc}: field 'cov_matrix' has invalid value [[0.01, 0.0], [0.0, 0.01]] (expected shape (3, 3), got (2, 2))"))
+
+
+# the refusals of the frontier arguments, run by TestFrontier.test_span_message
+# as the tables below are run (see assert_refused)
+FRONTIER_MESSAGES = [
+    ("reversed", ["--window=all", "--span=0.2:0.1"],
+     (1, "error: invalid return span [0.2, 0.1]")),
+    ("nan", ["--window=all", "--span=nan:1"],
+     (1, "error: invalid return span [nan, 1.0]")),
+    ("span-not-two-numbers", ["--window=all", "--span=abc"],
+     (1, "error: invalid span 'abc' (expected LO:HI)")),
+    ("infinite", ["--window=all", "--span=-inf:inf"],
+     (1, "error: return span [-inf, inf] gives non-finite curve values")),
+    # finite, but its frontier risks overflow
+    ("span-overflows", ["--window=all", "--span=0:1e200"],
+     (1, "error: return span [0.0, 1e+200] gives non-finite curve values")),
+    ("points-too-many", ["--window=all", "--points=1000001"],
+     (1, "error: need 2 to 1000000 curve points, got 1000001")),
+    # two rules: the curve checks the span after the window and the points
+    ("non-viable-and-reversed", ["--window=crash", "--span=0.2:0.1"],
+     (1, "error: window crash is non-viable; no curve")),
+    ("points-and-reversed", ["--window=all", "--points=1", "--span=0.2:0.1"],
+     (1, "error: need 2 to 1000000 curve points, got 1")),
+]
+
+
 
 class TestFrontier:
     def test_happy_path(self, tmp_path):
@@ -313,6 +532,37 @@ class TestFrontier:
     def test_unknown_window_exit_1(self, tmp_path):
         cfg = make_config(tmp_path)
         assert main(["frontier", "--config", str(cfg), "--window", "zzz"]) == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_bad_span_exit_1(self, tmp_path, capsys):
+        cfg = make_config(tmp_path)
+        for span, message in [("0.2:0.1", (1, "error: invalid return span [0.2, 0.1]")), ("abc", (1, "error: invalid span 'abc' (expected LO:HI)"))]:
+            argv = ["frontier", "--config", str(cfg), "--window", "w1", "--span", span]
+            assert_refused(tmp_path, capsys, argv, cfg, message)
+
+    W1_SPAN_OR_POINTS = {
+        "--span=-inf:inf": (1, "error: return span [-inf, inf] gives non-finite curve values"),
+        "--span=0:1e200": (1, "error: return span [0.0, 1e+200] gives non-finite curve values"),
+        "--span=-1e300:1e300": (1, "error: return span [-1e+300, 1e+300] gives non-finite curve values"),
+        "--span=nan:1": (1, "error: invalid return span [nan, 1.0]"),
+        "--points=1000000000000": (1, "error: need 2 to 1000000 curve points, got 1000000000000"),
+        "--points=1000001": (1, "error: need 2 to 1000000 curve points, got 1000001"),
+        "--points=1": (1, "error: need 2 to 1000000 curve points, got 1"),
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("arg, message", W1_SPAN_OR_POINTS.items(), ids=list(W1_SPAN_OR_POINTS))
+    def test_non_finite_span_or_points_out_of_range_exit_1(self, tmp_path, capsys, arg, message):
+        cfg = make_config(tmp_path)
+        assert_refused(tmp_path, capsys, ["frontier", "--config", str(cfg), "--window", "w1", arg], cfg, message)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("args, message", [c[1:] for c in FRONTIER_MESSAGES],
+                             ids=[c[0] for c in FRONTIER_MESSAGES])
+    def test_span_message(self, tmp_path, capsys, args, message):
+        cfg = FIXTURES / "analyze" / "config.json"
+        argv = ["frontier", "--config", str(cfg), *args, "--output-dir", str(tmp_path)]
+        assert_refused(tmp_path, capsys, argv, cfg, message)
 
     def test_no_format_option(self, capsys):
         # frontier writes only the curve files, which have one format
@@ -502,8 +752,6 @@ class TestLoaders:
 CONFIG_MESSAGES = [
     ("not-object", "[1, 2]",
      (1, 'error: {doc}: expected a JSON object, got [1, 2]')),
-    ("nested-too-deeply", lambda d: d.update(windows=DEEP),
-     (1, "error: {doc}: invalid JSON: nested too deeply")),
     ("units-missing", lambda d: d.pop("units"),
      (1, "error: {doc}: missing field 'units'")),
     ("units-percent", lambda d: d.update(units="percent"),
@@ -522,8 +770,6 @@ CONFIG_MESSAGES = [
      (1, "error: {doc}.assets[1]: missing field 'id'")),
     ("asset-id-not-str", lambda d: d["assets"][1].update(id=5),
      (1, "error: {doc}.assets[1]: field 'id' has invalid value 5 (expected a string)")),
-    ("asset-id-surrogate", lambda d: d["assets"][1].update(id="B\ud800"),
-     (1, "error: {doc}.assets[1]: field 'id' has invalid value 'B\\ud800' ('utf-8' codec can't encode character '\\ud800' in position 1: surrogates not allowed)")),
     ("asset-csv-path-missing", lambda d: d["assets"][2].pop("csv_path"),
      (1, "error: {doc}.assets[2]: missing field 'csv_path'")),
     ("asset-csv-path-surrogate", lambda d: d["assets"][1].update(csv_path="b\ud800.csv"),
@@ -534,8 +780,6 @@ CONFIG_MESSAGES = [
      (1, "error: {doc}.market: expected a JSON object, got ['MKT']")),
     ("market-id-missing", lambda d: d["market"].pop("id"),
      (1, "error: {doc}.market: missing field 'id'")),
-    ("market-id-surrogate", lambda d: d["market"].update(id="\udcffM"),
-     (1, "error: {doc}.market: field 'id' has invalid value '\\udcffM' ('utf-8' codec can't encode character '\\udcff' in position 0: surrogates not allowed)")),
     ("market-csv-path-not-str", lambda d: d["market"].update(csv_path=None),
      (1, "error: {doc}.market: field 'csv_path' has invalid value None (expected a string)")),
     ("ids-duplicate", lambda d: d["market"].update(id="AAA"),
@@ -583,22 +827,16 @@ CONFIG_MESSAGES = [
      (1, 'error: {doc}.windows[0]: window name 5 is not a plain directory name')),
     ("window-name-empty", lambda d: d["windows"][0].update(name=""),
      (1, "error: {doc}.windows[0]: window name '' is not a plain directory name")),
-    ("window-name-surrogate", lambda d: d["windows"][0].update(name="w\ud800"),
-     (1, "error: {doc}.windows[0]: window name 'w\\ud800' is not a plain directory name")),
     ("window-start-after-end", lambda d: d["windows"][0].update(start="2020-01-01"),
      (1, 'error: {doc}.windows[0]: window w1: start 2020-01-01 after end 2019-12-31')),
     ("window-names-duplicate", lambda d: d["windows"][1].update(name="w1"),
      (1, 'error: {doc}: window names must be unique')),
     ("trading-days-not-int", lambda d: d.update(trading_days="abc"),
      (1, "error: {doc}: field 'trading_days' has invalid value 'abc' (expected a JSON integer)")),
-    ("trading-days-huge", lambda d: d.update(trading_days=1e300),
-     (1, "error: {doc}: field 'trading_days' has invalid value 1e+300 (expected a JSON integer)")),
     ("trading-days-fraction", lambda d: d.update(trading_days=2.7),
      (1, "error: {doc}: field 'trading_days' has invalid value 2.7 (expected a JSON integer)")),
     ("trading-days-bool", lambda d: d.update(trading_days=True),
      (1, "error: {doc}: field 'trading_days' has invalid value True (expected a JSON integer)")),
-    ("trading-days-zero", lambda d: d.update(trading_days=0),
-     (1, "error: {doc}: field 'trading_days' has invalid value 0 (expected 1 to 366)")),
     ("trading-days-367", lambda d: d.update(trading_days=367),
      (1, "error: {doc}: field 'trading_days' has invalid value 367 (expected 1 to 366)")),
     ("output-dir-not-str", lambda d: d.update(output_dir=5),
@@ -627,9 +865,6 @@ CONFIG_MESSAGES = [
     # a label holding a character that XML 1.0 cannot hold is refused when its figure is drawn
     ("asset-id-control", lambda d: d["assets"][0].update(id="A\u0001B"),
      (1, "error: 'A\\x01B' holds a character that an SVG document cannot hold")),
-    # two identical series make the covariance singular
-    ("assets-same-prices", lambda d: d["assets"][1].update(csv_path="a.csv"),
-     (2, "numeric error: pivot 0.000e+00 at index 1 fails the positive-definiteness check (leading minor 2 not positive)")),
     # a window directory where the summary file goes is refused when the outputs are committed
     ("window-name-summary-file", lambda d: d["windows"][1].update(name="summary.csv"),
      (1, "error: [Errno 21] Is a directory: '{dir}/out/summary.csv'")),
@@ -663,12 +898,6 @@ CONFIG_MESSAGES = [
     ("window-name-cr-and-no-dates", lambda d: d["windows"][1].update(name="w\r2", start="2030-01-01", end="2030-12-31"),
      (1, "error: window w\\r2: 0 trading date(s) in range; need at least 2")),
 ]
-
-
-def two_assets(cov) -> str:
-    """A replay document of two assets, A and B, whose covariance is ``cov``."""
-    return json.dumps({"units": "decimal", "labels": ["A", "B"], "rf": 0.02,
-                       "expected_returns": [0.03, 0.04], "cov_matrix": cov})
 
 
 REPLAY_MESSAGES = [
@@ -837,27 +1066,6 @@ REPLAY_MESSAGES = [
 ]
 
 
-FRONTIER_MESSAGES = [
-    ("span-reversed", ["--window=all", "--span=0.2:0.1"],
-     (1, "error: invalid return span [0.2, 0.1]")),
-    ("span-nan", ["--window=all", "--span=nan:1"],
-     (1, "error: invalid return span [nan, 1.0]")),
-    ("span-not-two-numbers", ["--window=all", "--span=abc"],
-     (1, "error: invalid span 'abc' (expected LO:HI)")),
-    ("span-infinite", ["--window=all", "--span=-inf:inf"],
-     (1, "error: return span [-inf, inf] gives non-finite curve values")),
-    # finite, but its frontier risks overflow
-    ("span-overflows", ["--window=all", "--span=0:1e200"],
-     (1, "error: return span [0.0, 1e+200] gives non-finite curve values")),
-    ("points-too-many", ["--window=all", "--points=1000001"],
-     (1, "error: need 2 to 1000000 curve points, got 1000001")),
-    # two rules: the curve checks the span after the window and the points
-    ("non-viable-and-span-reversed", ["--window=crash", "--span=0.2:0.1"],
-     (1, "error: window crash is non-viable; no curve")),
-    ("points-one-and-span-reversed", ["--window=all", "--points=1", "--span=0.2:0.1"],
-     (1, "error: need 2 to 1000000 curve points, got 1")),
-]
-
 
 def write_case(path, doc, edit):
     """Write ``edit`` to ``path``: the document's bytes or text, or an edit of ``doc``."""
@@ -881,29 +1089,30 @@ def assert_refused(tmp_path, capsys, argv, doc, message):
     assert sorted(tmp_path.rglob("*")) == before
 
 
+def refuse_config(tmp_path, capsys, edit, message):
+    """``analyze`` of ``make_config``'s config, edited by ``edit``, is refused with ``message``."""
+    cfg = make_config(tmp_path)
+    write_case(cfg, json.loads(cfg.read_text()), edit)
+    assert_refused(tmp_path, capsys, ["analyze", "--config", str(cfg)], cfg, message)
+
+
+def refuse_replay(tmp_path, capsys, edit, message, base="replay_2015_2023.json"):
+    """``replay`` of the fixture ``base``, edited by ``edit``, is refused with ``message``."""
+    src = tmp_path / "doc.json"
+    write_case(src, json.loads((FIXTURES / base).read_text()), edit)
+    argv = ["replay", "--input", str(src), "--output-dir", str(tmp_path / "o")]
+    assert_refused(tmp_path, capsys, argv, src, message)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("edit, message", [c[1:] for c in CONFIG_MESSAGES],
                          ids=[c[0] for c in CONFIG_MESSAGES])
 def test_config_message(tmp_path, capsys, edit, message):
-    cfg = make_config(tmp_path)
-    write_case(cfg, json.loads(cfg.read_text()), edit)
-    assert_refused(tmp_path, capsys, ["analyze", "--config", str(cfg)], cfg, message)
+    refuse_config(tmp_path, capsys, edit, message)
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("edit, message", [c[1:] for c in REPLAY_MESSAGES],
                          ids=[c[0] for c in REPLAY_MESSAGES])
 def test_replay_message(tmp_path, capsys, edit, message):
-    src = tmp_path / "doc.json"
-    write_case(src, json.loads((FIXTURES / "replay_2015_2023.json").read_text()), edit)
-    argv = ["replay", "--input", str(src), "--output-dir", str(tmp_path / "o")]
-    assert_refused(tmp_path, capsys, argv, src, message)
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("args, message", [c[1:] for c in FRONTIER_MESSAGES],
-                         ids=[c[0] for c in FRONTIER_MESSAGES])
-def test_frontier_message(tmp_path, capsys, args, message):
-    cfg = FIXTURES / "analyze" / "config.json"
-    argv = ["frontier", "--config", str(cfg), *args, "--output-dir", str(tmp_path)]
-    assert_refused(tmp_path, capsys, argv, cfg, message)
+    refuse_replay(tmp_path, capsys, edit, message)
